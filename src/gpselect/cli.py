@@ -231,6 +231,8 @@ def cmd_sample(
                 "thin": samp.thin,
                 "stored_draws": len(chain),
                 "acceptance_rate": chain.acceptance_rate,
+                "singular_rejects": chain.n_singular,
+                "jittered_factors": chain.n_jittered,
             },
         )
     return {"chain": str(chain_path), "acceptance_rate": chain.acceptance_rate}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatchError, NumericalSingularityError
 
@@ -50,7 +51,8 @@ def _rho_array(params) -> np.ndarray:
 
 
 def _log_rho(rho: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(rho, RHO_FLOOR, 1.0))
+    # np.clip's values, without its Python-level dispatch
+    return np.log(np.minimum(np.maximum(rho, RHO_FLOOR), 1.0))
 
 
 def correlation(u, v, params) -> float:
@@ -155,23 +157,12 @@ def cross_correlation(X_new: np.ndarray, X_old: np.ndarray, params) -> np.ndarra
     return corr_from_sqdiffs(pairwise_sqdiffs(X_new, X_old), _rho_array(params))
 
 
-def gaussian_loglik_from_factor(
-    L: np.ndarray, resid: np.ndarray, sigma2: float
-) -> float:
-    """log N(resid; 0, sigma2 * L L^T) from the Cholesky factor of R + lam*I."""
-    n = resid.shape[0]
-    z = solve_triangular(L, resid, lower=True, check_finite=False)
-    logdet = n * np.log(sigma2) + 2.0 * np.sum(np.log(np.diag(L)))
-    quad = float(z @ z) / sigma2
-    return -0.5 * (n * LOG_2PI + logdet + quad)
-
-
 def log_likelihood(data, state) -> float:
     """Marginal log-likelihood of y under the Gaussian process model.
 
     y ~ N(beta0 * 1 + X beta, sigma2_z * (R(rho) + lambda * I)), evaluated
     via triangular factorization: log-determinant from the factor diagonal,
-    quadratic form from two triangular solves.
+    quadratic form from one triangular solve.
     """
     if state.sigma2_z <= 0.0:
         raise ValueError(f"sigma2_z must be positive, got {state.sigma2_z}")
@@ -192,19 +183,30 @@ class LikelihoodCache:
         self.n = self.X.shape[0]
         self.d2 = pairwise_sqdiffs(self.X)
 
-    def corr(self, rho) -> np.ndarray:
+    def corr(self, rho, lam: float) -> np.ndarray:
+        """R(rho) + lam * I over the cached rows."""
         R = np.exp(self.d2 @ _log_rho(_rho_array(rho)))
-        np.fill_diagonal(R, 1.0)
+        R.flat[:: self.n + 1] = 1.0 + lam
         return R
 
-    def factor(self, rho, lam: float) -> np.ndarray:
-        A = self.corr(rho)
-        idx = np.arange(self.n)
-        A[idx, idx] += lam
-        L, _ = cholesky_with_jitter(A)
-        return L
-
     def log_likelihood(self, state) -> float:
-        L = self.factor(state.rho, state.lam)
-        resid = self.y - state.beta0 - self.X @ state.beta
-        return gaussian_loglik_from_factor(L, resid, state.sigma2_z)
+        return self.log_likelihood_arrays(
+            state.rho, state.lam, state.beta0, state.beta, state.sigma2_z
+        )[0]
+
+    def log_likelihood_arrays(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
+        """Log-likelihood at plain parameter values, and the jitter its factor needed.
+
+        log N(y; beta0 + X beta, sigma2 (R + lam I)): log-determinant from the
+        factor diagonal, quadratic form from one triangular solve.
+        """
+        L, jitter = cholesky_with_jitter(self.corr(rho, lam))
+        resid = self.y - beta0 - self.X @ beta
+        # solve_triangular(L, resid, lower=True) runs exactly this LAPACK call
+        # for the C-ordered factor numpy returns, minus its argument checks
+        z, info = dtrtrs(L.T, resid, lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+        logdet = self.n * np.log(sigma2) + 2.0 * np.log(L.diagonal()).sum()
+        quad = float(z @ z) / sigma2
+        return -0.5 * (self.n * LOG_2PI + logdet + quad), jitter

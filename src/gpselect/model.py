@@ -9,6 +9,8 @@ mass contributes only its Bernoulli weight, never a density term.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ from .errors import InvalidStateError, TransformError
 LAMBDA_FLOOR = 1e-10
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(eq=False)
@@ -84,15 +87,7 @@ class ParameterState:
         self.rho = np.asarray(self.rho, dtype=float).ravel()
 
     def copy(self) -> "ParameterState":
-        return ParameterState(
-            self.beta0,
-            self.beta.copy(),
-            self.rho.copy(),
-            self.sigma2_z,
-            self.lam,
-            self.omega_r,
-            self.omega_c,
-        )
+        return dataclasses.replace(self, beta=self.beta.copy(), rho=self.rho.copy())
 
 
 @dataclass
@@ -129,31 +124,16 @@ class PriorConfig:
     lambda_scale: float = 0.2
 
     def __post_init__(self):
-        for name in (
-            "tau",
-            "beta0_sd",
-            "sigma2_shape",
-            "sigma2_scale",
-            "lambda_shape",
-            "lambda_scale",
-        ):
-            if getattr(self, name) <= 0.0:
+        for name, value in self.to_dict().items():
+            if value <= 0.0:
                 raise ValueError(f"PriorConfig.{name} must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "beta0_sd": self.beta0_sd,
-            "sigma2_shape": self.sigma2_shape,
-            "sigma2_scale": self.sigma2_scale,
-            "lambda_shape": self.lambda_shape,
-            "lambda_scale": self.lambda_scale,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown prior config keys: {sorted(unknown)}")
         return cls(**d)
@@ -161,32 +141,37 @@ class PriorConfig:
 
 def validate_consistent(ind: ModelIndicator, state: ParameterState) -> None:
     """Inactive coordinates must sit exactly at their point masses."""
-    p = ind.p
-    if state.beta.shape[0] != p or state.rho.shape[0] != p:
+    _check_consistent(ind.gamma_r, ind.gamma_c, state.beta, state.rho)
+
+
+def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:
+    # plain-list loops: at the sampler's p these beat numpy's per-call cost
+    p = gamma_r.shape[0]
+    if beta.shape[0] != p or rho.shape[0] != p:
         raise InvalidStateError(
-            f"state vectors of length {state.beta.shape[0]}/{state.rho.shape[0]} "
+            f"state vectors of length {beta.shape[0]}/{rho.shape[0]} "
             f"do not match {p} indicators"
         )
-    off_r = (ind.gamma_r == 0) & (state.beta != 0.0)
-    if np.any(off_r):
-        raise InvalidStateError(
-            f"inactive beta coordinates {np.where(off_r)[0].tolist()} are nonzero"
-        )
-    off_c = (ind.gamma_c == 0) & (state.rho != 1.0)
-    if np.any(off_c):
-        raise InvalidStateError(
-            f"inactive rho coordinates {np.where(off_c)[0].tolist()} are not 1"
-        )
+    for name, gamma, x, mass in (("beta", gamma_r, beta, 0.0), ("rho", gamma_c, rho, 1.0)):
+        off = [j for j, (g, v) in enumerate(zip(gamma.tolist(), x.tolist()))
+               if g == 0 and v != mass]
+        if off:
+            raise InvalidStateError(f"inactive {name} coordinates {off} are not {mass:g}")
 
 
 def _norm_logpdf(x: float, sd: float) -> float:
     return -0.5 * (_LOG_2PI + 2.0 * math.log(sd)) - 0.5 * (x / sd) ** 2
 
 
+@functools.lru_cache(maxsize=8)
+def _invgamma_norm(shape: float, scale: float) -> float:
+    return shape * math.log(scale) - float(gammaln(shape))
+
+
 def _invgamma_logpdf(x: float, shape: float, scale: float) -> float:
     if x <= 0.0:
         return -math.inf
-    return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * math.log(x) - scale / x
+    return _invgamma_norm(shape, scale) - (shape + 1.0) * math.log(x) - scale / x
 
 
 def log_prior(ind: ModelIndicator, state: ParameterState, cfg: PriorConfig) -> float:
@@ -197,27 +182,40 @@ def log_prior(ind: ModelIndicator, state: ParameterState, cfg: PriorConfig) -> f
     Gaussian for the intercept, inverse-gamma for sigma2_z and lambda, and a
     uniform (zero) term for the weights. Returns -inf outside the support.
     """
-    validate_consistent(ind, state)
-    p = ind.p
-    if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
+    return log_prior_arrays(*flat_state(ind, state), cfg)
+
+
+def flat_state(ind: ModelIndicator, state: ParameterState) -> tuple:
+    """(gamma_r, gamma_c, beta, rho, scalars): a state as plain arrays and floats,
+    with scalars = (beta0, sigma2_z, lambda, omega_r, omega_c)."""
+    scalars = (state.beta0, state.sigma2_z, state.lam, state.omega_r, state.omega_c)
+    return ind.gamma_r, ind.gamma_c, state.beta, state.rho, scalars
+
+
+def log_prior_arrays(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
+    """`log_prior` of a `flat_state`, the form the sampler's loop holds."""
+    beta0, sigma2_z, lam, omega_r, omega_c = scalars
+    _check_consistent(gamma_r, gamma_c, beta, rho)
+    if not (0.0 < omega_r < 1.0 and 0.0 < omega_c < 1.0):
         return -math.inf
-    active_rho = state.rho[ind.gamma_c == 1]
-    if active_rho.size and (np.any(active_rho <= 0.0) or np.any(active_rho >= 1.0)):
+    active_rho = [r for g, r in zip(gamma_c.tolist(), rho.tolist()) if g == 1]
+    if any(r <= 0.0 or r >= 1.0 for r in active_rho):
         return -math.inf
 
-    nr = int(ind.gamma_r.sum())
-    nc = int(ind.gamma_c.sum())
-    lp = nr * math.log(state.omega_r) + (p - nr) * math.log1p(-state.omega_r)
-    lp += nc * math.log(state.omega_c) + (p - nc) * math.log1p(-state.omega_c)
+    p = gamma_r.shape[0]
+    nr = int(np.count_nonzero(gamma_r))
+    nc = len(active_rho)
+    lp = nr * math.log(omega_r) + (p - nr) * math.log1p(-omega_r)
+    lp += nc * math.log(omega_c) + (p - nc) * math.log1p(-omega_c)
 
-    active_beta = state.beta[ind.gamma_r == 1]
-    if active_beta.size:
-        lp += -0.5 * active_beta.size * (_LOG_2PI + 2.0 * math.log(cfg.tau))
+    if nr:
+        active_beta = beta[gamma_r == 1]
+        lp += -0.5 * nr * (_LOG_2PI + 2.0 * math.log(cfg.tau))
         lp += -0.5 * float(active_beta @ active_beta) / cfg.tau**2
 
-    lp += _norm_logpdf(state.beta0, cfg.beta0_sd)
-    lp += _invgamma_logpdf(state.sigma2_z, cfg.sigma2_shape, cfg.sigma2_scale)
-    lp += _invgamma_logpdf(state.lam, cfg.lambda_shape, cfg.lambda_scale)
+    lp += _norm_logpdf(beta0, cfg.beta0_sd)
+    lp += _invgamma_logpdf(sigma2_z, cfg.sigma2_shape, cfg.sigma2_scale)
+    lp += _invgamma_logpdf(lam, cfg.lambda_shape, cfg.lambda_scale)
     return lp
 
 
@@ -242,28 +240,19 @@ def to_unconstrained(state: ParameterState) -> TransformedState:
     if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
         raise TransformError("omega_r and omega_c must lie strictly inside (0, 1)")
     return TransformedState(
-        beta0=state.beta0,
-        beta=state.beta.copy(),
-        rho=state.rho.copy(),
-        mu=math.log(state.sigma2_z),
-        zeta=math.log(state.lam),
-        psi_r=math.log(state.omega_r / (1.0 - state.omega_r)),
-        psi_c=math.log(state.omega_c / (1.0 - state.omega_c)),
+        state.beta0,
+        state.beta.copy(),
+        state.rho.copy(),
+        *scalars_to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c),
     )
 
 
 def from_unconstrained(t: TransformedState) -> ParameterState:
-    # expit output is clipped away from {0, 1} so downstream logs stay finite;
-    # the walk never legitimately reaches |psi| ~ 36 where this matters.
-    eps = 1e-15
     return ParameterState(
-        beta0=t.beta0,
-        beta=np.asarray(t.beta, dtype=float).copy(),
-        rho=np.asarray(t.rho, dtype=float).copy(),
-        sigma2_z=math.exp(t.mu),
-        lam=math.exp(t.zeta),
-        omega_r=float(np.clip(expit(t.psi_r), eps, 1.0 - eps)),
-        omega_c=float(np.clip(expit(t.psi_c), eps, 1.0 - eps)),
+        t.beta0,
+        np.asarray(t.beta, dtype=float).copy(),
+        np.asarray(t.rho, dtype=float).copy(),
+        *scalars_from_unconstrained(t.mu, t.zeta, t.psi_r, t.psi_c),
     )
 
 
@@ -274,11 +263,40 @@ def log_jacobian(t: TransformedState) -> float:
     derivative omega*(1-omega) for each weight, so the log-determinant is
     mu + zeta + log omega_r(1-omega_r) + log omega_c(1-omega_c).
     """
-    # log sigma(psi) + log(1 - sigma(psi)) = -softplus(-psi) - softplus(psi)
-    def _log_w_1mw(psi: float) -> float:
-        return -(np.logaddexp(0.0, -psi) + np.logaddexp(0.0, psi))
+    return log_jacobian_scalars(t.mu, t.zeta, t.psi_r, t.psi_c)
 
-    return float(t.mu + t.zeta + _log_w_1mw(t.psi_r) + _log_w_1mw(t.psi_c))
+
+def scalars_to_unconstrained(sigma2_z, lam, omega_r, omega_c) -> tuple:
+    """(mu, zeta, psi_r, psi_c) of in-range scalars; `to_unconstrained` checks the range."""
+    return (math.log(sigma2_z), math.log(lam),
+            math.log(omega_r / (1.0 - omega_r)), math.log(omega_c / (1.0 - omega_c)))
+
+
+def scalars_from_unconstrained(mu, zeta, psi_r, psi_c) -> tuple:
+    """(sigma2_z, lambda, omega_r, omega_c), the inverse of `scalars_to_unconstrained`."""
+    # expit output is clipped away from {0, 1} so downstream logs stay finite;
+    # the walk never legitimately reaches |psi| ~ 36 where this matters.
+    eps = 1e-15
+    return (math.exp(mu), math.exp(zeta),
+            min(max(float(expit(psi_r)), eps), 1.0 - eps),
+            min(max(float(expit(psi_c)), eps), 1.0 - eps))
+
+
+def log_jacobian_scalars(mu, zeta, psi_r, psi_c) -> float:
+    """`log_jacobian` on the four unconstrained scalars."""
+    # log sigma(psi) + log(1 - sigma(psi)) = -softplus(-psi) - softplus(psi)
+    return float(
+        mu + zeta - (_softplus(-psi_r) + _softplus(psi_r)) - (_softplus(-psi_c) + _softplus(psi_c))
+    )
+
+
+def _softplus(x: float) -> float:
+    """log(1 + e^x), step for step as np.logaddexp(0.0, x) evaluates it."""
+    if x == 0.0:
+        return _LOG_2
+    if x < 0.0:
+        return math.log1p(math.exp(x))
+    return x + math.log1p(math.exp(-x))
 
 
 def draw_from_prior(p: int, cfg: PriorConfig, rng: np.random.Generator

@@ -17,6 +17,7 @@ nothing else enters the ratio.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -31,13 +32,16 @@ from .model import (
     ModelIndicator,
     ParameterState,
     PriorConfig,
-    TransformedState,
+    _norm_logpdf,
     draw_from_prior,
-    from_unconstrained,
+    flat_state,
     log_jacobian,
-    log_prior,
+    log_jacobian_scalars,
+    log_prior,  # noqa: F401  kept bound here: perfbench traces sampler.log_prior
+    log_prior_arrays,
+    scalars_from_unconstrained,
+    scalars_to_unconstrained,
     to_unconstrained,
-    validate_consistent,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,30 +85,14 @@ class SamplerConfig:
             raise ValueError("init must be one of 'prior', 'empty', 'spatial'")
 
     def to_dict(self) -> dict:
-        return {
-            "n_iter": self.n_iter,
-            "burn_in": self.burn_in,
-            "nu": self.nu,
-            "jitter_sd_beta": self.jitter_sd_beta,
-            "jitter_sd_rho": self.jitter_sd_rho,
-            "rw_sd": list(self.rw_sd),
-            "seed": self.seed,
-            "thin": self.thin,
-            "jitter_when_no_flip": self.jitter_when_no_flip,
-            "init": self.init,
-            "slab_correction": self.slab_correction,
-        }
+        return {**dataclasses.asdict(self), "rw_sd": list(self.rw_sd)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sampler config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "rw_sd" in d:
-            d["rw_sd"] = tuple(d["rw_sd"])
-        return cls(**d)
+        return cls(**{**d, "rw_sd": tuple(d.get("rw_sd", cls.rw_sd))})
 
 
 @dataclass
@@ -113,6 +101,9 @@ class Chain:
 
     accepted holds one flag per sampler iteration when the chain was produced
     in-process; a chain loaded from disk only has flags for the stored draws.
+    n_singular counts the proposals auto-rejected because R + lambda*I could
+    not be factored, n_jittered the likelihood factors that needed diagonal
+    jitter; chain files do not store them, so a loaded chain has None.
     """
 
     gamma_r: np.ndarray
@@ -128,6 +119,8 @@ class Chain:
     iters: np.ndarray
     accepted: np.ndarray
     draw_accepted: np.ndarray = field(default=None)
+    n_singular: int | None = None
+    n_jittered: int | None = None
 
     def __post_init__(self):
         if self.draw_accepted is None:
@@ -148,15 +141,9 @@ class Chain:
         return ModelIndicator(self.gamma_r[i], self.gamma_c[i])
 
     def state(self, i: int) -> ParameterState:
-        return ParameterState(
-            beta0=float(self.beta0[i]),
-            beta=self.beta[i].copy(),
-            rho=self.rho[i].copy(),
-            sigma2_z=float(self.sigma2_z[i]),
-            lam=float(self.lam[i]),
-            omega_r=float(self.omega_r[i]),
-            omega_c=float(self.omega_c[i]),
-        )
+        return ParameterState(float(self.beta0[i]), self.beta[i].copy(), self.rho[i].copy(),
+                              float(self.sigma2_z[i]), float(self.lam[i]),
+                              float(self.omega_r[i]), float(self.omega_c[i]))
 
     def draw(self, i: int) -> tuple[ModelIndicator, ParameterState]:
         return self.indicator(i), self.state(i)
@@ -174,95 +161,90 @@ def reflect_unit(x: np.ndarray) -> np.ndarray:
     r = np.where(t > 1.0, 2.0 - t, t)
     # the fold lands exactly on an endpoint with probability zero; clamp so
     # the open-interval invariant survives even that
-    return np.clip(r, 1e-12, 1.0 - 1e-12)
+    return np.minimum(np.maximum(r, 1e-12), 1.0 - 1e-12)
 
 
-def propose(
-    current: tuple[ModelIndicator, ParameterState],
-    cfg: SamplerConfig,
-    prior: PriorConfig,
-    rng: np.random.Generator,
-) -> tuple[ModelIndicator, ParameterState]:
+def propose(current: tuple[ModelIndicator, ParameterState], cfg: SamplerConfig,
+            prior: PriorConfig, rng: np.random.Generator) -> tuple[ModelIndicator, ParameterState]:
     """One symmetric proposal from the current state.
 
     The slab scale for newly activated coefficients comes from the prior
     config (activation draws are N(0, tau^2) and U(0, 1)).
     """
-    ind, state = current
-    p = ind.p
+    t = to_unconstrained(current[1])
+    gamma_r, gamma_c, beta, rho, scalars, _ = propose_arrays(
+        *flat_state(*current), (t.mu, t.zeta, t.psi_r, t.psi_c), cfg, prior.tau, rng)
+    return ModelIndicator(gamma_r, gamma_c), ParameterState(scalars[0], beta, rho, *scalars[1:])
+
+
+def propose_arrays(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tuple:
+    """`propose` on a `flat_state`, given its unconstrained scalars
+    t = (mu, zeta, psi_r, psi_c).
+
+    Returns the proposed flat state followed by the flipped coefficient slots
+    in ascending order.
+    """
+    p = gamma_r.shape[0]
     nu = cfg.nu if cfg.nu is not None else 1.0 / (2.0 * p)
 
-    gamma_r = ind.gamma_r.copy()
-    gamma_c = ind.gamma_c.copy()
-    beta = state.beta.copy()
-    rho = state.rho.copy()
-    flipped_r = np.zeros(p, dtype=bool)
-    flipped_c = np.zeros(p, dtype=bool)
+    gamma_r, gamma_c, beta, rho = (a.copy() for a in (gamma_r, gamma_c, beta, rho))
+    flips_r: list[int] = []
+    flips_c: list[int] = []
 
     k = int(rng.binomial(2 * p, nu))
     if k > 0:
-        chosen = rng.choice(2 * p, size=k, replace=False)
-        for idx in chosen:
+        for idx in rng.choice(2 * p, size=k, replace=False).tolist():
+            # activation draws from the slab, deactivation snaps to the point mass
             if idx < p:
-                j = int(idx)
-                flipped_r[j] = True
-                if gamma_r[j] == 0:
-                    gamma_r[j] = 1
-                    beta[j] = rng.normal(0.0, prior.tau)
-                else:
-                    gamma_r[j] = 0
-                    beta[j] = 0.0
+                flips_r.append(idx)
+                gamma_r[idx] = 1 - gamma_r[idx]
+                beta[idx] = rng.normal(0.0, tau) if gamma_r[idx] else 0.0
             else:
-                j = int(idx - p)
-                flipped_c[j] = True
-                if gamma_c[j] == 0:
-                    gamma_c[j] = 1
-                    rho[j] = rng.uniform()
-                else:
-                    gamma_c[j] = 0
-                    rho[j] = 1.0
+                j = idx - p
+                flips_c.append(j)
+                gamma_c[j] = 1 - gamma_c[j]
+                rho[j] = rng.uniform() if gamma_c[j] else 1.0
 
     if k > 0 or cfg.jitter_when_no_flip:
-        jit_r = (gamma_r == 1) & ~flipped_r
-        if jit_r.any():
-            beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=int(jit_r.sum()))
-        jit_c = (gamma_c == 1) & ~flipped_c
-        if jit_c.any():
-            rho[jit_c] = reflect_unit(
-                rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=int(jit_c.sum()))
-            )
+        jit_r = gamma_r == 1
+        jit_r[flips_r] = False
+        n_jit = np.count_nonzero(jit_r)
+        if n_jit:
+            beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=n_jit)
+        jit_c = gamma_c == 1
+        jit_c[flips_c] = False
+        n_jit = np.count_nonzero(jit_c)
+        if n_jit:
+            rho[jit_c] = reflect_unit(rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=n_jit))
 
     # stage 2: independent Gaussian walk on the transformed block
-    steps = rng.normal(0.0, 1.0, size=5) * np.asarray(cfg.rw_sd, dtype=float)
-    t = to_unconstrained(state)
-    t_new = TransformedState(
-        beta0=state.beta0 + steps[0],
-        beta=beta,
-        rho=rho,
-        mu=t.mu + steps[1],
-        zeta=t.zeta + steps[2],
-        psi_r=t.psi_r + steps[3],
-        psi_c=t.psi_c + steps[4],
-    )
-    new_state = from_unconstrained(t_new)
-    new_state.lam = max(new_state.lam, LAMBDA_FLOOR)
-    return ModelIndicator(gamma_r, gamma_c), new_state
+    steps = (rng.normal(0.0, 1.0, size=5) * np.asarray(cfg.rw_sd, dtype=float)).tolist()
+    walked = (x + step for x, step in zip(t, steps[1:]))
+    sigma2_z, lam, omega_r, omega_c = scalars_from_unconstrained(*walked)
+    scalars = (scalars[0] + steps[0], sigma2_z, max(lam, LAMBDA_FLOOR), omega_r, omega_c)
+    flips_r.sort()
+    return gamma_r, gamma_c, beta, rho, scalars, flips_r
 
 
-def _log_target(ind, state, like, prior, flat_likelihood=False) -> float:
-    """log posterior + log Jacobian, the quantity the acceptance ratio compares."""
-    lp = log_prior(ind, state, prior)
+def _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior) -> tuple:
+    """log posterior + log Jacobian of a `flat_state`, the quantity the
+    acceptance ratio compares; like None stands for a flat likelihood. Also
+    returns the log Jacobian and unconstrained scalars (None outside the
+    support) and the jitter the likelihood's factor needed.
+    """
+    lp = log_prior_arrays(gamma_r, gamma_c, beta, rho, scalars, prior)
     if lp == -math.inf:
-        return -math.inf
-    ll = 0.0 if flat_likelihood else like.log_likelihood(state)
-    return ll + lp + log_jacobian(to_unconstrained(state))
+        return -math.inf, None, None, 0.0
+    beta0, sigma2_z, lam, omega_r, omega_c = scalars
+    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood_arrays(
+        rho, lam, beta0, beta, sigma2_z
+    )
+    t = scalars_to_unconstrained(sigma2_z, lam, omega_r, omega_c)
+    log_jac = log_jacobian_scalars(*t)
+    return ll + lp + log_jac, log_jac, t, jitter
 
 
-def proposal_log_correction(
-    current: tuple[ModelIndicator, ParameterState],
-    proposed: tuple[ModelIndicator, ParameterState],
-    prior: PriorConfig,
-) -> float:
+def proposal_log_correction(beta_cur, beta_prop, gamma_r_cur, flips_r, tau) -> float:
     """Log proposal-density ratio q(cur|prop)/q(prop|cur) for flip moves.
 
     A coefficient activated this move was drawn from the N(0, tau^2) slab;
@@ -270,22 +252,27 @@ def proposal_log_correction(
     therefore prod_{1->0} phi_tau(beta_j) / prod_{0->1} phi_tau(beta_j~),
     which exactly cancels the slab densities of flipped coordinates in the
     posterior ratio. Uniform slabs (the rho flips) contribute nothing, as do
-    the symmetric jitter and random-walk components.
+    the symmetric jitter and random-walk components. flips_r lists the
+    flipped coefficient slots in ascending order.
     """
-    cur_ind, cur_state = current
-    prop_ind, prop_state = proposed
-    tau = prior.tau
-
-    def _phi_log(x: float) -> float:
-        return -0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(tau)) - 0.5 * (x / tau) ** 2
-
     corr = 0.0
-    for j in range(cur_ind.p):
-        if cur_ind.gamma_r[j] == 1 and prop_ind.gamma_r[j] == 0:
-            corr += _phi_log(float(cur_state.beta[j]))
-        elif cur_ind.gamma_r[j] == 0 and prop_ind.gamma_r[j] == 1:
-            corr -= _phi_log(float(prop_state.beta[j]))
+    for j in flips_r:
+        if gamma_r_cur[j] == 1:
+            corr += _norm_logpdf(float(beta_cur[j]), tau)
+        else:
+            corr -= _norm_logpdf(float(beta_prop[j]), tau)
     return corr
+
+
+def log_alpha(prop_target: float, cur_target: float, correction: float) -> float:
+    """Log Metropolis-Hastings ratio of two log targets plus the proposal
+    log-density ratio; an undefined (NaN) ratio is a logged auto-reject (-inf).
+    """
+    delta = prop_target - cur_target + correction
+    if math.isnan(delta):
+        logger.warning("auto-rejecting proposal with undefined posterior ratio")
+        return -math.inf
+    return delta
 
 
 def accept_probability(
@@ -308,17 +295,17 @@ def accept_probability(
     """
     like = LikelihoodCache(data)
     try:
-        lt_prop = _log_target(proposed[0], proposed[1], like, cfg)
+        lt_prop = _log_target(*flat_state(*proposed), like, cfg)[0]
     except NumericalSingularityError as exc:
         logger.warning("auto-rejecting singular proposal: %s", exc)
         return 0.0
-    lt_cur = _log_target(current[0], current[1], like, cfg)
-    delta = lt_prop - lt_cur
+    lt_cur = _log_target(*flat_state(*current), like, cfg)[0]
+    corr = 0.0
     if slab_correction:
-        delta += proposal_log_correction(current, proposed, cfg)
-    if math.isnan(delta):
-        logger.warning("auto-rejecting proposal with undefined posterior ratio")
-        return 0.0
+        gamma_r = current[0].gamma_r
+        flips_r = np.flatnonzero(gamma_r != proposed[0].gamma_r).tolist()
+        corr = proposal_log_correction(current[1].beta, proposed[1].beta, gamma_r, flips_r, cfg.tau)
+    delta = log_alpha(lt_prop, lt_cur, corr)
     return math.exp(delta) if delta < 0.0 else 1.0
 
 
@@ -367,88 +354,77 @@ def run_chain(
     (used for validation).
     """
     cfg.validate()
+    if data.X.shape[0] == 0:
+        raise ValueError("cannot sample from an empty dataset")
     p = data.X.shape[1]
     rng = np.random.default_rng(cfg.seed)
     like = None if flat_likelihood else LikelihoodCache(data)
-    if data.X.shape[0] == 0:
-        raise ValueError("cannot sample from an empty dataset")
 
-    if init is None:
-        ind, state = initial_state(data, prior, cfg, rng)
-    else:
-        ind, state = init[0].copy(), init[1].copy()
-        validate_consistent(ind, state)
-
+    # the current state as plain arrays and floats, with its cached target,
+    # log posterior and unconstrained scalars; the loop never writes into
+    # these arrays, and the prior below validates an explicit init
+    ind, state = init if init is not None else initial_state(data, prior, cfg, rng)
+    gamma_r, gamma_c, beta, rho, scalars = flat_state(ind, state)
     try:
-        cur_target = _log_target(ind, state, like, prior, flat_likelihood)
+        cur_target, _, _, jitter = _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior)
     except NumericalSingularityError as exc:
         raise NumericalSingularityError(
             f"initial state is numerically singular: {exc}", jitters=exc.jitters
         ) from exc
-    cur_logpost = cur_target - log_jacobian(to_unconstrained(state))
+    t = to_unconstrained(state)
+    cur_logpost = cur_target - log_jacobian(t)
+    t = (t.mu, t.zeta, t.psi_r, t.psi_c)
 
-    n_stored = (cfg.n_iter - cfg.burn_in) // cfg.thin
-    out = {
-        "gamma_r": np.zeros((n_stored, p), dtype=np.int8),
-        "gamma_c": np.zeros((n_stored, p), dtype=np.int8),
-        "beta0": np.zeros(n_stored),
-        "beta": np.zeros((n_stored, p)),
-        "rho": np.zeros((n_stored, p)),
-        "sigma2_z": np.zeros(n_stored),
-        "lam": np.zeros(n_stored),
-        "omega_r": np.zeros(n_stored),
-        "omega_c": np.zeros(n_stored),
-        "log_posts": np.zeros(n_stored),
-        "iters": np.zeros(n_stored, dtype=np.int64),
-        "draw_accepted": np.zeros(n_stored, dtype=bool),
-    }
+    # the stored iterations are burn_in + thin - 1, then every thin-th one
+    iters = np.arange(cfg.burn_in + cfg.thin - 1, cfg.n_iter, cfg.thin, dtype=np.int64)
+    gammas = np.zeros((2, iters.size, p), dtype=np.int8)  # gamma_r, gamma_c
+    vectors = np.zeros((2, iters.size, p))  # beta, rho
+    # beta0, sigma2_z, lam, omega_r, omega_c and log_posts, one row each
+    stored_scalars = np.zeros((6, iters.size))
     accepted = np.zeros(cfg.n_iter, dtype=bool)
     n_singular = 0
+    n_jittered = int(jitter > 0.0)
 
     store_idx = 0
     for it in range(cfg.n_iter):
-        prop_ind, prop_state = propose((ind, state), cfg, prior, rng)
+        prop_gamma_r, prop_gamma_c, prop_beta, prop_rho, prop_scalars, flips_r = propose_arrays(
+            gamma_r, gamma_c, beta, rho, scalars, t, cfg, prior.tau, rng)
         try:
-            prop_target = _log_target(prop_ind, prop_state, like, prior, flat_likelihood)
+            prop_target, prop_log_jac, prop_t, jitter = _log_target(
+                prop_gamma_r, prop_gamma_c, prop_beta, prop_rho, prop_scalars, like, prior)
         except NumericalSingularityError:
             n_singular += 1
             prop_target = -math.inf
-        log_alpha = prop_target - cur_target
+        else:
+            n_jittered += jitter > 0.0
+        corr = 0.0
         if cfg.slab_correction:
-            log_alpha += proposal_log_correction(
-                (ind, state), (prop_ind, prop_state), prior
-            )
-        if math.isnan(log_alpha):
-            log_alpha = -math.inf
-        u = rng.uniform()
-        if math.log(u) < log_alpha:
-            ind, state = prop_ind, prop_state
+            corr = proposal_log_correction(beta, prop_beta, gamma_r, flips_r, prior.tau)
+        # rng.random() draws the same double as rng.uniform() (0 + 1 * u),
+        # without uniform's argument handling
+        u = rng.random()
+        if math.log(u) < log_alpha(prop_target, cur_target, corr):
+            gamma_r, gamma_c, beta, rho = prop_gamma_r, prop_gamma_c, prop_beta, prop_rho
+            scalars, t = prop_scalars, prop_t
             cur_target = prop_target
-            cur_logpost = cur_target - log_jacobian(to_unconstrained(state))
+            cur_logpost = cur_target - prop_log_jac
             accepted[it] = True
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-            out["gamma_r"][store_idx] = ind.gamma_r
-            out["gamma_c"][store_idx] = ind.gamma_c
-            out["beta0"][store_idx] = state.beta0
-            out["beta"][store_idx] = state.beta
-            out["rho"][store_idx] = state.rho
-            out["sigma2_z"][store_idx] = state.sigma2_z
-            out["lam"][store_idx] = state.lam
-            out["omega_r"][store_idx] = state.omega_r
-            out["omega_c"][store_idx] = state.omega_c
-            out["log_posts"][store_idx] = cur_logpost
-            out["iters"][store_idx] = it
-            out["draw_accepted"][store_idx] = accepted[it]
+            gammas[0, store_idx] = gamma_r
+            gammas[1, store_idx] = gamma_c
+            vectors[0, store_idx] = beta
+            vectors[1, store_idx] = rho
+            stored_scalars[:, store_idx] = (*scalars, cur_logpost)
             store_idx += 1
 
     if n_singular:
         logger.warning("auto-rejected %d singular proposals", n_singular)
-    chain = Chain(accepted=accepted, **out)
-    logger.info(
-        "chain finished: %d stored draws, acceptance rate %.3f",
-        len(chain),
-        chain.acceptance_rate,
-    )
+    names = ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")
+    chain = Chain(*gammas, beta=vectors[0], rho=vectors[1], **dict(zip(names, stored_scalars)),
+                  iters=iters, accepted=accepted, draw_accepted=accepted[iters],
+                  n_singular=n_singular, n_jittered=int(n_jittered))
+    logger.info("chain finished: %d stored draws, acceptance rate %.3f, %d jittered factors",
+                len(chain), chain.acceptance_rate, chain.n_jittered)
     return chain
 
 

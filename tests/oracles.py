@@ -5,10 +5,25 @@ inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package.
 """
 
+import logging
+import math
+
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.special import expit, gammaln
 from scipy.stats import invgamma, norm
 
-from gpselect import Dataset, ModelIndicator, ParameterState
+from gpselect import (
+    Dataset,
+    InvalidStateError,
+    ModelIndicator,
+    NumericalSingularityError,
+    ParameterState,
+    TransformError,
+)
+from gpselect.kernel import cholesky_with_jitter, pairwise_sqdiffs
+from gpselect.model import LAMBDA_FLOOR, TransformedState
+from gpselect.sampler import Chain, initial_state
 
 
 def dense_corr(X, rho):
@@ -144,3 +159,306 @@ def random_state(rng, p, rho_range=(0.05, 0.95)):
         omega_c=float(rng.uniform(0.05, 0.95)),
     )
     return ind, state
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler: a Metropolis-Hastings loop that builds dataclass states
+# every iteration, with its own copy of the prior, transforms, reflection and
+# likelihood written the direct way. It takes only the start state
+# (`initial_state`), the jitter ladder (`cholesky_with_jitter`), the
+# squared-difference tensor and the dataclasses from the package.
+# `run_chain` must reproduce its chains bit for bit.
+# ---------------------------------------------------------------------------
+
+_ref_logger = logging.getLogger("oracles.run_chain_reference")
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _ref_validate_consistent(ind, state):
+    p = ind.p
+    if state.beta.shape[0] != p or state.rho.shape[0] != p:
+        raise InvalidStateError(
+            f"state vectors of length {state.beta.shape[0]}/{state.rho.shape[0]} "
+            f"do not match {p} indicators"
+        )
+    off_r = (ind.gamma_r == 0) & (state.beta != 0.0)
+    if np.any(off_r):
+        raise InvalidStateError(
+            f"inactive beta coordinates {np.where(off_r)[0].tolist()} are nonzero"
+        )
+    off_c = (ind.gamma_c == 0) & (state.rho != 1.0)
+    if np.any(off_c):
+        raise InvalidStateError(
+            f"inactive rho coordinates {np.where(off_c)[0].tolist()} are not 1"
+        )
+
+
+def _ref_norm_logpdf(x, sd):
+    return -0.5 * (_LOG_2PI + 2.0 * math.log(sd)) - 0.5 * (x / sd) ** 2
+
+
+def _ref_invgamma_logpdf(x, shape, scale):
+    if x <= 0.0:
+        return -math.inf
+    return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * math.log(x) - scale / x
+
+
+def _ref_log_prior(ind, state, cfg):
+    _ref_validate_consistent(ind, state)
+    p = ind.p
+    if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
+        return -math.inf
+    active_rho = state.rho[ind.gamma_c == 1]
+    if active_rho.size and (np.any(active_rho <= 0.0) or np.any(active_rho >= 1.0)):
+        return -math.inf
+
+    nr = int(ind.gamma_r.sum())
+    nc = int(ind.gamma_c.sum())
+    lp = nr * math.log(state.omega_r) + (p - nr) * math.log1p(-state.omega_r)
+    lp += nc * math.log(state.omega_c) + (p - nc) * math.log1p(-state.omega_c)
+
+    active_beta = state.beta[ind.gamma_r == 1]
+    if active_beta.size:
+        lp += -0.5 * active_beta.size * (_LOG_2PI + 2.0 * math.log(cfg.tau))
+        lp += -0.5 * float(active_beta @ active_beta) / cfg.tau**2
+
+    lp += _ref_norm_logpdf(state.beta0, cfg.beta0_sd)
+    lp += _ref_invgamma_logpdf(state.sigma2_z, cfg.sigma2_shape, cfg.sigma2_scale)
+    lp += _ref_invgamma_logpdf(state.lam, cfg.lambda_shape, cfg.lambda_scale)
+    return lp
+
+
+def _ref_to_unconstrained(state):
+    if state.sigma2_z <= 0.0:
+        raise TransformError(f"sigma2_z must be positive, got {state.sigma2_z}")
+    if state.lam <= 0.0:
+        raise TransformError(f"lambda must be positive, got {state.lam}")
+    if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
+        raise TransformError("omega_r and omega_c must lie strictly inside (0, 1)")
+    return TransformedState(
+        beta0=state.beta0,
+        beta=state.beta.copy(),
+        rho=state.rho.copy(),
+        mu=math.log(state.sigma2_z),
+        zeta=math.log(state.lam),
+        psi_r=math.log(state.omega_r / (1.0 - state.omega_r)),
+        psi_c=math.log(state.omega_c / (1.0 - state.omega_c)),
+    )
+
+
+def _ref_from_unconstrained(t):
+    eps = 1e-15
+    return ParameterState(
+        beta0=t.beta0,
+        beta=np.asarray(t.beta, dtype=float).copy(),
+        rho=np.asarray(t.rho, dtype=float).copy(),
+        sigma2_z=math.exp(t.mu),
+        lam=math.exp(t.zeta),
+        omega_r=float(np.clip(expit(t.psi_r), eps, 1.0 - eps)),
+        omega_c=float(np.clip(expit(t.psi_c), eps, 1.0 - eps)),
+    )
+
+
+def _ref_log_jacobian(t):
+    def _log_w_1mw(psi):
+        return -(np.logaddexp(0.0, -psi) + np.logaddexp(0.0, psi))
+
+    return float(t.mu + t.zeta + _log_w_1mw(t.psi_r) + _log_w_1mw(t.psi_c))
+
+
+class _RefLikelihoodCache:
+    def __init__(self, data):
+        self.X = np.atleast_2d(np.asarray(data.X, dtype=float))
+        self.y = np.asarray(data.y, dtype=float).ravel()
+        self.n = self.X.shape[0]
+        self.d2 = pairwise_sqdiffs(self.X)
+
+    def corr(self, rho):
+        R = np.exp(self.d2 @ np.log(np.clip(np.asarray(rho, dtype=float), 1e-12, 1.0)))
+        np.fill_diagonal(R, 1.0)
+        return R
+
+    def factor(self, rho, lam):
+        A = self.corr(rho)
+        idx = np.arange(self.n)
+        A[idx, idx] += lam
+        L, _ = cholesky_with_jitter(A)
+        return L
+
+    def log_likelihood(self, state):
+        L = self.factor(state.rho, state.lam)
+        resid = self.y - state.beta0 - self.X @ state.beta
+        n = resid.shape[0]
+        z = solve_triangular(L, resid, lower=True, check_finite=False)
+        logdet = n * np.log(state.sigma2_z) + 2.0 * np.sum(np.log(np.diag(L)))
+        quad = float(z @ z) / state.sigma2_z
+        return -0.5 * (n * _LOG_2PI + logdet + quad)
+
+
+def _ref_reflect_unit(x):
+    t = np.mod(x, 2.0)
+    r = np.where(t > 1.0, 2.0 - t, t)
+    return np.clip(r, 1e-12, 1.0 - 1e-12)
+
+
+def _ref_propose(current, cfg, prior, rng):
+    ind, state = current
+    p = ind.p
+    nu = cfg.nu if cfg.nu is not None else 1.0 / (2.0 * p)
+
+    gamma_r = ind.gamma_r.copy()
+    gamma_c = ind.gamma_c.copy()
+    beta = state.beta.copy()
+    rho = state.rho.copy()
+    flipped_r = np.zeros(p, dtype=bool)
+    flipped_c = np.zeros(p, dtype=bool)
+
+    k = int(rng.binomial(2 * p, nu))
+    if k > 0:
+        chosen = rng.choice(2 * p, size=k, replace=False)
+        for idx in chosen:
+            if idx < p:
+                j = int(idx)
+                flipped_r[j] = True
+                if gamma_r[j] == 0:
+                    gamma_r[j] = 1
+                    beta[j] = rng.normal(0.0, prior.tau)
+                else:
+                    gamma_r[j] = 0
+                    beta[j] = 0.0
+            else:
+                j = int(idx - p)
+                flipped_c[j] = True
+                if gamma_c[j] == 0:
+                    gamma_c[j] = 1
+                    rho[j] = rng.uniform()
+                else:
+                    gamma_c[j] = 0
+                    rho[j] = 1.0
+
+    if k > 0 or cfg.jitter_when_no_flip:
+        jit_r = (gamma_r == 1) & ~flipped_r
+        if jit_r.any():
+            beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=int(jit_r.sum()))
+        jit_c = (gamma_c == 1) & ~flipped_c
+        if jit_c.any():
+            rho[jit_c] = _ref_reflect_unit(
+                rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=int(jit_c.sum()))
+            )
+
+    steps = rng.normal(0.0, 1.0, size=5) * np.asarray(cfg.rw_sd, dtype=float)
+    t = _ref_to_unconstrained(state)
+    t_new = TransformedState(
+        beta0=state.beta0 + steps[0],
+        beta=beta,
+        rho=rho,
+        mu=t.mu + steps[1],
+        zeta=t.zeta + steps[2],
+        psi_r=t.psi_r + steps[3],
+        psi_c=t.psi_c + steps[4],
+    )
+    new_state = _ref_from_unconstrained(t_new)
+    new_state.lam = max(new_state.lam, LAMBDA_FLOOR)
+    return ModelIndicator(gamma_r, gamma_c), new_state
+
+
+def _ref_log_target(ind, state, like, prior, flat_likelihood=False):
+    lp = _ref_log_prior(ind, state, prior)
+    if lp == -math.inf:
+        return -math.inf
+    ll = 0.0 if flat_likelihood else like.log_likelihood(state)
+    return ll + lp + _ref_log_jacobian(_ref_to_unconstrained(state))
+
+
+def _ref_proposal_log_correction(current, proposed, prior):
+    cur_ind, cur_state = current
+    prop_ind, prop_state = proposed
+    tau = prior.tau
+
+    def _phi_log(x):
+        return -0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(tau)) - 0.5 * (x / tau) ** 2
+
+    corr = 0.0
+    for j in range(cur_ind.p):
+        if cur_ind.gamma_r[j] == 1 and prop_ind.gamma_r[j] == 0:
+            corr += _phi_log(float(cur_state.beta[j]))
+        elif cur_ind.gamma_r[j] == 0 and prop_ind.gamma_r[j] == 1:
+            corr -= _phi_log(float(prop_state.beta[j]))
+    return corr
+
+
+def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
+    """The dataclass-per-iteration sampler loop, for exact-equivalence tests."""
+    cfg.validate()
+    p = data.X.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    like = None if flat_likelihood else _RefLikelihoodCache(data)
+    if data.X.shape[0] == 0:
+        raise ValueError("cannot sample from an empty dataset")
+
+    if init is None:
+        ind, state = initial_state(data, prior, cfg, rng)
+    else:
+        ind, state = init[0].copy(), init[1].copy()
+        _ref_validate_consistent(ind, state)
+
+    cur_target = _ref_log_target(ind, state, like, prior, flat_likelihood)
+    cur_logpost = cur_target - _ref_log_jacobian(_ref_to_unconstrained(state))
+
+    n_stored = (cfg.n_iter - cfg.burn_in) // cfg.thin
+    out = {
+        "gamma_r": np.zeros((n_stored, p), dtype=np.int8),
+        "gamma_c": np.zeros((n_stored, p), dtype=np.int8),
+        "beta0": np.zeros(n_stored),
+        "beta": np.zeros((n_stored, p)),
+        "rho": np.zeros((n_stored, p)),
+        "sigma2_z": np.zeros(n_stored),
+        "lam": np.zeros(n_stored),
+        "omega_r": np.zeros(n_stored),
+        "omega_c": np.zeros(n_stored),
+        "log_posts": np.zeros(n_stored),
+        "iters": np.zeros(n_stored, dtype=np.int64),
+        "draw_accepted": np.zeros(n_stored, dtype=bool),
+    }
+    accepted = np.zeros(cfg.n_iter, dtype=bool)
+    n_singular = 0
+
+    store_idx = 0
+    for it in range(cfg.n_iter):
+        prop_ind, prop_state = _ref_propose((ind, state), cfg, prior, rng)
+        try:
+            prop_target = _ref_log_target(prop_ind, prop_state, like, prior, flat_likelihood)
+        except NumericalSingularityError:
+            n_singular += 1
+            prop_target = -math.inf
+        log_alpha = prop_target - cur_target
+        if cfg.slab_correction:
+            log_alpha += _ref_proposal_log_correction(
+                (ind, state), (prop_ind, prop_state), prior
+            )
+        if math.isnan(log_alpha):
+            log_alpha = -math.inf
+        u = rng.uniform()
+        if math.log(u) < log_alpha:
+            ind, state = prop_ind, prop_state
+            cur_target = prop_target
+            cur_logpost = cur_target - _ref_log_jacobian(_ref_to_unconstrained(state))
+            accepted[it] = True
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+            out["gamma_r"][store_idx] = ind.gamma_r
+            out["gamma_c"][store_idx] = ind.gamma_c
+            out["beta0"][store_idx] = state.beta0
+            out["beta"][store_idx] = state.beta
+            out["rho"][store_idx] = state.rho
+            out["sigma2_z"][store_idx] = state.sigma2_z
+            out["lam"][store_idx] = state.lam
+            out["omega_r"][store_idx] = state.omega_r
+            out["omega_c"][store_idx] = state.omega_c
+            out["log_posts"][store_idx] = cur_logpost
+            out["iters"][store_idx] = it
+            out["draw_accepted"][store_idx] = accepted[it]
+            store_idx += 1
+
+    if n_singular:
+        _ref_logger.warning("auto-rejected %d singular proposals", n_singular)
+    return Chain(accepted=accepted, **out)

@@ -185,6 +185,38 @@ def test_cli_sample_inclusion_select(tiny_pipeline, capsys):
     assert (out3 / "cv_curve.csv").exists()
 
 
+def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeypatch):
+    # every 5th factorization reports jitter and every 7th fails outright, so
+    # run_meta.json must carry exactly the tallies kept here
+    from gpselect import NumericalSingularityError, kernel
+
+    factor = kernel.cholesky_with_jitter
+    tally = {"calls": 0, "jittered": 0, "singular": 0}
+
+    def flaky_factor(A):
+        tally["calls"] += 1
+        if tally["calls"] % 7 == 0:
+            tally["singular"] += 1
+            raise NumericalSingularityError("forced", jitters=kernel.JITTER_LADDER)
+        L, jitter = factor(A)
+        if tally["calls"] % 5 == 0:
+            tally["jittered"] += 1
+            jitter = 1e-10
+        return L, jitter
+
+    monkeypatch.setattr(kernel, "cholesky_with_jitter", flaky_factor)
+    out = tiny_pipeline["dir"] / "run"
+    rc = main([
+        "--config", tiny_pipeline["config"], "--output-dir", str(out),
+        "sample", "--data", tiny_pipeline["data"], "--response", "y",
+    ])
+    assert rc == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert tally["singular"] > 0 and tally["jittered"] > 0
+    assert meta["singular_rejects"] == tally["singular"]
+    assert meta["jittered_factors"] == tally["jittered"]
+
+
 def test_cli_fit_and_predict_interpolates(tiny_pipeline):
     model_path = tiny_pipeline["dir"] / "model.json"
     model_path.write_text(json.dumps({"gamma_r": [1, 0], "gamma_c": [1, 1]}))

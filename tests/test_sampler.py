@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpselect import (
+    Dataset,
     ModelIndicator,
     ParameterState,
     PriorConfig,
@@ -17,7 +20,18 @@ from gpselect import (
 from gpselect.model import validate_consistent
 from gpselect.sampler import reflect_unit
 
-from oracles import log_prior_oracle, loglik_oracle, random_dataset, random_state
+from oracles import (
+    log_prior_oracle,
+    loglik_oracle,
+    random_dataset,
+    random_state,
+    run_chain_reference,
+)
+
+CHAIN_ARRAYS = (
+    "gamma_r", "gamma_c", "beta0", "beta", "rho", "sigma2_z", "lam",
+    "omega_r", "omega_c", "log_posts", "iters", "accepted", "draw_accepted",
+)
 
 
 def _current(p, rng):
@@ -192,6 +206,12 @@ def test_run_chain_single_draw(small_data):
     assert len(chain) == 1
 
 
+def test_run_chain_rejects_empty_data():
+    data = Dataset(X=np.zeros((0, 2)), y=np.zeros(0), column_names=["a", "b"])
+    with pytest.raises(ValueError, match="empty dataset"):
+        run_chain(data, PriorConfig(), SamplerConfig(n_iter=10, burn_in=1))
+
+
 def test_run_chain_thinning_arithmetic(small_data):
     cfg = SamplerConfig(n_iter=107, burn_in=7, thin=10, seed=1)
     chain = run_chain(small_data, PriorConfig(), cfg)
@@ -257,3 +277,40 @@ def test_config_validation():
         SamplerConfig(nu=1.5).validate()
     with pytest.raises(ValueError):
         SamplerConfig(rw_sd=(0.1, 0.1)).validate()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(n=8, p=3, n_iter=400, seed=1, slab_correction=True, thin=1, jitter_when_no_flip=True,
+         init="spatial", nu=0.3, flat_likelihood=False)
+@example(n=6, p=2, n_iter=300, seed=2, slab_correction=False, thin=3, jitter_when_no_flip=False,
+         init="spatial", nu=None, flat_likelihood=True)
+@given(
+    n=st.integers(2, 8),
+    p=st.integers(1, 3),
+    n_iter=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    slab_correction=st.booleans(),
+    thin=st.sampled_from([1, 3]),
+    jitter_when_no_flip=st.booleans(),
+    init=st.sampled_from(["prior", "empty", "spatial", "explicit"]),
+    nu=st.sampled_from([None, 0.3]),
+    flat_likelihood=st.booleans(),
+)
+def test_run_chain_matches_reference_bit_for_bit(
+    n, p, n_iter, seed, slab_correction, thin, jitter_when_no_flip, init, nu,
+    flat_likelihood,
+):
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n=n, p=p)
+    start = random_state(rng, p) if init == "explicit" else None
+    cfg = SamplerConfig(
+        n_iter=n_iter, burn_in=n_iter // 4, thin=min(thin, n_iter - n_iter // 4),
+        seed=seed, nu=nu, slab_correction=slab_correction,
+        jitter_when_no_flip=jitter_when_no_flip,
+        init="empty" if init == "explicit" else init,
+    )
+    prior = PriorConfig()
+    chain = run_chain(data, prior, cfg, flat_likelihood=flat_likelihood, init=start)
+    ref = run_chain_reference(data, prior, cfg, flat_likelihood=flat_likelihood, init=start)
+    for name in CHAIN_ARRAYS:
+        assert np.array_equal(getattr(chain, name), getattr(ref, name)), name

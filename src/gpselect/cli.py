@@ -143,8 +143,10 @@ def output_lock(output_dir: Path):
             os.unlink(lock)
 
 
-def _write_meta(output_dir: Path, command: str, extra: dict | None = None) -> None:
-    meta = {"command": command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+def _write_meta(output_dir: Path, command: str, t0: float, extra: dict | None = None) -> None:
+    """run_meta.json: command, timestamp, wall_s since t0 (perf_counter) and extras."""
+    meta = {"command": command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "wall_s": time.perf_counter() - t0}
     if extra:
         meta.update(extra)
     with open(output_dir / "run_meta.json", "w", encoding="utf-8") as fh:
@@ -166,34 +168,21 @@ def _load_model_file(path, p: int) -> ModelIndicator:
 
 def cmd_simulate(cfg: RunConfig, output_dir, seed: int | None = None) -> dict:
     """Generate train/validation CSVs from the synthetic 5-d response."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
-    sim = cfg.simulate
     base_seed = seed if seed is not None else cfg.sampler.seed
-    seeds = np.random.SeedSequence(base_seed).spawn(3)
-    rng_noise = np.random.default_rng(seeds[2])
-
-    train_design = design.maximin_lhd(
-        sim.n_train, 5, box=sim.box, seed=base_seed, n_restarts=sim.lhd_restarts
-    )
-    val_design = design.maximin_lhd(
-        sim.n_validation, 5, box=sim.box, seed=base_seed + 1, n_restarts=max(1, sim.lhd_restarts // 2)
-    )
-    y_train = design.sim_response_batch(train_design.points, sim.noise_sd, rng_noise)
-    y_val = design.sim_response_batch(val_design.points, sim.noise_sd, rng_noise)
+    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
 
     names = [f"x{j+1}" for j in range(5)]
     with output_lock(output_dir):
         train_path = output_dir / "train.csv"
         val_path = output_dir / "validation.csv"
-        export_csv(
-            Dataset(X=train_design.points, y=y_train, column_names=names), train_path
-        )
-        export_csv(
-            Dataset(X=val_design.points, y=y_val, column_names=names), val_path
-        )
+        export_csv(Dataset(X=train_design.points, y=y_train, column_names=names), train_path)
+        export_csv(Dataset(X=val_design.points, y=y_val, column_names=names), val_path)
         _write_meta(
             output_dir,
             "simulate",
+            t0,
             {
                 "seed": base_seed,
                 "train_maximin_dist": train_design.maximin_dist,
@@ -212,6 +201,7 @@ def cmd_sample(
     standardize: bool = True,
 ) -> dict:
     """Run the sampler on an ingested dataset and persist the chain."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     samp = cfg.sampler
@@ -224,6 +214,7 @@ def cmd_sample(
         _write_meta(
             output_dir,
             "sample",
+            t0,
             {
                 "seed": samp.seed,
                 "n_iter": samp.n_iter,
@@ -240,6 +231,7 @@ def cmd_sample(
 
 def cmd_inclusion(chain_path, output_dir, column_names=None) -> dict:
     """Summarize a chain file into inclusion reports and plot CSVs."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     chain = sampler.load_chain(chain_path)
     report = select.inclusion_probabilities(chain)
@@ -254,7 +246,7 @@ def cmd_inclusion(chain_path, output_dir, column_names=None) -> dict:
         select.save_report_json(report_path, payload)
         csv_path = output_dir / "inclusion_probs.csv"
         select.inclusion_csv(csv_path, report, column_names)
-        _write_meta(output_dir, "inclusion", {"draws": len(chain)})
+        _write_meta(output_dir, "inclusion", t0, {"draws": len(chain)})
     return {"report": str(report_path), "plot_csv": str(csv_path)}
 
 
@@ -269,6 +261,7 @@ def cmd_select(
     standardize: bool = True,
 ) -> dict:
     """Build the candidate ladder from a chain and cross-validate it."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     chain = sampler.load_chain(chain_path)
@@ -284,11 +277,8 @@ def cmd_select(
         select.save_report_json(report_path, cv.to_dict())
         curve_path = output_dir / "cv_curve.csv"
         select.cv_curve_csv(curve_path, cv)
-        _write_meta(
-            output_dir,
-            "select",
-            {"seed": cv_seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds},
-        )
+        _write_meta(output_dir, "select", t0,
+                    {"seed": cv_seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds})
     return {"report": str(report_path), "curve_csv": str(curve_path), "chosen": cv.chosen}
 
 
@@ -301,6 +291,7 @@ def cmd_fit(
     standardize: bool = True,
 ) -> dict:
     """Fit a fixed model by maximum likelihood and persist the estimates."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     model = _load_model_file(model_path, data.p)
@@ -308,7 +299,7 @@ def cmd_fit(
     with output_lock(output_dir):
         fit_path = output_dir / "mle_fit.json"
         select.save_report_json(fit_path, fit.to_dict())
-        _write_meta(output_dir, "fit", {"neg_log_lik": fit.neg_log_lik})
+        _write_meta(output_dir, "fit", t0, {"neg_log_lik": fit.neg_log_lik})
     return {"fit": str(fit_path)}
 
 
@@ -324,6 +315,7 @@ def cmd_predict(
     standardize: bool = True,
 ) -> dict:
     """Predict at new sites, either from an MLE fit or by model averaging."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     X_sites_raw = read_sites_csv(sites_path, data.column_names)
@@ -341,23 +333,14 @@ def cmd_predict(
             raise ValidationError("mode 'average' requires a chain file")
         chain = sampler.load_chain(chain_path)
         preds = predict.model_average(chain, data, req, denoise_threshold)
-        if denoise_threshold > 0.0:
-            report = select.inclusion_probabilities(chain)
-            kept = sum(
-                1
-                for i in range(len(chain))
-                if report.model_freqs[chain.model_key(i)] >= denoise_threshold
-            )
-            ensemble_size = kept
-        else:
-            ensemble_size = len(chain)
+        ensemble_size = int(predict.denoise_mask(chain, denoise_threshold).sum())
     else:
         raise ValidationError(f"unknown prediction mode: {mode!r}")
 
     with output_lock(output_dir):
         pred_path = output_dir / "predictions.csv"
         predict.predictions_to_csv(pred_path, preds, ensemble_size)
-        _write_meta(output_dir, "predict", {"mode": mode, "sites": len(preds)})
+        _write_meta(output_dir, "predict", t0, {"mode": mode, "sites": len(preds)})
     return {"predictions": str(pred_path)}
 
 
@@ -421,10 +404,10 @@ def cmd_benchmark(
     standardize: bool = True,
 ) -> dict:
     """Produce the five-row comparison table on a holdout set."""
+    t0 = time.perf_counter()
     output_dir = Path(output_dir)
     if simulate:
-        with _scratch_simulation(cfg, seed) as (train, X_val, y_val):
-            result = benchmark_methods(train, X_val, y_val, cfg, seed=seed)
+        result = benchmark_methods(*simulated_data(cfg, seed), cfg, seed=seed)
     else:
         if data_path is None or response is None:
             raise ValidationError("benchmark needs either --simulate or --data/--response")
@@ -452,38 +435,21 @@ def cmd_benchmark(
                 "inclusion": result["inclusion"],
             },
         )
-        _write_meta(
-            output_dir, "benchmark", {"acceptance_rate": result["acceptance_rate"]}
-        )
+        _write_meta(output_dir, "benchmark", t0, {"acceptance_rate": result["acceptance_rate"]})
     return {"table": str(bench_path), "rmspe": result["rmspe"]}
 
 
-@contextlib.contextmanager
-def _scratch_simulation(cfg: RunConfig, seed: int | None):
-    """In-memory train/validation pair from the synthetic response."""
-    sim = cfg.simulate
+def simulated_data(cfg: RunConfig, seed: int | None) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """The simulated study in memory: the training set on the analysis
+    scale, the validation sites on that scale, and the validation responses."""
     base_seed = seed if seed is not None else cfg.sampler.seed
-    rng_noise = np.random.default_rng(np.random.SeedSequence(base_seed).spawn(3)[2])
-    train_design = design.maximin_lhd(
-        sim.n_train, 5, box=sim.box, seed=base_seed, n_restarts=sim.lhd_restarts
-    )
-    val_design = design.maximin_lhd(
-        sim.n_validation, 5, box=sim.box, seed=base_seed + 1, n_restarts=max(1, sim.lhd_restarts // 2)
-    )
-    y_train = design.sim_response_batch(train_design.points, sim.noise_sd, rng_noise)
-    y_val = design.sim_response_batch(val_design.points, sim.noise_sd, rng_noise)
-    names = [f"x{j+1}" for j in range(5)]
-    lo = train_design.points.min(axis=0)
-    hi = train_design.points.max(axis=0)
-    train = Dataset(
-        X=(train_design.points - lo) / (hi - lo),
-        y=y_train,
-        column_names=names,
-        X_raw=train_design.points,
-        standardization=[(float(a), float(b)) for a, b in zip(lo, hi)],
-    )
-    X_val = train.transform_sites(val_design.points)
-    yield train, X_val, y_val
+    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
+    X_raw = train_design.points
+    lo, hi = X_raw.min(axis=0), X_raw.max(axis=0)
+    train = Dataset(X=(X_raw - lo) / (hi - lo), y=y_train,
+                    column_names=[f"x{j+1}" for j in range(5)], X_raw=X_raw,
+                    standardization=[(float(a), float(b)) for a, b in zip(lo, hi)])
+    return train, train.transform_sites(val_design.points), y_val
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -35,38 +35,51 @@ def _hill_climb(points: np.ndarray, max_passes: int = 30) -> np.ndarray:
     """Pairwise-swap ascent on the minimum interpoint distance.
 
     Swapping two entries within one column preserves the Latin property.
-    Only strictly improving swaps are kept, so the minimum distance is
-    monotone nondecreasing. The squared-distance matrix is updated
-    incrementally: a swap in one column touches only two rows/columns of it.
+    Swaps are visited by column, then (i, j) with i < j, and kept only when
+    they strictly raise the minimum distance. A swap rewrites only rows and
+    columns i and j of the squared-distance matrix, so it can win only when
+    every closest pair touches i or j but is not (i, j): with deg counting
+    the closest pairs at each point, deg[i] + deg[j] equals their number.
+    Just those j are scored, at once and with the single-swap arithmetic.
     """
     n, p = points.shape
     D = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(D, np.inf)
     best = D.min()
+    deg = np.count_nonzero(D == best, axis=1)
     for _ in range(max_passes):
         improved = False
         for col in range(p):
+            c = points[:, col]
             for i in range(n - 1):
-                for j in range(i + 1, n):
-                    xi, xj = points[i, col], points[j, col]
-                    c = points[:, col]
-                    di_new = D[i] - (xi - c) ** 2 + (xj - c) ** 2
-                    dj_new = D[j] - (xj - c) ** 2 + (xi - c) ** 2
+                start = i + 1
+                while True:
+                    js = start + np.flatnonzero(deg[start:] == deg.sum() // 2 - deg[i])
+                    js = js[D[i, js] != best]
+                    if not js.size:
+                        break
+                    cross = (c[js, None] - c) ** 2
+                    own = (c[i] - c) ** 2
+                    di_new = D[i] - own + cross
+                    dj_new = D[js] - cross + own
+                    # the diagonal and the unchanged i-j gap (above best) cannot decide
+                    rows = np.arange(js.size)
+                    di_new[:, i] = dj_new[rows, js] = np.inf
+                    di_new[rows, js] = dj_new[:, i] = np.inf
+                    wins = np.flatnonzero((di_new.min(axis=1) > best) & (dj_new.min(axis=1) > best))
+                    if not wins.size:
+                        break
+                    j = int(js[wins[0]])
+                    di_new, dj_new = di_new[wins[0]], dj_new[wins[0]]
                     di_new[j] = D[i, j]  # i-j gap is invariant under the swap
                     dj_new[i] = D[j, i]
-                    di_new[i] = np.inf
-                    dj_new[j] = np.inf
-                    old_i, old_j = D[i].copy(), D[j].copy()
                     D[i], D[j] = di_new, dj_new
                     D[:, i], D[:, j] = di_new, dj_new
-                    cand = D.min()
-                    if cand > best:
-                        best = cand
-                        points[i, col], points[j, col] = xj, xi
-                        improved = True
-                    else:
-                        D[i], D[j] = old_i, old_j
-                        D[:, i], D[:, j] = old_i, old_j
+                    best = D.min()
+                    deg = np.count_nonzero(D == best, axis=1)
+                    c[i], c[j] = c[j], c[i]
+                    improved = True
+                    start = j + 1
         if not improved:
             break
     return points
@@ -103,6 +116,21 @@ def maximin_lhd(
             best_pts = pts
     scaled = a + (b - a) * best_pts
     return LhdDesign(points=scaled, maximin_dist=_min_pairwise_dist(scaled))
+
+
+def simulate_study(sim, seed: int) -> tuple[LhdDesign, np.ndarray, LhdDesign, np.ndarray]:
+    """Training design and responses, then validation design and responses.
+
+    sim gives n_train, n_validation, noise_sd, box and lhd_restarts. The
+    5-d maximin LHDs use seed (training) and seed + 1 with half the restarts
+    (validation); the noise comes from the third child of SeedSequence(seed).
+    """
+    rng_noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    train = maximin_lhd(sim.n_train, 5, box=sim.box, seed=seed, n_restarts=sim.lhd_restarts)
+    val = maximin_lhd(sim.n_validation, 5, box=sim.box, seed=seed + 1,
+                      n_restarts=max(1, sim.lhd_restarts // 2))
+    y_train = sim_response_batch(train.points, sim.noise_sd, rng_noise)
+    return train, y_train, val, sim_response_batch(val.points, sim.noise_sd, rng_noise)
 
 
 def sim_response(x, noise_sd: float = 0.1, rng: np.random.Generator | None = None) -> float:

@@ -140,39 +140,26 @@ def model_average(
             f"sites have {req.X_new.shape[1]} columns, training data has {data.X.shape[1]}"
         )
 
-    keep = np.ones(len(chain), dtype=bool)
-    if denoise_threshold > 0.0:
-        counts: dict = {}
-        for i in range(len(chain)):
-            key = chain.model_key(i)
-            counts[key] = counts.get(key, 0) + 1
-        n = float(len(chain))
-        for i in range(len(chain)):
-            keep[i] = counts[chain.model_key(i)] / n >= denoise_threshold
-        if not keep.any():
-            raise EmptyEnsembleError(
-                f"denoise threshold {denoise_threshold} removed every draw"
-            )
+    keep = denoise_mask(chain, denoise_threshold)
+    if not keep.any():
+        raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
     d2_train = kernel.pairwise_sqdiffs(data.X)
     d2_cross = kernel.pairwise_sqdiffs(req.X_new, data.X)
     diag = np.arange(data.X.shape[0])
 
+    # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
+    # kept draw before it reuses that draw's prediction vector
+    kept = np.flatnonzero(keep)
+    cur, prev = kept[1:], kept[:-1]
+    repeat = np.zeros(kept.size, dtype=bool)
+    repeat[1:] = ((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
+                  & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
+                  & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
     total = np.zeros(m)
-    count = 0
-    prev_params = None
-    prev_pred = None
-    for i in np.where(keep)[0]:
-        params = (
-            chain.beta0[i],
-            chain.beta[i],
-            chain.rho[i],
-            chain.lam[i],
-        )
-        if prev_params is not None and _same_params(params, prev_params):
-            pred = prev_pred
-        else:
-            beta0, beta, rho, lam = params
+    for i, same in zip(kept.tolist(), repeat.tolist()):
+        if not same:
+            beta0, beta, rho, lam = chain.beta0[i], chain.beta[i], chain.rho[i], chain.lam[i]
             A = kernel.corr_from_sqdiffs(d2_train, rho)
             A[diag, diag] = 1.0 + lam
             L, _ = kernel.cholesky_with_jitter(A)
@@ -181,20 +168,14 @@ def model_average(
             alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
             r_cross = kernel.corr_from_sqdiffs(d2_cross, rho)
             pred = beta0 + req.X_new @ beta + r_cross @ alpha
-            prev_params = params
-            prev_pred = pred
         total += pred
-        count += 1
-    return total / count
+    return total / kept.size
 
 
-def _same_params(a, b) -> bool:
-    return (
-        a[0] == b[0]
-        and a[3] == b[3]
-        and np.array_equal(a[1], b[1])
-        and np.array_equal(a[2], b[2])
-    )
+def denoise_mask(chain, denoise_threshold: float) -> np.ndarray:
+    """Draws whose model's frequency in the chain is at least the threshold."""
+    _, model, counts = chain.model_counts()
+    return (counts / float(len(chain)) >= denoise_threshold)[model]
 
 
 def _trend_matrix(X: np.ndarray, gamma_r: np.ndarray) -> np.ndarray:

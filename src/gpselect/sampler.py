@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,17 @@ class Chain:
             tuple(int(g) for g in self.gamma_r[i]),
             tuple(int(g) for g in self.gamma_c[i]),
         )
+
+    def model_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct models in order of first appearance: the first draw
+        of each, each draw's model number, and each model's draw count."""
+        _, first, inverse, counts = np.unique(
+            np.column_stack([self.gamma_r, self.gamma_c]), axis=0,
+            return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return first[order], rank[inverse.reshape(-1)], counts[order]
 
 
 def reflect_unit(x: np.ndarray) -> np.ndarray:
@@ -428,57 +440,72 @@ def run_chain(
     return chain
 
 
+# Chain field -> chain.jsonl key, in file order between "iter" and "accepted"
+_FILE_KEYS = {"gamma_r": "gamma_r", "gamma_c": "gamma_c", "beta0": "beta0", "beta": "beta",
+              "rho": "rho", "sigma2_z": "sigma2_z", "lam": "lambda", "omega_r": "omega_r",
+              "omega_c": "omega_c", "log_posts": "log_post"}
+# a line as save_chain writes it: the iteration, the draw's fields, the flag
+_LINE = re.compile(r'\{"iter":(-?(?:0|[1-9][0-9]*)),(".*),"accepted":(true|false)\}')
+
+
 def save_chain(chain: Chain, path) -> None:
     """Write the chain as JSON-Lines, one draw per line.
 
     Field order is fixed so identical chains produce byte-identical files.
+    The fields between "iter" and "accepted" are encoded once per run of
+    draws with the same bits (so -0.0 after 0.0 starts a new run).
     """
+    gammas = np.column_stack([chain.gamma_r, chain.gamma_c]).astype(np.int64)
+    floats = np.column_stack([np.asarray(getattr(chain, name), dtype=np.float64)
+                              for name in list(_FILE_KEYS)[2:]])
+    bits = np.column_stack([gammas, floats.view(np.int64)])
+    changed = np.ones(len(chain), dtype=bool)
+    changed[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    p = chain.p
+    middles = [
+        json.dumps(dict(zip(_FILE_KEYS.values(), (g[:p], g[p:], f[0], f[1:p + 1],
+                                                  f[p + 1:2 * p + 1], *f[-5:]))),
+                   separators=(",", ":"))[1:-1]
+        for g, f in zip(gammas[changed].tolist(), floats[changed].tolist())]
+    draws = zip(np.asarray(chain.iters).astype(np.int64).tolist(),
+                (np.cumsum(changed) - 1).tolist(),
+                np.asarray(chain.draw_accepted).astype(bool).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(chain)):
-            record = {
-                "iter": int(chain.iters[i]),
-                "gamma_r": [int(g) for g in chain.gamma_r[i]],
-                "gamma_c": [int(g) for g in chain.gamma_c[i]],
-                "beta0": float(chain.beta0[i]),
-                "beta": [float(b) for b in chain.beta[i]],
-                "rho": [float(r) for r in chain.rho[i]],
-                "sigma2_z": float(chain.sigma2_z[i]),
-                "lambda": float(chain.lam[i]),
-                "omega_r": float(chain.omega_r[i]),
-                "omega_c": float(chain.omega_c[i]),
-                "log_post": float(chain.log_posts[i]),
-                "accepted": bool(chain.draw_accepted[i]),
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        for it, k, acc in draws:
+            fh.write(f'{{"iter":{it},{middles[k]},"accepted":{"true" if acc else "false"}}}\n')
 
 
 def load_chain(path) -> Chain:
     """Read a JSON-Lines chain file back into a Chain.
 
     Per-iteration acceptance flags for burn-in iterations are not in the
-    file, so `accepted` covers only the stored draws.
+    file, so `accepted` covers only the stored draws. Any JSON-Lines layout
+    loads; on lines in save_chain's own layout the fields between "iter"
+    and "accepted" are parsed only when they differ from the previous line's.
     """
-    records = []
+    records, runs, iters, flags = [], [], [], []
+    middle = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            m = _LINE.fullmatch(line)
+            if m is None or m[2] != middle:
+                record = json.loads("{" + m[2] + "}") if m else None
+                if record is None or "iter" in record or "accepted" in record:
+                    # another layout, or repeated keys, of which json keeps the last
+                    m, record = None, json.loads(line)
+                records.append(record)
+                middle = m and m[2]
+            runs.append(len(records) - 1)
+            iters.append(int(m[1]) if m else record["iter"])
+            flags.append(m[3] == "true" if m else record["accepted"])
     if not records:
         raise ValueError(f"{path}: chain file holds no draws")
-    accepted = np.array([r["accepted"] for r in records], dtype=bool)
-    return Chain(
-        gamma_r=np.array([r["gamma_r"] for r in records], dtype=np.int8),
-        gamma_c=np.array([r["gamma_c"] for r in records], dtype=np.int8),
-        beta0=np.array([r["beta0"] for r in records]),
-        beta=np.array([r["beta"] for r in records]),
-        rho=np.array([r["rho"] for r in records]),
-        sigma2_z=np.array([r["sigma2_z"] for r in records]),
-        lam=np.array([r["lambda"] for r in records]),
-        omega_r=np.array([r["omega_r"] for r in records]),
-        omega_c=np.array([r["omega_c"] for r in records]),
-        log_posts=np.array([r["log_post"] for r in records]),
-        iters=np.array([r["iter"] for r in records], dtype=np.int64),
-        accepted=accepted,
-        draw_accepted=accepted.copy(),
-    )
+    accepted = np.array(flags, dtype=bool)
+    return Chain(**{name: np.array([r[key] for r in records],
+                                   dtype=np.int8 if name.startswith("gamma") else None)[runs]
+                    for name, key in _FILE_KEYS.items()},
+                 iters=np.array(iters, dtype=np.int64), accepted=accepted,
+                 draw_accepted=accepted.copy())

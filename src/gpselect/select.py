@@ -95,12 +95,9 @@ def inclusion_probabilities(chain) -> InclusionReport:
         raise ValueError("chain holds no draws")
     p_r = chain.gamma_r.mean(axis=0)
     p_c = chain.gamma_c.mean(axis=0)
-    counts: dict = {}
-    for i in range(len(chain)):
-        key = chain.model_key(i)
-        counts[key] = counts.get(key, 0) + 1
+    first, _, counts = chain.model_counts()
     n = float(len(chain))
-    freqs = {k: v / n for k, v in counts.items()}
+    freqs = {chain.model_key(i): c / n for i, c in zip(first.tolist(), counts.tolist())}
     return InclusionReport(p_r=p_r, p_c=p_c, model_freqs=freqs)
 
 

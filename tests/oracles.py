@@ -2,9 +2,12 @@
 
 Everything here is deliberately written the slow, direct way (explicit
 inverses and determinants, term-by-term scalar densities, finite
-differences) so it shares no code path with the package.
+differences) so it shares no code path with the package. The `*_reference`
+functions are copies of replaced implementations (the sampler loop, the LHD
+swap search, chain file I/O) that the faster ones must match exactly.
 """
 
+import json
 import logging
 import math
 
@@ -462,3 +465,87 @@ def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
     if n_singular:
         _ref_logger.warning("auto-rejected %d singular proposals", n_singular)
     return Chain(accepted=accepted, **out)
+
+
+def hill_climb_reference(points, max_passes=30):
+    """The swap search that scores every (i, j), for exact-equivalence tests."""
+    n, p = points.shape
+    D = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(D, np.inf)
+    best = D.min()
+    for _ in range(max_passes):
+        improved = False
+        for col in range(p):
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    xi, xj = points[i, col], points[j, col]
+                    c = points[:, col]
+                    di_new = D[i] - (xi - c) ** 2 + (xj - c) ** 2
+                    dj_new = D[j] - (xj - c) ** 2 + (xi - c) ** 2
+                    di_new[j] = D[i, j]  # i-j gap is invariant under the swap
+                    dj_new[i] = D[j, i]
+                    di_new[i] = np.inf
+                    dj_new[j] = np.inf
+                    old_i, old_j = D[i].copy(), D[j].copy()
+                    D[i], D[j] = di_new, dj_new
+                    D[:, i], D[:, j] = di_new, dj_new
+                    cand = D.min()
+                    if cand > best:
+                        best = cand
+                        points[i, col], points[j, col] = xj, xi
+                        improved = True
+                    else:
+                        D[i], D[j] = old_i, old_j
+                        D[:, i], D[:, j] = old_i, old_j
+        if not improved:
+            break
+    return points
+
+
+def save_chain_reference(chain, path):
+    """The one-json.dumps-per-draw chain writer, for byte-identity tests."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(len(chain)):
+            record = {
+                "iter": int(chain.iters[i]),
+                "gamma_r": [int(g) for g in chain.gamma_r[i]],
+                "gamma_c": [int(g) for g in chain.gamma_c[i]],
+                "beta0": float(chain.beta0[i]),
+                "beta": [float(b) for b in chain.beta[i]],
+                "rho": [float(r) for r in chain.rho[i]],
+                "sigma2_z": float(chain.sigma2_z[i]),
+                "lambda": float(chain.lam[i]),
+                "omega_r": float(chain.omega_r[i]),
+                "omega_c": float(chain.omega_c[i]),
+                "log_post": float(chain.log_posts[i]),
+                "accepted": bool(chain.draw_accepted[i]),
+            }
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def load_chain_reference(path):
+    """The one-json.loads-per-line chain reader, for exact-equivalence tests."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    if not records:
+        raise ValueError(f"{path}: chain file holds no draws")
+    accepted = np.array([r["accepted"] for r in records], dtype=bool)
+    return Chain(
+        gamma_r=np.array([r["gamma_r"] for r in records], dtype=np.int8),
+        gamma_c=np.array([r["gamma_c"] for r in records], dtype=np.int8),
+        beta0=np.array([r["beta0"] for r in records]),
+        beta=np.array([r["beta"] for r in records]),
+        rho=np.array([r["rho"] for r in records]),
+        sigma2_z=np.array([r["sigma2_z"] for r in records]),
+        lam=np.array([r["lambda"] for r in records]),
+        omega_r=np.array([r["omega_r"] for r in records]),
+        omega_c=np.array([r["omega_c"] for r in records]),
+        log_posts=np.array([r["log_post"] for r in records]),
+        iters=np.array([r["iter"] for r in records], dtype=np.int64),
+        accepted=accepted,
+        draw_accepted=accepted.copy(),
+    )

@@ -13,8 +13,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import gpselect as gs
-from gpselect import design
-from gpselect.cli import RunConfig, benchmark_methods, main
+from gpselect.cli import RunConfig, benchmark_methods, main, simulated_data
 from gpselect.data import export_csv
 from gpselect.predict import gls_fit
 from gpselect.sampler import SamplerConfig
@@ -226,20 +225,7 @@ def replications():
             init="empty",
             slab_correction=False,
         )
-        d = design.maximin_lhd(35, 5, box=(-0.75, 0.75), seed=seed, n_restarts=4)
-        noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-        y = design.sim_response_batch(d.points, 0.1, noise_rng)
-        vd = design.maximin_lhd(100, 5, box=(-0.75, 0.75), seed=seed + 1, n_restarts=2)
-        y_val = design.sim_response_batch(vd.points, 0.1, noise_rng)
-        lo, hi = d.points.min(0), d.points.max(0)
-        train = gs.Dataset(
-            X=(d.points - lo) / (hi - lo),
-            y=y,
-            column_names=[f"x{j}" for j in range(1, 6)],
-            X_raw=d.points,
-            standardization=list(zip(lo, hi)),
-        )
-        res = benchmark_methods(train, train.transform_sites(vd.points), y_val, cfg, seed=seed)
+        res = benchmark_methods(*simulated_data(cfg, seed), cfg, seed=seed)
         res["seed"] = seed
         results.append(res)
         r = res["rmspe"]

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -183,6 +184,23 @@ def test_cli_sample_inclusion_select(tiny_pipeline, capsys):
     assert 0 <= cv["chosen"] < len(cv["candidates"])
     assert len(cv["candidates"]) <= 2 * 2
     assert (out3 / "cv_curve.csv").exists()
+
+
+def test_cli_run_meta_records_each_stage_wall_time(tiny_pipeline):
+    cfg = ["--config", tiny_pipeline["config"], "--seed", "2"]
+    root = tiny_pipeline["dir"]
+    stages = {
+        "simulate": ["simulate"],
+        "sample": ["sample", "--data", tiny_pipeline["data"], "--response", "y"],
+        "inclusion": ["inclusion", "--chain", str(root / "sample" / "chain.jsonl")],
+    }
+    for name, argv in stages.items():
+        t0 = time.perf_counter()
+        assert main(cfg + ["--output-dir", str(root / name)] + argv) == 0
+        elapsed = time.perf_counter() - t0
+        meta = json.loads((root / name / "run_meta.json").read_text())
+        assert meta["command"] == name
+        assert 0.0 < meta["wall_s"] <= elapsed
 
 
 def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeypatch):

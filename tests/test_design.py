@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpselect import DimensionMismatchError, maximin_lhd, rmspe, sim_response
-from gpselect.design import _min_pairwise_dist, random_lhd, sim_response_batch
+from gpselect.design import _hill_climb, _min_pairwise_dist, random_lhd, sim_response_batch
+
+from oracles import hill_climb_reference
 
 
 def test_two_point_design_is_forced():
@@ -25,6 +29,28 @@ def test_hill_climb_improves_on_plain_lhd():
         plain = random_lhd(12, 3, np.random.default_rng(seed))
         improved = maximin_lhd(12, 3, seed=seed, n_restarts=1)
         assert improved.maximin_dist >= _min_pairwise_dist(plain) - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(n=35, p=5, seed=11, max_passes=30, kind="midpoint")
+@example(n=12, p=3, seed=4, max_passes=30, kind="lattice")
+@given(
+    n=st.integers(2, 40),
+    p=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    max_passes=st.integers(1, 3),
+    kind=st.sampled_from(["midpoint", "lattice", "uniform"]),
+)
+def test_hill_climb_matches_reference(n, p, seed, max_passes, kind):
+    # "lattice" puts the midpoints on integers, where many pairs tie exactly
+    # at the minimum distance; "uniform" points are not a Latin design at all
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(size=(n, p)) if kind == "uniform" else random_lhd(n, p, rng)
+    if kind == "lattice":
+        start *= n
+    got = _hill_climb(start.copy(), max_passes=max_passes)
+    want = hill_climb_reference(start.copy(), max_passes=max_passes)
+    assert np.array_equal(got, want)
 
 
 def test_box_scaling():

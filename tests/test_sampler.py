@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,14 +19,16 @@ from gpselect import (
     save_chain,
 )
 from gpselect.model import validate_consistent
-from gpselect.sampler import reflect_unit
+from gpselect.sampler import Chain, reflect_unit
 
 from oracles import (
+    load_chain_reference,
     log_prior_oracle,
     loglik_oracle,
     random_dataset,
     random_state,
     run_chain_reference,
+    save_chain_reference,
 )
 
 CHAIN_ARRAYS = (
@@ -266,6 +269,115 @@ def test_chain_round_trip(small_data, tmp_path):
     assert np.array_equal(loaded.rho, chain.rho)
     assert np.array_equal(loaded.log_posts, chain.log_posts)
     assert np.array_equal(loaded.iters, chain.iters)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 1.0, 0.1, 5e-324, 1e-300, 1e300)
+
+
+def _draw_state(rng, p):
+    """One chain state with zeros of either sign and awkward magnitudes."""
+    def value():
+        if rng.random() < 0.3:
+            return SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+        return float(rng.normal() * 10.0 ** rng.integers(-8, 8))
+
+    gamma_r, gamma_c = rng.integers(0, 2, size=(2, p))
+    zero = (0.0, -0.0)
+    return {
+        "gamma_r": gamma_r, "gamma_c": gamma_c,
+        "beta": [value() if g else zero[rng.integers(2)] for g in gamma_r],
+        "rho": [rng.uniform() if g else 1.0 for g in gamma_c],
+        **{k: value() for k in ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")},
+    }
+
+
+@st.composite
+def stored_chains(draw):
+    """Chains whose draws repeat, alternate between two states, or differ
+    from the previous draw only in the sign of a zero."""
+    n = draw(st.integers(1, 25))
+    p = draw(st.integers(1, 4))
+    thin = draw(st.sampled_from([1, 3]))
+    moves = draw(st.lists(st.sampled_from(["new", "repeat", "alternate", "sign"]),
+                          min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for move in moves:
+        if move == "new" or not states:
+            states.append(_draw_state(rng, p))
+        elif move == "repeat" or len(states) < 2 and move == "alternate":
+            states.append(states[-1])
+        elif move == "alternate":
+            states.append(states[-2])
+        else:
+            beta0 = states[-1]["beta0"]
+            states.append({**states[-1], "beta0": -beta0 if beta0 == 0.0 else 0.0})
+    flags = rng.random(n) < 0.5
+    fields = {k: np.array([s[k] for s in states]) for k in states[0]}
+    return Chain(
+        **{**fields, "gamma_r": fields["gamma_r"].astype(np.int8),
+           "gamma_c": fields["gamma_c"].astype(np.int8)},
+        iters=2000 + thin - 1 + thin * np.arange(n, dtype=np.int64),
+        accepted=flags, draw_accepted=flags.copy(),
+    )
+
+
+def _assert_same_chain(got, want):
+    for name in CHAIN_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        if a.dtype == np.float64:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chain=stored_chains())
+def test_save_chain_matches_reference_bytes(chain, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("save")
+    save_chain(chain, tmp / "got.jsonl")
+    save_chain_reference(chain, tmp / "want.jsonl")
+    assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
+
+
+def _relayout(line, style):
+    """The same JSON object in another JSON-Lines layout."""
+    rec = json.loads(line)
+    if style == "spaces":
+        return json.dumps(rec)
+    if style == "reordered":
+        return json.dumps(dict(reversed(list(rec.items()))), separators=(",", ":"))
+    if style == "extra":
+        return json.dumps({"iter": rec.pop("iter"), "note": [1, {"a": None}], **rec},
+                          separators=(",", ":"))
+    if style == "duplicate_keys":
+        # json.loads keeps the last of repeated keys
+        head, tail = line[:-1].rsplit(',"accepted":', 1)
+        return f'{head},"iter":{rec["iter"] + 1},"accepted":{tail},"accepted":false}}'
+    if style == "blank":
+        return "\n   \n" + line
+    return line
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    chain=stored_chains(),
+    styles=st.lists(st.sampled_from(["same", "spaces", "reordered", "extra", "duplicate_keys",
+                                     "blank"]), min_size=1, max_size=6),
+)
+def test_load_chain_matches_reference_in_any_layout(chain, styles, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("load")
+    save_chain_reference(chain, tmp / "chain.jsonl")
+    _assert_same_chain(load_chain(tmp / "chain.jsonl"), load_chain_reference(tmp / "chain.jsonl"))
+    lines = (tmp / "chain.jsonl").read_text(encoding="utf-8").splitlines()
+    text = "\n".join(_relayout(line, styles[k % len(styles)]) for k, line in enumerate(lines))
+    (tmp / "relaid.jsonl").write_text(text + "\n\n", encoding="utf-8")
+    _assert_same_chain(load_chain(tmp / "relaid.jsonl"), load_chain_reference(tmp / "relaid.jsonl"))
+
+
+def test_load_chain_rejects_an_empty_file(tmp_path):
+    (tmp_path / "chain.jsonl").write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no draws"):
+        load_chain(tmp_path / "chain.jsonl")
 
 
 def test_config_validation():

@@ -70,6 +70,8 @@ def test_inclusion_hand_count():
     # exact rational frequencies
     assert float(rep.p_r[0] * 4) == 3.0
     assert sum(rep.model_freqs.values()) == pytest.approx(1.0)
+    # models in order of first appearance, which to_dict uses to break ties
+    assert list(rep.model_freqs.items()) == [(keys[0], 0.5), (keys[1], 0.25), (keys[2], 0.25)]
 
 
 def test_map_model_direct_max():

@@ -21,13 +21,7 @@ from .errors import (
     TransformError,
     ValidationError,
 )
-from .kernel import (
-    CorrelationParams,
-    KernelMatrix,
-    correlation,
-    correlation_matrix,
-    log_likelihood,
-)
+from .kernel import GpFactor, correlation, log_likelihood
 from .model import (
     LAMBDA_FLOOR,
     ModelIndicator,
@@ -71,15 +65,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain",
-    "CorrelationParams",
     "CvReport",
     "Dataset",
     "DimensionMismatchError",
     "EmptyEnsembleError",
+    "GpFactor",
     "GpSelectError",
     "InclusionReport",
     "InvalidStateError",
-    "KernelMatrix",
     "LAMBDA_FLOOR",
     "LhdDesign",
     "MleFit",
@@ -97,7 +90,6 @@ __all__ = [
     "candidate_ladder",
     "conditional_mean",
     "correlation",
-    "correlation_matrix",
     "cross_validate",
     "export_csv",
     "fit_mle",

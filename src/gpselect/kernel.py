@@ -2,17 +2,15 @@
 
 The correlation between two points is prod_j rho_j ** (u_j - v_j)^2 with each
 rho_j in [0, 1]; rho_j = 1 makes direction j inert. All matrix work goes
-through a Cholesky factorization of R + lambda*I with an escalating diagonal
-jitter fallback for nearly singular cases.
+through `GpFactor`, a Cholesky factorization of R + lambda*I with an
+escalating diagonal jitter fallback for nearly singular cases.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatchError, NumericalSingularityError
@@ -30,23 +28,7 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass
-class CorrelationParams:
-    """Per-coordinate correlation parameters, each in [0, 1]."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float).ravel()
-        if np.any(self.rho < 0.0) or np.any(self.rho > 1.0):
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-
-    def __len__(self) -> int:
-        return self.rho.shape[0]
-
-
-def _rho_array(params) -> np.ndarray:
-    rho = getattr(params, "rho", params)
+def _rho_array(rho) -> np.ndarray:
     return np.asarray(rho, dtype=float).ravel()
 
 
@@ -55,11 +37,11 @@ def _log_rho(rho: np.ndarray) -> np.ndarray:
     return np.log(np.minimum(np.maximum(rho, RHO_FLOOR), 1.0))
 
 
-def correlation(u, v, params) -> float:
+def correlation(u, v, rho) -> float:
     """Correlation prod_j rho_j ** (u_j - v_j)^2 between two points."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    rho = _rho_array(params)
+    rho = _rho_array(rho)
     if u.shape != v.shape or u.shape[0] != rho.shape[0]:
         raise DimensionMismatchError(
             f"point dims {u.shape[0]}/{v.shape[0]} vs {rho.shape[0]} correlation parameters"
@@ -108,53 +90,49 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-@dataclass
-class KernelMatrix:
-    """Correlation matrix R with a cached Cholesky factor of R + lambda*I."""
+class GpFactor:
+    """Cholesky factor of R(rho) + lam * I over a squared-difference tensor.
 
-    values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    The one place the package builds R + lam * I, factors it and solves with
+    the factor: the sampler's likelihood, the MLE objective, GLS, kriging
+    and model averaging all go through it. R is exp(d2 @ log rho) as
+    computed, not symmetrised, since the factorization reads only its lower
+    triangle. `jitter` is the diagonal jitter the factor needed (0.0 if none).
+    """
 
-    def _factorize(self, lam: float) -> tuple[np.ndarray, float]:
-        key = float(lam)
-        if key not in self._cache:
-            n = self.values.shape[0]
-            self._cache[key] = cholesky_with_jitter(self.values + key * np.eye(n))
-        return self._cache[key]
+    __slots__ = ("L", "jitter")
 
-    def factor(self, lam: float) -> np.ndarray:
-        """Lower Cholesky factor of values + lam * I (cached per lam)."""
-        return self._factorize(lam)[0]
+    def __init__(self, d2: np.ndarray, rho, lam: float):
+        A = corr_from_sqdiffs(d2, rho)
+        A.flat[:: A.shape[0] + 1] = 1.0 + lam
+        self.L, self.jitter = cholesky_with_jitter(A)
 
-    def jitter(self, lam: float) -> float:
-        """Diagonal jitter the factor of values + lam * I needed (0.0 if none)."""
-        return self._factorize(lam)[1]
+    @property
+    def logdet(self) -> float:
+        """log|R + lam * I| (jitter included) from the factor diagonal."""
+        return float(2.0 * np.log(self.L.diagonal()).sum())
 
-    def solve(self, lam: float, b: np.ndarray) -> np.ndarray:
-        """(values + lam*I)^{-1} b via two triangular solves."""
-        L = self.factor(lam)
-        z = solve_triangular(L, b, lower=True, check_finite=False)
-        return solve_triangular(L.T, z, lower=False, check_finite=False)
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        """L^{-1} b."""
+        # solve_triangular(L, b, lower=True) runs exactly this LAPACK call
+        # for the C-ordered factor numpy returns, minus its argument checks
+        return _trtrs(self.L.T, b, 1)
 
-
-def correlation_matrix(X: np.ndarray, params) -> KernelMatrix:
-    """Symmetric unit-diagonal correlation matrix over the rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    rho = _rho_array(params)
-    if X.shape[1] != rho.shape[0]:
-        raise DimensionMismatchError(
-            f"design has {X.shape[1]} columns, rho has {rho.shape[0]}"
-        )
-    R = corr_from_sqdiffs(pairwise_sqdiffs(X), rho)
-    # exact symmetry / unit diagonal regardless of fp rounding in exp
-    R = 0.5 * (R + R.T)
-    np.fill_diagonal(R, 1.0)
-    return KernelMatrix(values=R)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(R + lam * I)^{-1} b: L^{-1} b, then the back substitution with L^T."""
+        return _trtrs(self.L.T, self.whiten(b), 0)
 
 
-def cross_correlation(X_new: np.ndarray, X_old: np.ndarray, params) -> np.ndarray:
+def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    x, info = dtrtrs(U, b, lower=0, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    return x
+
+
+def cross_correlation(X_new: np.ndarray, X_old: np.ndarray, rho) -> np.ndarray:
     """Cross-correlation matrix, entry (i, j) = correlation(x_new_i, x_old_j)."""
-    return corr_from_sqdiffs(pairwise_sqdiffs(X_new, X_old), _rho_array(params))
+    return corr_from_sqdiffs(pairwise_sqdiffs(X_new, X_old), rho)
 
 
 def log_likelihood(data, state) -> float:
@@ -183,12 +161,6 @@ class LikelihoodCache:
         self.n = self.X.shape[0]
         self.d2 = pairwise_sqdiffs(self.X)
 
-    def corr(self, rho, lam: float) -> np.ndarray:
-        """R(rho) + lam * I over the cached rows."""
-        R = np.exp(self.d2 @ _log_rho(_rho_array(rho)))
-        R.flat[:: self.n + 1] = 1.0 + lam
-        return R
-
     def log_likelihood(self, state) -> float:
         return self.log_likelihood_arrays(
             state.rho, state.lam, state.beta0, state.beta, state.sigma2_z
@@ -200,13 +172,8 @@ class LikelihoodCache:
         log N(y; beta0 + X beta, sigma2 (R + lam I)): log-determinant from the
         factor diagonal, quadratic form from one triangular solve.
         """
-        L, jitter = cholesky_with_jitter(self.corr(rho, lam))
-        resid = self.y - beta0 - self.X @ beta
-        # solve_triangular(L, resid, lower=True) runs exactly this LAPACK call
-        # for the C-ordered factor numpy returns, minus its argument checks
-        z, info = dtrtrs(L.T, resid, lower=0, trans=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
-        logdet = self.n * np.log(sigma2) + 2.0 * np.log(L.diagonal()).sum()
+        f = GpFactor(self.d2, rho, lam)
+        z = f.whiten(self.y - beta0 - self.X @ beta)
+        logdet = self.n * np.log(sigma2) + f.logdet
         quad = float(z @ z) / sigma2
-        return -0.5 * (self.n * LOG_2PI + logdet + quad), jitter
+        return -0.5 * (self.n * LOG_2PI + logdet + quad), f.jitter

@@ -102,17 +102,34 @@ def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.
 
     beta0 + X_new beta + R_new,old (R_old + lam I)^{-1} (y - beta0 - X_old beta).
     """
-    X_new = req.X_new
-    if X_new.shape[0] == 0:
+    if not _has_sites(data, req):
         return np.zeros(0)
-    if X_new.shape[1] != data.X.shape[1]:
+    return _kriging_mean(
+        data, kernel.pairwise_sqdiffs(data.X), kernel.pairwise_sqdiffs(req.X_new, data.X),
+        req.X_new, state.beta0, state.beta, state.rho, state.lam,
+    )[0]
+
+
+def _has_sites(data, req: PredictionRequest) -> bool:
+    """False for an empty request; raises when the sites' columns do not match."""
+    if req.m == 0:
+        return False
+    if req.X_new.shape[1] != data.X.shape[1]:
         raise DimensionMismatchError(
-            f"sites have {X_new.shape[1]} columns, training data has {data.X.shape[1]}"
+            f"sites have {req.X_new.shape[1]} columns, training data has {data.X.shape[1]}"
         )
-    km = kernel.correlation_matrix(data.X, state.rho)
-    alpha = km.solve(state.lam, data.y - state.beta0 - data.X @ state.beta)
-    r_cross = kernel.cross_correlation(X_new, data.X, state.rho)
-    return state.beta0 + X_new @ state.beta + r_cross @ alpha
+    return True
+
+
+def _kriging_mean(data, d2_train, d2_cross, X_new, beta0, beta, rho, lam):
+    """Kriging mean at the sites and the diagonal jitter its factor needed.
+
+    beta0 + X_new beta + R_new,old (R + lam I)^{-1} (y - beta0 - X beta), with R
+    and R_new,old from the training and cross squared-difference tensors.
+    """
+    f = kernel.GpFactor(d2_train, rho, lam)
+    alpha = f.solve(data.y - beta0 - data.X @ beta)
+    return beta0 + X_new @ beta + kernel.corr_from_sqdiffs(d2_cross, rho) @ alpha, f.jitter
 
 
 def model_average(
@@ -126,19 +143,15 @@ def model_average(
     With a positive threshold, draws whose model's empirical frequency in the
     chain falls below it are dropped and the average renormalizes over the
     remainder. Consecutive identical draws (rejected proposals) reuse the
-    previous prediction vector.
+    previous prediction vector. One warning counts the distinct draws whose
+    factor of R + lam I needed diagonal jitter.
     """
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
     if not 0.0 <= denoise_threshold < 1.0:
         raise ValueError("denoise_threshold must lie in [0, 1)")
-    m = req.m
-    if m == 0:
+    if not _has_sites(data, req):
         return np.zeros(0)
-    if req.X_new.shape[1] != data.X.shape[1]:
-        raise DimensionMismatchError(
-            f"sites have {req.X_new.shape[1]} columns, training data has {data.X.shape[1]}"
-        )
 
     keep = denoise_mask(chain, denoise_threshold)
     if not keep.any():
@@ -146,7 +159,6 @@ def model_average(
 
     d2_train = kernel.pairwise_sqdiffs(data.X)
     d2_cross = kernel.pairwise_sqdiffs(req.X_new, data.X)
-    diag = np.arange(data.X.shape[0])
 
     # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
     # kept draw before it reuses that draw's prediction vector
@@ -156,19 +168,19 @@ def model_average(
     repeat[1:] = ((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
                   & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
                   & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
-    total = np.zeros(m)
+    total = np.zeros(req.m)
+    n_jittered = 0
     for i, same in zip(kept.tolist(), repeat.tolist()):
         if not same:
-            beta0, beta, rho, lam = chain.beta0[i], chain.beta[i], chain.rho[i], chain.lam[i]
-            A = kernel.corr_from_sqdiffs(d2_train, rho)
-            A[diag, diag] = 1.0 + lam
-            L, _ = kernel.cholesky_with_jitter(A)
-            resid = data.y - beta0 - data.X @ beta
-            z = solve_triangular(L, resid, lower=True, check_finite=False)
-            alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
-            r_cross = kernel.corr_from_sqdiffs(d2_cross, rho)
-            pred = beta0 + req.X_new @ beta + r_cross @ alpha
+            pred, jitter = _kriging_mean(data, d2_train, d2_cross, req.X_new, chain.beta0[i],
+                                         chain.beta[i], chain.rho[i], chain.lam[i])
+            n_jittered += jitter > 0.0
         total += pred
+    if n_jittered:
+        logger.warning(
+            "model averaging: %d distinct draws needed diagonal jitter on R + lambda*I, "
+            "which acts as extra nugget in their predictions", n_jittered,
+        )
     return total / kept.size
 
 
@@ -187,21 +199,21 @@ def _trend_matrix(X: np.ndarray, gamma_r: np.ndarray) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _gls_from_factor(y: np.ndarray, F: np.ndarray, L: np.ndarray):
-    """GLS coefficients and variance given the Cholesky factor of R + lam*I.
+def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
+    """GLS coefficients, variance and concentrated objective given the factor.
 
     Decorrelates with the factor and solves the least-squares problem by QR,
-    which is the standard stable route to
-    (F^T A^{-1} F)^{-1} F^T A^{-1} y and sigma2 = resid^T A^{-1} resid / n.
+    which is the standard stable route to (F^T A^{-1} F)^{-1} F^T A^{-1} y,
+    sigma2 = resid^T A^{-1} resid / n and n*log(sigma2) + log|A|.
     """
     n = y.shape[0]
-    yt = solve_triangular(L, y, lower=True, check_finite=False)
-    Ft = solve_triangular(L, F, lower=True, check_finite=False)
+    yt = f.whiten(y)
+    Ft = f.whiten(F)
     Q, Rq = qr(Ft, mode="economic", check_finite=False)
     coef = solve_triangular(Rq, Q.T @ yt, lower=False, check_finite=False)
     resid_t = yt - Ft @ coef
     sigma2 = float(resid_t @ resid_t) / n
-    return coef, sigma2
+    return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet
 
 
 def gls_fit(data, model: ModelIndicator, rho, lam: float):
@@ -210,17 +222,10 @@ def gls_fit(data, model: ModelIndicator, rho, lam: float):
     Returns (beta0_hat, beta_hat_full, sigma2_hat, objective) where objective
     is n*log(sigma2_hat) + log|R + lam*I|.
     """
-    rho = np.asarray(rho, dtype=float)
-    km = kernel.correlation_matrix(data.X, rho)
-    L = km.factor(lam)
-    F = _trend_matrix(data.X, model.gamma_r)
-    coef, sigma2 = _gls_from_factor(data.y, F, L)
+    f = kernel.GpFactor(kernel.pairwise_sqdiffs(data.X), rho, lam)
+    coef, sigma2, objective = _concentrated_gls(data.y, _trend_matrix(data.X, model.gamma_r), f)
     beta_full = np.zeros(data.X.shape[1])
-    active = np.where(model.gamma_r == 1)[0]
-    beta_full[active] = coef[1:]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    n = data.X.shape[0]
-    objective = n * math.log(max(sigma2, 1e-300)) + logdet
+    beta_full[np.where(model.gamma_r == 1)[0]] = coef[1:]
     return float(coef[0]), beta_full, sigma2, objective
 
 
@@ -277,32 +282,24 @@ def fit_mle(
     if active_c.size == 0 and not lambda_allowed:
         return _ols_fit(data, model)
 
-    n = data.X.shape[0]
     F = _trend_matrix(data.X, model.gamma_r)
-    d2 = kernel.pairwise_sqdiffs(data.X)[:, :, active_c] if active_c.size else None
-    diag = np.arange(n)
+    # only the active columns: exp(d2 @ log rho) over all of them (with
+    # log 1 = 0 for the rest) can round differently, and so move the fit
+    d2 = kernel.pairwise_sqdiffs(data.X)[:, :, active_c]
     n_rho = active_c.size
     dim = n_rho + (1 if lambda_allowed else 0)
     trace: list = []
 
     def objective(z: np.ndarray) -> float:
         lam = math.exp(z[n_rho]) if lambda_allowed else 0.0
-        if n_rho:
-            A = np.exp(d2 @ np.log(np.clip(z[:n_rho], kernel.RHO_FLOOR, 1.0)))
-        else:
-            A = np.ones((n, n))
-        A[diag, diag] = 1.0 + lam
         try:
-            L, jitter = kernel.cholesky_with_jitter(A)
+            f = kernel.GpFactor(d2, z[:n_rho], lam)
         except NumericalSingularityError:
-            L = None
-        if L is None or (jitter > 0.0 and not lambda_allowed):
+            f = None
+        if f is None or (f.jitter > 0.0 and not lambda_allowed):
             trace.append((z.copy(), np.inf))
             return 1e20
-        _, sigma2 = _gls_from_factor(data.y, F, L)
-        val = n * math.log(max(sigma2, 1e-300)) + 2.0 * float(
-            np.sum(np.log(np.diag(L)))
-        )
+        val = _concentrated_gls(data.y, F, f)[2]
         trace.append((z.copy(), val))
         return val if np.isfinite(val) else 1e20
 
@@ -357,28 +354,21 @@ def fit_mle(
 
 def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
     """Kriging prediction with the plug-in estimates of a fitted model."""
-    X_new = req.X_new
-    if X_new.shape[0] == 0:
+    if not _has_sites(data, req):
         return np.zeros(0)
-    if X_new.shape[1] != data.X.shape[1]:
-        raise DimensionMismatchError(
-            f"sites have {X_new.shape[1]} columns, training data has {data.X.shape[1]}"
-        )
-    trend = fit.beta0_hat + X_new @ fit.beta_hat
     if fit.model.gamma_c.sum() == 0 and fit.lambda_hat == 0.0:
         # no spatial component and no nugget: the fit is plain regression
-        return trend
-    km = kernel.correlation_matrix(data.X, fit.rho_hat)
-    resid = data.y - fit.beta0_hat - data.X @ fit.beta_hat
-    alpha = km.solve(fit.lambda_hat, resid)
-    if fit.lambda_hat == 0.0 and km.jitter(0.0) > 0.0:
+        return fit.beta0_hat + req.X_new @ fit.beta_hat
+    pred, jitter = _kriging_mean(
+        data, kernel.pairwise_sqdiffs(data.X), kernel.pairwise_sqdiffs(req.X_new, data.X),
+        req.X_new, fit.beta0_hat, fit.beta_hat, fit.rho_hat, fit.lambda_hat,
+    )
+    if fit.lambda_hat == 0.0 and jitter > 0.0:
         logger.warning(
             "zero-nugget fit: R needed diagonal jitter %.0e at rho_hat, which acts "
-            "as an undeclared nugget; predictions will not interpolate the data",
-            km.jitter(0.0),
+            "as an undeclared nugget; predictions will not interpolate the data", jitter,
         )
-    r_cross = kernel.cross_correlation(X_new, data.X, fit.rho_hat)
-    return trend + r_cross @ alpha
+    return pred
 
 
 def predictions_to_csv(path, predictions: np.ndarray, ensemble_size: int | None = None) -> None:

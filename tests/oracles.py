@@ -4,28 +4,45 @@ Everything here is deliberately written the slow, direct way (explicit
 inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
-swap search, chain file I/O) that the faster ones must match exactly.
+swap search, chain file I/O, the separate R + lambda*I factorizations of the
+prediction and MLE code) that the new ones must match exactly.
 """
 
 import json
 import logging
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
+from scipy.optimize import minimize
 from scipy.special import expit, gammaln
 from scipy.stats import invgamma, norm
 
 from gpselect import (
     Dataset,
+    DimensionMismatchError,
+    EmptyEnsembleError,
     InvalidStateError,
     ModelIndicator,
     NumericalSingularityError,
+    OptimizationFailureError,
     ParameterState,
+    PredictionRequest,
     TransformError,
+    kernel,
 )
-from gpselect.kernel import cholesky_with_jitter, pairwise_sqdiffs
+from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
 from gpselect.model import LAMBDA_FLOOR, TransformedState
+from gpselect.predict import (
+    LOG_LAMBDA_BOUNDS,
+    RHO_BOUNDS,
+    SIGMA2_DEGENERATE,
+    MleFit,
+    _ols_fit,
+    _trend_matrix,
+    denoise_mask,
+)
 from gpselect.sampler import Chain, initial_state
 
 
@@ -549,3 +566,307 @@ def load_chain_reference(path):
         accepted=accepted,
         draw_accepted=accepted.copy(),
     )
+
+# ---------------------------------------------------------------------------
+# Reference GP paths: the correlation-matrix class with its per-lambda factor
+# cache, and the kriging mean, model averaging, GLS, MLE fit and kriging
+# prediction that built and factored R + lambda*I each their own way before
+# they shared `kernel.GpFactor`. The package must match them exactly
+# wherever R came out exactly symmetric.
+# ---------------------------------------------------------------------------
+
+_gp_ref_logger = logging.getLogger("oracles.gp_reference")
+
+
+def _rho_array_reference(params) -> np.ndarray:
+    rho = getattr(params, "rho", params)
+    return np.asarray(rho, dtype=float).ravel()
+
+
+@dataclass
+class KernelMatrixReference:
+    """Correlation matrix R with a cached Cholesky factor of R + lambda*I."""
+
+    values: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def _factorize(self, lam: float) -> tuple[np.ndarray, float]:
+        key = float(lam)
+        if key not in self._cache:
+            n = self.values.shape[0]
+            self._cache[key] = cholesky_with_jitter(self.values + key * np.eye(n))
+        return self._cache[key]
+
+    def factor(self, lam: float) -> np.ndarray:
+        """Lower Cholesky factor of values + lam * I (cached per lam)."""
+        return self._factorize(lam)[0]
+
+    def jitter(self, lam: float) -> float:
+        """Diagonal jitter the factor of values + lam * I needed (0.0 if none)."""
+        return self._factorize(lam)[1]
+
+    def solve(self, lam: float, b: np.ndarray) -> np.ndarray:
+        """(values + lam*I)^{-1} b via two triangular solves."""
+        L = self.factor(lam)
+        z = solve_triangular(L, b, lower=True, check_finite=False)
+        return solve_triangular(L.T, z, lower=False, check_finite=False)
+
+
+def correlation_matrix_reference(X: np.ndarray, params) -> KernelMatrixReference:
+    """Symmetric unit-diagonal correlation matrix over the rows of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rho = _rho_array_reference(params)
+    if X.shape[1] != rho.shape[0]:
+        raise DimensionMismatchError(
+            f"design has {X.shape[1]} columns, rho has {rho.shape[0]}"
+        )
+    R = corr_from_sqdiffs(pairwise_sqdiffs(X), rho)
+    # exact symmetry / unit diagonal regardless of fp rounding in exp
+    R = 0.5 * (R + R.T)
+    np.fill_diagonal(R, 1.0)
+    return KernelMatrixReference(values=R)
+
+
+def conditional_mean_reference(data, state: ParameterState, req: PredictionRequest) -> np.ndarray:
+    """Conditional mean of the responses at new sites given the training data.
+
+    beta0 + X_new beta + R_new,old (R_old + lam I)^{-1} (y - beta0 - X_old beta).
+    """
+    X_new = req.X_new
+    if X_new.shape[0] == 0:
+        return np.zeros(0)
+    if X_new.shape[1] != data.X.shape[1]:
+        raise DimensionMismatchError(
+            f"sites have {X_new.shape[1]} columns, training data has {data.X.shape[1]}"
+        )
+    km = correlation_matrix_reference(data.X, state.rho)
+    alpha = km.solve(state.lam, data.y - state.beta0 - data.X @ state.beta)
+    r_cross = kernel.cross_correlation(X_new, data.X, state.rho)
+    return state.beta0 + X_new @ state.beta + r_cross @ alpha
+
+
+def model_average_reference(
+    chain,
+    data,
+    req: PredictionRequest,
+    denoise_threshold: float = 0.0,
+) -> np.ndarray:
+    """Average of per-draw conditional means over the chain.
+
+    With a positive threshold, draws whose model's empirical frequency in the
+    chain falls below it are dropped and the average renormalizes over the
+    remainder. Consecutive identical draws (rejected proposals) reuse the
+    previous prediction vector.
+    """
+    if len(chain) == 0:
+        raise ValueError("cannot average over an empty chain")
+    if not 0.0 <= denoise_threshold < 1.0:
+        raise ValueError("denoise_threshold must lie in [0, 1)")
+    m = req.m
+    if m == 0:
+        return np.zeros(0)
+    if req.X_new.shape[1] != data.X.shape[1]:
+        raise DimensionMismatchError(
+            f"sites have {req.X_new.shape[1]} columns, training data has {data.X.shape[1]}"
+        )
+
+    keep = denoise_mask(chain, denoise_threshold)
+    if not keep.any():
+        raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
+
+    d2_train = kernel.pairwise_sqdiffs(data.X)
+    d2_cross = kernel.pairwise_sqdiffs(req.X_new, data.X)
+    diag = np.arange(data.X.shape[0])
+
+    # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
+    # kept draw before it reuses that draw's prediction vector
+    kept = np.flatnonzero(keep)
+    cur, prev = kept[1:], kept[:-1]
+    repeat = np.zeros(kept.size, dtype=bool)
+    repeat[1:] = ((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
+                  & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
+                  & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
+    total = np.zeros(m)
+    for i, same in zip(kept.tolist(), repeat.tolist()):
+        if not same:
+            beta0, beta, rho, lam = chain.beta0[i], chain.beta[i], chain.rho[i], chain.lam[i]
+            A = kernel.corr_from_sqdiffs(d2_train, rho)
+            A[diag, diag] = 1.0 + lam
+            L, _ = kernel.cholesky_with_jitter(A)
+            resid = data.y - beta0 - data.X @ beta
+            z = solve_triangular(L, resid, lower=True, check_finite=False)
+            alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
+            r_cross = kernel.corr_from_sqdiffs(d2_cross, rho)
+            pred = beta0 + req.X_new @ beta + r_cross @ alpha
+        total += pred
+    return total / kept.size
+
+
+def gls_from_factor_reference(y: np.ndarray, F: np.ndarray, L: np.ndarray):
+    """GLS coefficients and variance given the Cholesky factor of R + lam*I.
+
+    Decorrelates with the factor and solves the least-squares problem by QR,
+    which is the standard stable route to
+    (F^T A^{-1} F)^{-1} F^T A^{-1} y and sigma2 = resid^T A^{-1} resid / n.
+    """
+    n = y.shape[0]
+    yt = solve_triangular(L, y, lower=True, check_finite=False)
+    Ft = solve_triangular(L, F, lower=True, check_finite=False)
+    Q, Rq = qr(Ft, mode="economic", check_finite=False)
+    coef = solve_triangular(Rq, Q.T @ yt, lower=False, check_finite=False)
+    resid_t = yt - Ft @ coef
+    sigma2 = float(resid_t @ resid_t) / n
+    return coef, sigma2
+
+
+def gls_fit_reference(data, model: ModelIndicator, rho, lam: float):
+    """GLS trend fit at fixed correlation parameters.
+
+    Returns (beta0_hat, beta_hat_full, sigma2_hat, objective) where objective
+    is n*log(sigma2_hat) + log|R + lam*I|.
+    """
+    rho = np.asarray(rho, dtype=float)
+    km = correlation_matrix_reference(data.X, rho)
+    L = km.factor(lam)
+    F = _trend_matrix(data.X, model.gamma_r)
+    coef, sigma2 = gls_from_factor_reference(data.y, F, L)
+    beta_full = np.zeros(data.X.shape[1])
+    active = np.where(model.gamma_r == 1)[0]
+    beta_full[active] = coef[1:]
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    n = data.X.shape[0]
+    objective = n * math.log(max(sigma2, 1e-300)) + logdet
+    return float(coef[0]), beta_full, sigma2, objective
+
+
+def fit_mle_reference(
+    data,
+    model: ModelIndicator,
+    lambda_allowed: bool = True,
+    n_starts: int = 5,
+    seed: int = 0,
+) -> MleFit:
+    """Maximize the concentrated likelihood over the model's free (rho, lambda).
+
+    At every candidate point the trend coefficients are the GLS solution and
+    sigma2 its plug-in; the search is bounded L-BFGS-B from several starts
+    (rho_j in [1e-6, 1-1e-6], log lambda in [-12, 3]). Deterministic for a
+    fixed seed.
+
+    With lambda_allowed=False the nugget is fixed at 0 and the feasible set
+    is the rho at which R factors without diagonal jitter: a point that
+    needs the jitter fallback scores like a singular one, since the jitter
+    would be a nugget the fit does not report. OptimizationFailureError is
+    raised when no start reaches such a point, e.g. for duplicate rows.
+    """
+    p = data.X.shape[1]
+    if model.gamma_r.shape[0] != p:
+        raise DimensionMismatchError(
+            f"model has {model.gamma_r.shape[0]} indicators, data has {p} columns"
+        )
+    active_c = np.where(model.gamma_c == 1)[0]
+    if active_c.size == 0 and not lambda_allowed:
+        return _ols_fit(data, model)
+
+    n = data.X.shape[0]
+    F = _trend_matrix(data.X, model.gamma_r)
+    d2 = kernel.pairwise_sqdiffs(data.X)[:, :, active_c] if active_c.size else None
+    diag = np.arange(n)
+    n_rho = active_c.size
+    dim = n_rho + (1 if lambda_allowed else 0)
+    trace: list = []
+
+    def objective(z: np.ndarray) -> float:
+        lam = math.exp(z[n_rho]) if lambda_allowed else 0.0
+        if n_rho:
+            A = np.exp(d2 @ np.log(np.clip(z[:n_rho], kernel.RHO_FLOOR, 1.0)))
+        else:
+            A = np.ones((n, n))
+        A[diag, diag] = 1.0 + lam
+        try:
+            L, jitter = kernel.cholesky_with_jitter(A)
+        except NumericalSingularityError:
+            L = None
+        if L is None or (jitter > 0.0 and not lambda_allowed):
+            trace.append((z.copy(), np.inf))
+            return 1e20
+        _, sigma2 = gls_from_factor_reference(data.y, F, L)
+        val = n * math.log(max(sigma2, 1e-300)) + 2.0 * float(
+            np.sum(np.log(np.diag(L)))
+        )
+        trace.append((z.copy(), val))
+        return val if np.isfinite(val) else 1e20
+
+    bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
+    rng = np.random.default_rng(seed)
+    starts = [np.concatenate([np.full(n_rho, 0.5), [math.log(0.1)] if lambda_allowed else []])]
+    for _ in range(max(0, n_starts - 1)):
+        z0 = np.empty(dim)
+        z0[:n_rho] = rng.uniform(0.05, 0.95, size=n_rho)
+        if lambda_allowed:
+            z0[n_rho] = rng.uniform(*LOG_LAMBDA_BOUNDS)
+        starts.append(z0)
+
+    best_z = None
+    best_val = np.inf
+    for z0 in starts:
+        res = minimize(
+            objective,
+            z0,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": 200},
+        )
+        if np.isfinite(res.fun) and res.fun < best_val:
+            best_val = float(res.fun)
+            best_z = res.x.copy()
+
+    if best_z is None or best_val >= 1e20:
+        raise OptimizationFailureError(
+            "no finite concentrated likelihood found", trace=trace[-50:]
+        )
+
+    rho_hat = np.ones(p)
+    if n_rho:
+        rho_hat[active_c] = best_z[:n_rho]
+    lambda_hat = math.exp(best_z[n_rho]) if lambda_allowed else 0.0
+    beta0_hat, beta_full, sigma2, objective_val = gls_fit_reference(data, model, rho_hat, lambda_hat)
+    degenerate = sigma2 < SIGMA2_DEGENERATE
+    if degenerate:
+        _gp_ref_logger.warning("near-exact fit: sigma2 floored at %.1e", SIGMA2_DEGENERATE)
+    return MleFit(
+        model=model.copy(),
+        beta0_hat=beta0_hat,
+        beta_hat=beta_full,
+        rho_hat=rho_hat,
+        lambda_hat=lambda_hat,
+        sigma2_hat=max(sigma2, SIGMA2_DEGENERATE),
+        neg_log_lik=objective_val,
+        degenerate=degenerate,
+    )
+
+
+def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
+    """Kriging prediction with the plug-in estimates of a fitted model."""
+    X_new = req.X_new
+    if X_new.shape[0] == 0:
+        return np.zeros(0)
+    if X_new.shape[1] != data.X.shape[1]:
+        raise DimensionMismatchError(
+            f"sites have {X_new.shape[1]} columns, training data has {data.X.shape[1]}"
+        )
+    trend = fit.beta0_hat + X_new @ fit.beta_hat
+    if fit.model.gamma_c.sum() == 0 and fit.lambda_hat == 0.0:
+        # no spatial component and no nugget: the fit is plain regression
+        return trend
+    km = correlation_matrix_reference(data.X, fit.rho_hat)
+    resid = data.y - fit.beta0_hat - data.X @ fit.beta_hat
+    alpha = km.solve(fit.lambda_hat, resid)
+    if fit.lambda_hat == 0.0 and km.jitter(0.0) > 0.0:
+        _gp_ref_logger.warning(
+            "zero-nugget fit: R needed diagonal jitter %.0e at rho_hat, which acts "
+            "as an undeclared nugget; predictions will not interpolate the data",
+            km.jitter(0.0),
+        )
+    r_cross = kernel.cross_correlation(X_new, data.X, fit.rho_hat)
+    return trend + r_cross @ alpha

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from gpselect import (
-    CorrelationParams,
     Dataset,
     DimensionMismatchError,
+    GpFactor,
     NumericalSingularityError,
     correlation,
-    correlation_matrix,
     log_likelihood,
 )
-from gpselect.kernel import cholesky_with_jitter, cross_correlation
+from gpselect.kernel import cholesky_with_jitter, cross_correlation, pairwise_sqdiffs
 
 from oracles import loglik_oracle, random_dataset, random_state
 
@@ -53,46 +52,43 @@ def test_dimension_mismatch():
         correlation([0.0], [1.0], [0.5, 0.5])
 
 
-def test_correlation_params_validation():
-    with pytest.raises(ValueError):
-        CorrelationParams(np.array([0.5, 1.2]))
-    with pytest.raises(ValueError):
-        CorrelationParams(np.array([-0.1]))
+def _factored(f: GpFactor) -> np.ndarray:
+    """R + lam * I (plus any jitter) back from the factor."""
+    return f.L @ f.L.T
 
 
 def test_matrix_single_point():
-    km = correlation_matrix(np.array([[0.4, 0.6]]), [0.3, 0.9])
-    assert km.values.shape == (1, 1)
-    assert km.values[0, 0] == 1.0
+    f = GpFactor(pairwise_sqdiffs(np.array([[0.4, 0.6]])), [0.3, 0.9], 0.0)
+    assert f.L.shape == (1, 1)
+    assert f.L[0, 0] == 1.0
+    assert f.jitter == 0.0 and f.logdet == 0.0
 
 
 def test_matrix_all_inert():
     X = np.random.default_rng(1).uniform(size=(4, 3))
-    km = correlation_matrix(X, [1.0, 1.0, 1.0])
-    assert np.allclose(km.values, 1.0)
+    f = GpFactor(pairwise_sqdiffs(X), [1.0, 1.0, 1.0], 0.5)
+    assert np.allclose(_factored(f), 1.0 + 0.5 * np.eye(4))
 
 
 def test_matrix_matches_entrywise(rng):
     X = rng.uniform(size=(3, 2))
     rho = rng.uniform(size=2)
-    km = correlation_matrix(X, rho)
+    lam = 0.25
+    A = _factored(GpFactor(pairwise_sqdiffs(X), rho, lam))
     for l in range(3):
         for m in range(3):
-            assert km.values[l, m] == pytest.approx(
-                correlation(X[l], X[m], rho), rel=1e-12
-            )
-    assert np.allclose(km.values, km.values.T)
-    assert np.allclose(np.diag(km.values), 1.0)
+            want = correlation(X[l], X[m], rho) + (lam if l == m else 0.0)
+            assert A[l, m] == pytest.approx(want, rel=1e-12)
 
 
 def test_inert_column_invariance(rng):
     # rho_j = 1 makes the matrix blind to column j
     X = rng.uniform(size=(6, 3))
     rho = np.array([0.4, 1.0, 0.7])
-    base = correlation_matrix(X, rho).values
+    base = GpFactor(pairwise_sqdiffs(X), rho, 0.1).L
     X2 = X.copy()
     X2[:, 1] = rng.normal(size=6) * 100.0
-    assert np.allclose(base, correlation_matrix(X2, rho).values)
+    assert np.array_equal(base, GpFactor(pairwise_sqdiffs(X2), rho, 0.1).L)
 
 
 def test_cross_correlation_consistent(rng):
@@ -172,9 +168,9 @@ def test_sigma2_must_be_positive(small_data):
 def test_jitter_ladder_rescues_duplicates():
     # duplicate rows make R singular at lam = 0; the ladder must step in
     X = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8]])
-    km = correlation_matrix(X, [0.5, 0.5])
-    L = km.factor(0.0)
-    assert np.all(np.isfinite(L))
+    f = GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], 0.0)
+    assert f.jitter > 0.0
+    assert np.all(np.isfinite(f.L))
 
 
 def test_jitter_ladder_exhaustion_reports_levels():
@@ -184,11 +180,13 @@ def test_jitter_ladder_exhaustion_reports_levels():
     assert err.value.jitters == (0.0, 1e-10, 1e-8, 1e-6)
 
 
-def test_kernel_matrix_factor_cache():
+def test_factor_reproduces_matrix():
     X = np.random.default_rng(2).uniform(size=(6, 2))
-    km = correlation_matrix(X, [0.4, 0.4])
-    L1 = km.factor(0.1)
-    L2 = km.factor(0.1)
-    assert L1 is L2
-    A = km.values + 0.1 * np.eye(6)
-    assert np.allclose(L1 @ L1.T, A)
+    d2 = pairwise_sqdiffs(X)
+    f = GpFactor(d2, [0.4, 0.4], 0.1)
+    A = np.array([[correlation(u, v, [0.4, 0.4]) for v in X] for u in X]) + 0.1 * np.eye(6)
+    assert np.allclose(_factored(f), A)
+    assert f.logdet == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+    b = np.random.default_rng(3).normal(size=(6, 2))
+    assert np.allclose(f.whiten(b), np.linalg.solve(f.L, b))
+    assert np.allclose(f.solve(b), np.linalg.solve(A, b))

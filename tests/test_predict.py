@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gpselect import (
     Dataset,
     EmptyEnsembleError,
+    GpFactor,
     ModelIndicator,
+    OptimizationFailureError,
+    ParameterState,
     PredictionRequest,
     PriorConfig,
     SamplerConfig,
     conditional_mean,
     fit_mle,
+    kernel,
     model_average,
     predict_mle,
     run_chain,
 )
 from gpselect.predict import gls_fit
+from gpselect.sampler import Chain
 
 from oracles import dense_corr, dense_gls, profile_objective, random_dataset, random_state
 
@@ -280,3 +288,143 @@ def test_mle_fit_round_trip_dict(small_data):
     assert np.array_equal(back.beta_hat, fit.beta_hat)
     assert np.array_equal(back.rho_hat, fit.rho_hat)
     assert back.lambda_hat == fit.lambda_hat
+
+
+def _chain_of(states):
+    """A Chain holding the given (beta0, beta, rho, lam) draws in order."""
+    k = len(states)
+    gamma_r = np.array([(s[1] != 0.0).astype(np.int8) for s in states])
+    gamma_c = np.array([(s[2] != 1.0).astype(np.int8) for s in states])
+    flags = np.zeros(k, dtype=bool)
+    return Chain(
+        gamma_r=gamma_r, gamma_c=gamma_c,
+        beta0=np.array([s[0] for s in states]), beta=np.array([s[1] for s in states]),
+        rho=np.array([s[2] for s in states]), sigma2_z=np.ones(k),
+        lam=np.array([s[3] for s in states]), omega_r=np.full(k, 0.5),
+        omega_c=np.full(k, 0.5), log_posts=np.zeros(k), iters=np.arange(k), accepted=flags,
+    )
+
+
+def _assert_agree(got, want, exact, factor):
+    """Equal bit for bit when `exact`; otherwise within what a last-bit change
+    of R can move a solve with R + lam I, about cond(R + lam I) * eps."""
+    got = np.atleast_1d(np.asarray(got, dtype=float))
+    want = np.atleast_1d(np.asarray(want, dtype=float))
+    assert got.shape == want.shape
+    if exact:
+        assert np.array_equal(got, want)
+        return
+    cond = np.linalg.cond(factor.L @ factor.L.T)
+    bound = max(1e-12, 1e-14 * cond) * np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+def _r_symmetric(X, rho) -> bool:
+    R = kernel.corr_from_sqdiffs(kernel.pairwise_sqdiffs(X), rho)
+    return np.array_equal(R, R.T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(seed=0, n=30, p=9, zero_nugget=False, duplicate=False, no_active_rho=False, m=3)
+@example(seed=1, n=30, p=8, zero_nugget=True, duplicate=True, no_active_rho=False, m=2)
+@example(seed=5, n=31, p=10, zero_nugget=True, duplicate=False, no_active_rho=False, m=1)
+@example(seed=5, n=6, p=3, zero_nugget=True, duplicate=False, no_active_rho=True, m=4)
+@example(seed=1, n=5, p=2, zero_nugget=False, duplicate=False, no_active_rho=False, m=0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 32),
+    p=st.integers(1, 10),
+    zero_nugget=st.booleans(),
+    duplicate=st.booleans(),
+    no_active_rho=st.booleans(),
+    m=st.sampled_from([0, 1, 3]),
+)
+def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_rho, m):
+    """GpFactor and its callers against the copies of the code they replaced.
+
+    The old correlation_matrix symmetrised R as 0.5 * (R + R.T); GpFactor
+    factors exp(d2 @ log rho) as computed, reading its lower triangle only.
+    Where R comes out exactly symmetric the two are the same matrix, so every
+    output must match bit for bit. At p >= 8 the matmul can round R[i, j] and
+    R[j, i] differently; there the outputs must agree to 1e-12 relative,
+    widened in proportion to cond(R + lam I) since a last-bit change of R
+    moves a solve by about cond * eps. Model averaging never symmetrised R
+    and must match bit for bit everywhere.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, p))
+    if duplicate:
+        X[1] = X[0]  # singular R at lam = 0: the jitter ladder steps in
+    y = rng.normal() + X @ rng.normal(scale=2.0, size=p) + rng.normal(scale=0.3, size=n)
+    data = Dataset(X=X, y=y, column_names=[f"x{j + 1}" for j in range(p)])
+    gamma_c = np.zeros(p, dtype=int) if no_active_rho else rng.integers(0, 2, size=p)
+    gamma_r = rng.integers(0, 2, size=p)
+    gamma_r[np.cumsum(gamma_r) > n - 2] = 0  # keep the GLS trend full rank
+    model = ModelIndicator(gamma_r, gamma_c)
+    rho = np.where(gamma_c == 1, rng.uniform(0.05, 0.95, size=p), 1.0)
+    lam = 0.0 if zero_nugget else float(np.exp(rng.uniform(-8.0, 0.0)))
+    beta0, beta = float(rng.normal()), np.where(gamma_r == 1, rng.normal(size=p), 0.0)
+    req = PredictionRequest(rng.uniform(size=(m, p)))
+
+    f = GpFactor(kernel.pairwise_sqdiffs(X), rho, lam)
+    exact = _r_symmetric(X, rho)
+    km = oracles.correlation_matrix_reference(X, rho)
+    _assert_agree(f.L, km.factor(lam), exact, f)
+    if exact:
+        assert f.jitter == km.jitter(lam)
+    state = ParameterState(beta0=beta0, beta=beta, rho=rho, sigma2_z=1.0, lam=lam,
+                           omega_r=0.5, omega_c=0.5)
+    _assert_agree(conditional_mean(data, state, req),
+                  oracles.conditional_mean_reference(data, state, req), exact, f)
+    _assert_agree(np.hstack(gls_fit(data, model, rho, lam)),
+                  np.hstack(oracles.gls_fit_reference(data, model, rho, lam)), exact, f)
+
+    other = (beta0 + 1.0, beta, np.where(gamma_c == 1, rng.uniform(0.05, 0.95, size=p), 1.0),
+             lam + 0.5)
+    chain = _chain_of([(beta0, beta, rho, lam)] * 2 + [other, (beta0, beta, rho, lam)])
+    assert np.array_equal(model_average(chain, data, req),
+                          oracles.model_average_reference(chain, data, req))
+
+    try:
+        want = oracles.fit_mle_reference(data, model, lambda_allowed=not zero_nugget, n_starts=2)
+    except OptimizationFailureError:
+        with pytest.raises(OptimizationFailureError):
+            fit_mle(data, model, lambda_allowed=not zero_nugget, n_starts=2)
+        return
+    got = fit_mle(data, model, lambda_allowed=not zero_nugget, n_starts=2)
+    # the search itself never symmetrised R, so it lands on the same point
+    assert np.array_equal(got.rho_hat, want.rho_hat) and got.lambda_hat == want.lambda_hat
+    assert got.model == want.model and got.degenerate == want.degenerate
+    f_hat = GpFactor(kernel.pairwise_sqdiffs(X), want.rho_hat, want.lambda_hat)
+    exact_hat = _r_symmetric(X, want.rho_hat)
+    _assert_agree([got.beta0_hat, *got.beta_hat, got.sigma2_hat, got.neg_log_lik],
+                  [want.beta0_hat, *want.beta_hat, want.sigma2_hat, want.neg_log_lik],
+                  exact_hat, f_hat)
+    _assert_agree(predict_mle(want, data, req),
+                  oracles.predict_mle_reference(want, data, req), exact_hat, f_hat)
+
+
+def test_model_average_warns_once_with_the_jittered_draw_count(small_data, monkeypatch, caplog):
+    # every 2nd factorization reports jitter, so the warning must count
+    # exactly the distinct draws whose factor did
+    factor = kernel.cholesky_with_jitter
+    tally = {"calls": 0, "jittered": 0}
+
+    def flaky_factor(A):
+        tally["calls"] += 1
+        L, jitter = factor(A)
+        if tally["calls"] % 2 == 0:
+            tally["jittered"] += 1
+            jitter = 1e-10
+        return L, jitter
+
+    chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=300, burn_in=50, seed=4))
+    monkeypatch.setattr(kernel, "cholesky_with_jitter", flaky_factor)
+    with caplog.at_level("WARNING", logger="gpselect.predict"):
+        model_average(chain, small_data, PredictionRequest(small_data.X[:3]))
+    warnings = [r.getMessage() for r in caplog.records if "jitter" in r.getMessage()]
+    assert tally["jittered"] > 0 and tally["calls"] < len(chain)
+    assert warnings == [
+        f"model averaging: {tally['jittered']} distinct draws needed diagonal jitter on "
+        "R + lambda*I, which acts as extra nugget in their predictions"
+    ]

@@ -45,9 +45,7 @@ from .predict import (
 from .sampler import (
     Chain,
     SamplerConfig,
-    accept_probability,
     load_chain,
-    propose,
     run_chain,
     save_chain,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "TransformError",
     "TransformedState",
     "ValidationError",
-    "accept_probability",
     "candidate_ladder",
     "conditional_mean",
     "correlation",
@@ -105,7 +102,6 @@ __all__ = [
     "maximin_lhd",
     "model_average",
     "predict_mle",
-    "propose",
     "rmspe",
     "run_chain",
     "save_chain",

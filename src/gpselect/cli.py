@@ -19,13 +19,13 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import design, predict, sampler, select
-from .data import Dataset, export_csv, ingest, read_sites_csv, split_rows
+from .data import Dataset, export_csv, ingest, minmax_scale, read_sites_csv, split_rows
 from .errors import (
     GpSelectError,
     NumericalSingularityError,
@@ -51,10 +51,12 @@ class SelectConfig:
     v_folds: int = 8
 
     def validate(self) -> None:
-        for name in ("low", "high", "q"):
+        for name in ("low", "high"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValidationError(f"select.{name} must lie in [0, 1], got {val}")
+        if not 0.0 < self.q < 1.0:
+            raise ValidationError(f"select.q must lie in (0, 1), got {self.q}")
         if not self.low < self.high:
             raise ValidationError("select.low must be below select.high")
         if self.v_folds < 2:
@@ -68,6 +70,9 @@ class SimulateConfig:
     noise_sd: float = 0.1
     box: tuple = (-0.75, 0.75)
     lhd_restarts: int = 4
+
+    def __post_init__(self):
+        self.box = tuple(self.box)
 
 
 @dataclass
@@ -100,26 +105,21 @@ class RunConfig:
             raise ValidationError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: the config must be a JSON object")
         cfg = cls()
-        try:
-            if "prior" in raw:
-                cfg.prior = PriorConfig.from_dict(raw["prior"])
-            if "sampler" in raw:
-                cfg.sampler = SamplerConfig.from_dict(raw["sampler"])
-            if "predict" in raw:
-                cfg.denoise_threshold = float(
-                    raw["predict"].get("denoise_threshold", 0.0)
-                )
-            if "select" in raw:
-                cfg.select = SelectConfig(**raw["select"])
-            if "simulate" in raw:
-                sim = dict(raw["simulate"])
-                if "box" in sim:
-                    sim["box"] = tuple(sim["box"])
-                cfg.simulate = SimulateConfig(**sim)
-            cfg.io = dict(raw.get("io", {}))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad config value: {exc}") from None
+        # each section parsed into its RunConfig field; an absent one parses as {}
+        for key, parse in (("prior", PriorConfig.from_dict), ("sampler", SamplerConfig.from_dict),
+                           ("predict", lambda d: float(d.get("denoise_threshold", 0.0))),
+                           ("select", lambda d: SelectConfig(**d)),
+                           ("simulate", lambda d: SimulateConfig(**d)), ("io", dict)):
+            section = raw.get(key, {})
+            if not isinstance(section, dict):
+                raise ValidationError(f"{path}: {key} must be a JSON object")
+            try:
+                setattr(cfg, "denoise_threshold" if key == "predict" else key, parse(section))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}: bad config value: {exc}") from None
         cfg.validate()
         return cfg
 
@@ -154,13 +154,19 @@ def _write_meta(output_dir: Path, command: str, t0: float, extra: dict | None = 
         fh.write("\n")
 
 
-def _load_model_file(path, p: int) -> ModelIndicator:
+def _load_json(path, build, expected: str):
+    """build(the JSON value in path); a missing or mistyped field is a ValidationError."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        ind = ModelIndicator(np.array(raw["gamma_r"]), np.array(raw["gamma_c"]))
+        return build(raw)
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: expected gamma_r/gamma_c arrays: {exc}") from None
+        raise ValidationError(f"{path}: expected {expected}: {exc}") from None
+
+
+def _load_model_file(path, p: int) -> ModelIndicator:
+    ind = _load_json(path, lambda d: ModelIndicator(np.array(d["gamma_r"]), np.array(d["gamma_c"])),
+                     "gamma_r/gamma_c arrays")
     if ind.p != p:
         raise ValidationError(f"{path}: model has {ind.p} indicators, data has {p}")
     return ind
@@ -204,9 +210,7 @@ def cmd_sample(
     t0 = time.perf_counter()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
-    samp = cfg.sampler
-    if seed is not None:
-        samp = SamplerConfig.from_dict({**samp.to_dict(), "seed": seed})
+    samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
     chain = sampler.run_chain(data, cfg.prior, samp)
     with output_lock(output_dir):
         chain_path = output_dir / "chain.jsonl"
@@ -325,8 +329,7 @@ def cmd_predict(
     if mode == "mle":
         if fit_path is None:
             raise ValidationError("mode 'mle' requires a fit file")
-        with open(fit_path, encoding="utf-8") as fh:
-            fit = MleFit.from_dict(json.load(fh))
+        fit = _load_json(fit_path, MleFit.from_dict, "an mle_fit.json record")
         preds = predict.predict_mle(fit, data, req)
     elif mode == "average":
         if chain_path is None:
@@ -363,9 +366,7 @@ def benchmark_methods(
     the models involved.
     """
     p = train.p
-    samp = cfg.sampler
-    if seed is not None:
-        samp = SamplerConfig.from_dict({**samp.to_dict(), "seed": seed})
+    samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
     chain = sampler.run_chain(train, cfg.prior, samp)
     report = select.inclusion_probabilities(chain)
     req = PredictionRequest(X_val)
@@ -444,11 +445,10 @@ def simulated_data(cfg: RunConfig, seed: int | None) -> tuple[Dataset, np.ndarra
     scale, the validation sites on that scale, and the validation responses."""
     base_seed = seed if seed is not None else cfg.sampler.seed
     train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
-    X_raw = train_design.points
-    lo, hi = X_raw.min(axis=0), X_raw.max(axis=0)
-    train = Dataset(X=(X_raw - lo) / (hi - lo), y=y_train,
-                    column_names=[f"x{j+1}" for j in range(5)], X_raw=X_raw,
-                    standardization=[(float(a), float(b)) for a, b in zip(lo, hi)])
+    X_raw, names = train_design.points, [f"x{j+1}" for j in range(5)]
+    X, standardization = minmax_scale(X_raw, names, "simulated training design")
+    train = Dataset(X=X, y=y_train, column_names=names, X_raw=X_raw,
+                    standardization=standardization)
     return train, train.transform_sites(val_design.points), y_val
 
 

@@ -101,26 +101,16 @@ def _parse_cell(text: str, row: int, col_name: str, path) -> float:
     return value
 
 
-def ingest(path, response_column: str, standardize: bool = True) -> Dataset:
-    """Read a headered CSV into a Dataset.
-
-    Every cell must parse as a finite float. With ``standardize`` on, feature
-    columns are mapped to [0, 1] by their column (min, max); constant columns
-    are rejected because the map would be undefined.
-    """
+def _read_columns(path, pick) -> tuple[list[str], np.ndarray]:
+    """The stripped header, and the cells of the columns pick(header) indexes
+    as finite floats; blank rows are skipped, others need one cell per name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if response_column not in header:
-            raise ValidationError(
-                f"{path}: response column '{response_column}' not found in header {header}"
-            )
-        resp_idx = header.index(response_column)
-        feature_names = [h for i, h in enumerate(header) if i != resp_idx]
+        idx = pick(header)
         rows = []
         for lineno, record in enumerate(reader, start=2):
             if not record or (len(record) == 1 and record[0].strip() == ""):
@@ -129,31 +119,47 @@ def ingest(path, response_column: str, standardize: bool = True) -> Dataset:
                 raise ValidationError(
                     f"{path}: row {lineno}: expected {len(header)} cells, got {len(record)}"
                 )
-            rows.append(
-                [_parse_cell(c, lineno, header[i], path) for i, c in enumerate(record)]
-            )
+            rows.append([_parse_cell(record[j], lineno, header[j], path) for j in idx])
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
-    y = table[:, resp_idx]
-    X_raw = np.delete(table, resp_idx, axis=1)
+    return header, np.asarray(rows, dtype=float)
 
-    standardization = None
-    X = X_raw
-    if standardize:
-        lo = X_raw.min(axis=0)
-        hi = X_raw.max(axis=0)
-        constant = np.where(hi <= lo)[0]
-        if constant.size:
-            bad = ", ".join(feature_names[int(j)] for j in constant)
+
+def minmax_scale(X_raw: np.ndarray, column_names, source) -> tuple[np.ndarray, list]:
+    """Columns mapped to [0, 1] by their (min, max), and those pairs; a constant
+    column is rejected (source names the data) because the map is undefined."""
+    lo = X_raw.min(axis=0)
+    hi = X_raw.max(axis=0)
+    constant = np.where(hi <= lo)[0]
+    if constant.size:
+        bad = ", ".join(column_names[int(j)] for j in constant)
+        raise ValidationError(f"{source}: constant column(s) under standardization: {bad}")
+    return (X_raw - lo) / (hi - lo), [(float(a), float(b)) for a, b in zip(lo, hi)]
+
+
+def ingest(path, response_column: str, standardize: bool = True) -> Dataset:
+    """Read a headered CSV into a Dataset.
+
+    Every cell must parse as a finite float. With ``standardize`` on, feature
+    columns go through `minmax_scale`.
+    """
+
+    def every_column(header):
+        if response_column not in header:
             raise ValidationError(
-                f"{path}: constant column(s) under standardization: {bad}"
+                f"{path}: response column '{response_column}' not found in header {header}"
             )
-        X = (X_raw - lo) / (hi - lo)
-        standardization = [(float(a), float(b)) for a, b in zip(lo, hi)]
+        return range(len(header))
+
+    header, table = _read_columns(path, every_column)
+    resp_idx = header.index(response_column)
+    feature_names = [h for i, h in enumerate(header) if i != resp_idx]
+    X_raw = np.delete(table, resp_idx, axis=1)
+    X, standardization = (minmax_scale(X_raw, feature_names, path) if standardize
+                          else (X_raw, None))
     return Dataset(
         X=X,
-        y=y,
+        y=table[:, resp_idx],
         column_names=feature_names,
         response_name=response_column,
         X_raw=X_raw,
@@ -177,26 +183,14 @@ def export_csv(data: Dataset, path) -> None:
 
 def read_sites_csv(path, feature_names) -> np.ndarray:
     """Read prediction sites, selecting the named feature columns by header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, expected a header row") from None
+
+    def named_columns(header):
         missing = [name for name in feature_names if name not in header]
         if missing:
             raise ValidationError(f"{path}: missing feature column(s): {missing}")
-        idx = [header.index(name) for name in feature_names]
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record or (len(record) == 1 and record[0].strip() == ""):
-                continue
-            rows.append(
-                [_parse_cell(record[j], lineno, header[j], path) for j in idx]
-            )
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+        return [header.index(name) for name in feature_names]
+
+    return _read_columns(path, named_columns)[1]
 
 
 def split_rows(n: int, holdout_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -129,40 +129,32 @@ def simulate_study(sim, seed: int) -> tuple[LhdDesign, np.ndarray, LhdDesign, np
     train = maximin_lhd(sim.n_train, 5, box=sim.box, seed=seed, n_restarts=sim.lhd_restarts)
     val = maximin_lhd(sim.n_validation, 5, box=sim.box, seed=seed + 1,
                       n_restarts=max(1, sim.lhd_restarts // 2))
-    y_train = sim_response_batch(train.points, sim.noise_sd, rng_noise)
-    return train, y_train, val, sim_response_batch(val.points, sim.noise_sd, rng_noise)
+    y_train = sim_response(train.points, sim.noise_sd, rng_noise)
+    return train, y_train, val, sim_response(val.points, sim.noise_sd, rng_noise)
 
 
-def sim_response(x, noise_sd: float = 0.1, rng: np.random.Generator | None = None) -> float:
-    """Synthetic 5-d response: linear in x2..x4, cosine in x1..x3, x5 inert.
+def sim_response(x, noise_sd: float = 0.1, rng: np.random.Generator | None = None):
+    """Synthetic 5-d response at one point (a float) or at each row of a 2-d x.
 
     3*x2 + 4*x3 + 5*x4 + 5*cos(3*pi*x1/2) + 4*cos(2*pi*x2/2) + 3*cos(pi*x3/2)
-    plus N(0, noise_sd^2) noise when noise_sd > 0.
+    plus N(0, noise_sd^2) noise when noise_sd > 0, drawn in row order; x5 is inert.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != 5:
-        raise DimensionMismatchError(f"expected a 5-d point, got length {x.shape[0]}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 5:
+        raise DimensionMismatchError(f"expected 5-d points, got shape {x.shape}")
     value = (
-        3.0 * x[1]
-        + 4.0 * x[2]
-        + 5.0 * x[3]
-        + 5.0 * np.cos(3.0 * np.pi * x[0] / 2.0)
-        + 4.0 * np.cos(2.0 * np.pi * x[1] / 2.0)
-        + 3.0 * np.cos(np.pi * x[2] / 2.0)
+        3.0 * x[..., 1]
+        + 4.0 * x[..., 2]
+        + 5.0 * x[..., 3]
+        + 5.0 * np.cos(3.0 * np.pi * x[..., 0] / 2.0)
+        + 4.0 * np.cos(2.0 * np.pi * x[..., 1] / 2.0)
+        + 3.0 * np.cos(np.pi * x[..., 2] / 2.0)
     )
     if noise_sd > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_sd > 0")
-        value += rng.normal(0.0, noise_sd)
-    return float(value)
-
-
-def sim_response_batch(
-    X: np.ndarray, noise_sd: float = 0.1, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Vector of sim_response values over the rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.array([sim_response(row, noise_sd=noise_sd, rng=rng) for row in X])
+        value += rng.normal(0.0, noise_sd, size=value.shape)
+    return float(value) if x.ndim == 1 else value
 
 
 def rmspe(y_true, y_pred) -> float:

@@ -130,11 +130,6 @@ def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def cross_correlation(X_new: np.ndarray, X_old: np.ndarray, rho) -> np.ndarray:
-    """Cross-correlation matrix, entry (i, j) = correlation(x_new_i, x_old_j)."""
-    return corr_from_sqdiffs(pairwise_sqdiffs(X_new, X_old), rho)
-
-
 def log_likelihood(data, state) -> float:
     """Marginal log-likelihood of y under the Gaussian process model.
 

@@ -55,10 +55,6 @@ class ModelIndicator:
         """Hashable identity, used for empirical model frequencies."""
         return (tuple(int(g) for g in self.gamma_r), tuple(int(g) for g in self.gamma_c))
 
-    @classmethod
-    def from_key(cls, key) -> "ModelIndicator":
-        return cls(np.array(key[0]), np.array(key[1]))
-
     def __eq__(self, other):
         if not isinstance(other, ModelIndicator):
             return NotImplemented
@@ -139,12 +135,8 @@ class PriorConfig:
         return cls(**d)
 
 
-def validate_consistent(ind: ModelIndicator, state: ParameterState) -> None:
-    """Inactive coordinates must sit exactly at their point masses."""
-    _check_consistent(ind.gamma_r, ind.gamma_c, state.beta, state.rho)
-
-
 def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:
+    """Inactive coordinates must sit exactly at their point masses."""
     # plain-list loops: at the sampler's p these beat numpy's per-call cost
     p = gamma_r.shape[0]
     if beta.shape[0] != p or rho.shape[0] != p:

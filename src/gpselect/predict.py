@@ -29,6 +29,7 @@ SIGMA2_DEGENERATE = 1e-12
 
 LOG_LAMBDA_BOUNDS = (-12.0, 3.0)
 RHO_BOUNDS = (1e-6, 1.0 - 1e-6)
+MLE_START_SEED = 0
 
 
 @dataclass
@@ -258,14 +259,13 @@ def fit_mle(
     model: ModelIndicator,
     lambda_allowed: bool = True,
     n_starts: int = 5,
-    seed: int = 0,
 ) -> MleFit:
     """Maximize the concentrated likelihood over the model's free (rho, lambda).
 
     At every candidate point the trend coefficients are the GLS solution and
     sigma2 its plug-in; the search is bounded L-BFGS-B from several starts
-    (rho_j in [1e-6, 1-1e-6], log lambda in [-12, 3]). Deterministic for a
-    fixed seed.
+    (rho_j in [1e-6, 1-1e-6], log lambda in [-12, 3]). Deterministic: the
+    random starts come from the fixed seed MLE_START_SEED.
 
     With lambda_allowed=False the nugget is fixed at 0 and the feasible set
     is the rho at which R factors without diagonal jitter: a point that
@@ -304,7 +304,7 @@ def fit_mle(
         return val if np.isfinite(val) else 1e20
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MLE_START_SEED)
     starts = [np.concatenate([np.full(n_rho, 0.5), [math.log(0.1)] if lambda_allowed else []])]
     for _ in range(max(0, n_starts - 1)):
         z0 = np.empty(dim)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalSingularityError
+from .errors import NumericalSingularityError, ValidationError
 from .kernel import LikelihoodCache
 from .model import (
     LAMBDA_FLOOR,
@@ -56,7 +56,9 @@ class SamplerConfig:
     rw_sd holds the random-walk standard deviations for
     (beta0, log sigma2_z, log lambda, logit omega_r, logit omega_c).
     jitter_when_no_flip controls whether the stage-1 jitter is applied on
-    iterations whose Binomial draw is k = 0.
+    iterations whose Binomial draw is k = 0. With slab_correction off the
+    acceptance ratio omits `proposal_log_correction`, treating the whole
+    proposal as symmetric; that biases activations down by the slab density.
     """
 
     n_iter: int = 20000
@@ -146,15 +148,6 @@ class Chain:
                               float(self.sigma2_z[i]), float(self.lam[i]),
                               float(self.omega_r[i]), float(self.omega_c[i]))
 
-    def draw(self, i: int) -> tuple[ModelIndicator, ParameterState]:
-        return self.indicator(i), self.state(i)
-
-    def model_key(self, i: int) -> tuple:
-        return (
-            tuple(int(g) for g in self.gamma_r[i]),
-            tuple(int(g) for g in self.gamma_c[i]),
-        )
-
     def model_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct models in order of first appearance: the first draw
         of each, each draw's model number, and each model's draw count."""
@@ -176,22 +169,9 @@ def reflect_unit(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(r, 1e-12), 1.0 - 1e-12)
 
 
-def propose(current: tuple[ModelIndicator, ParameterState], cfg: SamplerConfig,
-            prior: PriorConfig, rng: np.random.Generator) -> tuple[ModelIndicator, ParameterState]:
-    """One symmetric proposal from the current state.
-
-    The slab scale for newly activated coefficients comes from the prior
-    config (activation draws are N(0, tau^2) and U(0, 1)).
-    """
-    t = to_unconstrained(current[1])
-    gamma_r, gamma_c, beta, rho, scalars, _ = propose_arrays(
-        *flat_state(*current), (t.mu, t.zeta, t.psi_r, t.psi_c), cfg, prior.tau, rng)
-    return ModelIndicator(gamma_r, gamma_c), ParameterState(scalars[0], beta, rho, *scalars[1:])
-
-
 def propose_arrays(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tuple:
-    """`propose` on a `flat_state`, given its unconstrained scalars
-    t = (mu, zeta, psi_r, psi_c).
+    """One proposal (both stages) from a `flat_state`, given its unconstrained
+    scalars t = (mu, zeta, psi_r, psi_c) and the slab scale tau.
 
     Returns the proposed flat state followed by the flipped coefficient slots
     in ascending order.
@@ -285,40 +265,6 @@ def log_alpha(prop_target: float, cur_target: float, correction: float) -> float
         logger.warning("auto-rejecting proposal with undefined posterior ratio")
         return -math.inf
     return delta
-
-
-def accept_probability(
-    current: tuple[ModelIndicator, ParameterState],
-    proposed: tuple[ModelIndicator, ParameterState],
-    data,
-    cfg: PriorConfig,
-    slab_correction: bool = True,
-) -> float:
-    """Metropolis-Hastings acceptance probability between two chain states.
-
-    min(1, exp(delta)) where delta is the posterior-plus-Jacobian log
-    difference plus, by default, the flip proposal correction (zero unless
-    the two states disagree on gamma_r). With slab_correction off the plain
-    posterior ratio is used, treating the whole proposal as symmetric; that
-    variant biases coefficient activations down by the slab density and is
-    kept for compatibility with plain-ratio runs. A proposal whose
-    correlation matrix cannot be factorized is auto-rejected (probability 0)
-    with a logged warning.
-    """
-    like = LikelihoodCache(data)
-    try:
-        lt_prop = _log_target(*flat_state(*proposed), like, cfg)[0]
-    except NumericalSingularityError as exc:
-        logger.warning("auto-rejecting singular proposal: %s", exc)
-        return 0.0
-    lt_cur = _log_target(*flat_state(*current), like, cfg)[0]
-    corr = 0.0
-    if slab_correction:
-        gamma_r = current[0].gamma_r
-        flips_r = np.flatnonzero(gamma_r != proposed[0].gamma_r).tolist()
-        corr = proposal_log_correction(current[1].beta, proposed[1].beta, gamma_r, flips_r, cfg.tau)
-    delta = log_alpha(lt_prop, lt_cur, corr)
-    return math.exp(delta) if delta < 0.0 else 1.0
 
 
 def initial_state(
@@ -486,7 +432,7 @@ def load_chain(path) -> Chain:
     records, runs, iters, flags = [], [], [], []
     middle = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -496,6 +442,10 @@ def load_chain(path) -> Chain:
                 if record is None or "iter" in record or "accepted" in record:
                     # another layout, or repeated keys, of which json keeps the last
                     m, record = None, json.loads(line)
+                need = [*_FILE_KEYS.values(), *(() if m else ("iter", "accepted"))]
+                missing = [key for key in need if key not in record]
+                if missing:
+                    raise ValidationError(f"{path}: line {lineno} has no field(s) {missing}")
                 records.append(record)
                 middle = m and m[2]
             runs.append(len(records) - 1)

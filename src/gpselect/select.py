@@ -97,7 +97,7 @@ def inclusion_probabilities(chain) -> InclusionReport:
     p_c = chain.gamma_c.mean(axis=0)
     first, _, counts = chain.model_counts()
     n = float(len(chain))
-    freqs = {chain.model_key(i): c / n for i, c in zip(first.tolist(), counts.tolist())}
+    freqs = {chain.indicator(i).key(): c / n for i, c in zip(first.tolist(), counts.tolist())}
     return InclusionReport(p_r=p_r, p_c=p_c, model_freqs=freqs)
 
 
@@ -112,7 +112,7 @@ def map_model(report: InclusionReport) -> ModelIndicator:
         report.model_freqs,
         key=lambda k: (-report.model_freqs[k], sum(k[0]) + sum(k[1]), k),
     )
-    return ModelIndicator.from_key(best_key)
+    return ModelIndicator(*best_key)
 
 
 def threshold_model(report: InclusionReport, q: float) -> ModelIndicator:
@@ -191,10 +191,10 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
     return [np.sort(f) for f in np.array_split(rng.permutation(n), v)]
 
 
-def _fit_and_score(data, cand, train_rows, test_rows, lambda_allowed):
+def _fit_and_score(data, cand, train_rows, test_rows):
     train = data.subset(train_rows)
     test = data.subset(test_rows)
-    fit = fit_mle(train, cand, lambda_allowed=lambda_allowed)
+    fit = fit_mle(train, cand)
     pred = predict_mle(fit, train, PredictionRequest(test.X))
     return rmspe(test.y, pred)
 
@@ -204,14 +204,14 @@ def cross_validate(
     candidates: list[ModelIndicator],
     v: int,
     seed: int = 0,
-    lambda_allowed: bool = True,
     n_threads: int = 1,
 ) -> CvReport:
     """v-fold cross-validation of the candidates by per-fold RMSPE.
 
     Rows are partitioned into v seeded folds with sizes differing by at most
     one. The score of a candidate is the mean of its per-fold RMSPEs and the
-    reported standard error is taken across folds. Fold failures are skipped
+    reported standard error is taken across folds. Each fold fit estimates
+    the nugget (`fit_mle` with lambda free). Fold failures are skipped
     with a warning; a candidate failing more than 25% of folds is
     disqualified.
     """
@@ -234,7 +234,7 @@ def cross_validate(
     def run(job):
         ci, fi, cand, train_rows, test_rows = job
         try:
-            return ci, fi, _fit_and_score(data, cand, train_rows, test_rows, lambda_allowed)
+            return ci, fi, _fit_and_score(data, cand, train_rows, test_rows)
         except (NumericalSingularityError, OptimizationFailureError, np.linalg.LinAlgError) as exc:
             logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
             return ci, fi, np.nan

@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, direct way (explicit
 inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
-swap search, chain file I/O, the separate R + lambda*I factorizations of the
-prediction and MLE code) that the new ones must match exactly.
+swap search, the per-row simulation recipe, chain file I/O, the separate
+R + lambda*I factorizations of the prediction and MLE code) that the new
+ones must match exactly.
 """
 
 import json
@@ -31,6 +32,7 @@ from gpselect import (
     PredictionRequest,
     TransformError,
     kernel,
+    maximin_lhd,
 )
 from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
 from gpselect.model import LAMBDA_FLOOR, TransformedState
@@ -484,6 +486,62 @@ def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
     return Chain(accepted=accepted, **out)
 
 
+# ---------------------------------------------------------------------------
+# Reference simulation recipe: the per-row test function and the study built
+# from it, verbatim before `design.sim_response` was vectorised. The package
+# must reproduce their responses bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def sim_response_reference(
+    x, noise_sd: float = 0.1, rng: np.random.Generator | None = None
+) -> float:
+    """Synthetic 5-d response: linear in x2..x4, cosine in x1..x3, x5 inert.
+
+    3*x2 + 4*x3 + 5*x4 + 5*cos(3*pi*x1/2) + 4*cos(2*pi*x2/2) + 3*cos(pi*x3/2)
+    plus N(0, noise_sd^2) noise when noise_sd > 0.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != 5:
+        raise DimensionMismatchError(f"expected a 5-d point, got length {x.shape[0]}")
+    value = (
+        3.0 * x[1]
+        + 4.0 * x[2]
+        + 5.0 * x[3]
+        + 5.0 * np.cos(3.0 * np.pi * x[0] / 2.0)
+        + 4.0 * np.cos(2.0 * np.pi * x[1] / 2.0)
+        + 3.0 * np.cos(np.pi * x[2] / 2.0)
+    )
+    if noise_sd > 0.0:
+        if rng is None:
+            raise ValueError("rng required when noise_sd > 0")
+        value += rng.normal(0.0, noise_sd)
+    return float(value)
+
+
+def sim_response_batch_reference(
+    X: np.ndarray, noise_sd: float = 0.1, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Vector of sim_response values over the rows of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.array([sim_response_reference(row, noise_sd=noise_sd, rng=rng) for row in X])
+
+
+def simulate_study_reference(sim, seed: int):
+    """Training design and responses, then validation design and responses.
+
+    sim gives n_train, n_validation, noise_sd, box and lhd_restarts. The
+    5-d maximin LHDs use seed (training) and seed + 1 with half the restarts
+    (validation); the noise comes from the third child of SeedSequence(seed).
+    """
+    rng_noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    train = maximin_lhd(sim.n_train, 5, box=sim.box, seed=seed, n_restarts=sim.lhd_restarts)
+    val = maximin_lhd(sim.n_validation, 5, box=sim.box, seed=seed + 1,
+                      n_restarts=max(1, sim.lhd_restarts // 2))
+    y_train = sim_response_batch_reference(train.points, sim.noise_sd, rng_noise)
+    return train, y_train, val, sim_response_batch_reference(val.points, sim.noise_sd, rng_noise)
+
+
 def hill_climb_reference(points, max_passes=30):
     """The swap search that scores every (i, j), for exact-equivalence tests."""
     n, p = points.shape
@@ -641,7 +699,7 @@ def conditional_mean_reference(data, state: ParameterState, req: PredictionReque
         )
     km = correlation_matrix_reference(data.X, state.rho)
     alpha = km.solve(state.lam, data.y - state.beta0 - data.X @ state.beta)
-    r_cross = kernel.cross_correlation(X_new, data.X, state.rho)
+    r_cross = corr_from_sqdiffs(pairwise_sqdiffs(X_new, data.X), state.rho)
     return state.beta0 + X_new @ state.beta + r_cross @ alpha
 
 
@@ -868,5 +926,5 @@ def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarr
             "as an undeclared nugget; predictions will not interpolate the data",
             km.jitter(0.0),
         )
-    r_cross = kernel.cross_correlation(X_new, data.X, fit.rho_hat)
+    r_cross = corr_from_sqdiffs(pairwise_sqdiffs(X_new, data.X), fit.rho_hat)
     return trend + r_cross @ alpha

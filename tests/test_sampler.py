@@ -12,16 +12,24 @@ from gpselect import (
     ParameterState,
     PriorConfig,
     SamplerConfig,
-    accept_probability,
     load_chain,
-    propose,
     run_chain,
     save_chain,
+    to_unconstrained,
 )
-from gpselect.model import validate_consistent
-from gpselect.sampler import Chain, reflect_unit
+from gpselect.kernel import LikelihoodCache
+from gpselect.model import flat_state
+from gpselect.sampler import (
+    Chain,
+    _log_target,
+    log_alpha,
+    proposal_log_correction,
+    propose_arrays,
+    reflect_unit,
+)
 
 from oracles import (
+    _ref_validate_consistent as validate_consistent,
     load_chain_reference,
     log_prior_oracle,
     loglik_oracle,
@@ -40,6 +48,26 @@ CHAIN_ARRAYS = (
 def _current(p, rng):
     ind, state = random_state(rng, p)
     return ind, state
+
+
+def propose(current, cfg, prior, rng):
+    """One `propose_arrays` step from an (indicator, state) pair, as a pair."""
+    t = to_unconstrained(current[1])
+    gamma_r, gamma_c, beta, rho, scalars, _ = propose_arrays(
+        *flat_state(*current), (t.mu, t.zeta, t.psi_r, t.psi_c), cfg, prior.tau, rng)
+    return ModelIndicator(gamma_r, gamma_c), ParameterState(scalars[0], beta, rho, *scalars[1:])
+
+
+def accept_probability(current, proposed, data, prior):
+    """min(1, exp(log alpha)) of the sampler's acceptance rule between two pairs:
+    `_log_target` of each, the flips' `proposal_log_correction`, `log_alpha`."""
+    like = LikelihoodCache(data)
+    prop_target, cur_target = (_log_target(*flat_state(*pair), like, prior)[0]
+                               for pair in (proposed, current))
+    gamma_r = current[0].gamma_r
+    flips_r = np.flatnonzero(gamma_r != proposed[0].gamma_r).tolist()
+    corr = proposal_log_correction(current[1].beta, proposed[1].beta, gamma_r, flips_r, prior.tau)
+    return math.exp(min(log_alpha(prop_target, cur_target, corr), 0.0))
 
 
 def test_reflect_unit_stays_inside(rng):
@@ -234,7 +262,7 @@ def test_run_chain_draws_are_consistent(small_data):
     cfg = SamplerConfig(n_iter=500, burn_in=100, seed=3)
     chain = run_chain(small_data, PriorConfig(), cfg)
     for i in range(0, len(chain), 37):
-        ind, state = chain.draw(i)
+        ind, state = chain.indicator(i), chain.state(i)
         validate_consistent(ind, state)
         active = state.rho[ind.gamma_c == 1]
         assert np.all((active > 0.0) & (active < 1.0))

@@ -10,15 +10,14 @@ benchmark's extra_info. For a reading, pin BLAS to one thread:
 
 import numpy as np
 
-from gpselect import Dataset, PriorConfig, SamplerConfig, maximin_lhd, run_chain
-from gpselect.design import sim_response_batch
+from gpselect import Dataset, PriorConfig, SamplerConfig, maximin_lhd, run_chain, sim_response
 
 N_ITER = 2000
 
 
 def test_sampler_iteration_time(benchmark):
     X = maximin_lhd(35, 5, seed=11, n_restarts=1).points
-    y = sim_response_batch(X, noise_sd=0.1, rng=np.random.default_rng(11))
+    y = sim_response(X, noise_sd=0.1, rng=np.random.default_rng(11))
     data = Dataset(X=X, y=(y - y.mean()) / y.std(), column_names=[f"x{j}" for j in range(1, 6)])
     cfg = SamplerConfig(n_iter=N_ITER, burn_in=N_ITER // 4, seed=11)
 

@@ -155,9 +155,13 @@ def _write_meta(output_dir: Path, command: str, t0: float, extra: dict | None = 
 
 
 def _load_json(path, build, expected: str):
-    """build(the JSON value in path); a missing or mistyped field is a ValidationError."""
+    """build(the JSON value in path); invalid JSON or a missing or mistyped field
+    is a ValidationError naming the path."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         return build(raw)
     except (KeyError, TypeError) as exc:

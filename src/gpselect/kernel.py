@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import DimensionMismatchError, NumericalSingularityError
 
@@ -97,14 +97,17 @@ class GpFactor:
     the factor: the sampler's likelihood, the MLE objective, GLS, kriging
     and model averaging all go through it. R is exp(d2 @ log rho) as
     computed, not symmetrised, since the factorization reads only its lower
-    triangle. `jitter` is the diagonal jitter the factor needed (0.0 if none).
+    triangle. `A` is R + lam * I as built, before any jitter, so its
+    off-diagonal is R. `jitter` is the diagonal jitter the factor needed
+    (0.0 if none).
     """
 
-    __slots__ = ("L", "jitter")
+    __slots__ = ("A", "L", "jitter")
 
     def __init__(self, d2: np.ndarray, rho, lam: float):
         A = corr_from_sqdiffs(d2, rho)
         A.flat[:: A.shape[0] + 1] = 1.0 + lam
+        self.A = A
         self.L, self.jitter = cholesky_with_jitter(A)
 
     @property
@@ -118,9 +121,24 @@ class GpFactor:
         # for the C-ordered factor numpy returns, minus its argument checks
         return _trtrs(self.L.T, b, 1)
 
+    def back_substitute(self, z: np.ndarray) -> np.ndarray:
+        """L^{-T} z."""
+        return _trtrs(self.L.T, z, 0)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(R + lam * I)^{-1} b: L^{-1} b, then the back substitution with L^T."""
-        return _trtrs(self.L.T, self.whiten(b), 0)
+        return self.back_substitute(self.whiten(b))
+
+    def inverse(self) -> np.ndarray:
+        """(R + lam * I)^{-1} (jitter included) from the factor, by LAPACK dpotri."""
+        # L.T is the upper factor U with U^T U = A; dpotri overwrites a copy of
+        # its upper triangle and leaves the zero strict lower triangle as is
+        U, info = dpotri(self.L.T, lower=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"inverse from the factor failed (info {info})")
+        inv = U + U.T
+        inv.flat[:: inv.shape[0] + 1] = U.diagonal()
+        return inv
 
 
 def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
@@ -30,6 +30,8 @@ SIGMA2_DEGENERATE = 1e-12
 LOG_LAMBDA_BOUNDS = (-12.0, 3.0)
 RHO_BOUNDS = (1e-6, 1.0 - 1e-6)
 MLE_START_SEED = 0
+# L-BFGS-B's relative-decrease stop; near 0 so that starts stop on the gradient
+MLE_FTOL = 1e-15
 
 
 @dataclass
@@ -60,6 +62,9 @@ class MleFit:
     lambda_hat = 0.0 from a zero-nugget fit means R itself was factored
     without diagonal jitter at rho_hat, so predict_mle interpolates the
     training data; a jittered factor would act as an undeclared nugget.
+    n_evals counts the objective evaluations over all starts, and at_bound
+    names each searched coordinate that ended on an end of its box, e.g.
+    "rho[x4]:upper" or "lambda:lower".
     """
 
     model: ModelIndicator
@@ -70,6 +75,8 @@ class MleFit:
     sigma2_hat: float
     neg_log_lik: float
     degenerate: bool = False
+    n_evals: int = 0
+    at_bound: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +89,8 @@ class MleFit:
             "sigma2_hat": float(self.sigma2_hat),
             "neg_log_lik": float(self.neg_log_lik),
             "degenerate": bool(self.degenerate),
+            "n_evals": int(self.n_evals),
+            "at_bound": list(self.at_bound),
         }
 
     @classmethod
@@ -95,6 +104,8 @@ class MleFit:
             sigma2_hat=float(d["sigma2_hat"]),
             neg_log_lik=float(d["neg_log_lik"]),
             degenerate=bool(d.get("degenerate", False)),
+            n_evals=int(d.get("n_evals", 0)),
+            at_bound=list(d.get("at_bound", [])),
         )
 
 
@@ -201,11 +212,12 @@ def _trend_matrix(X: np.ndarray, gamma_r: np.ndarray) -> np.ndarray:
 
 
 def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
-    """GLS coefficients, variance and concentrated objective given the factor.
+    """GLS coefficients, variance, concentrated objective and whitened residual.
 
     Decorrelates with the factor and solves the least-squares problem by QR,
     which is the standard stable route to (F^T A^{-1} F)^{-1} F^T A^{-1} y,
-    sigma2 = resid^T A^{-1} resid / n and n*log(sigma2) + log|A|.
+    sigma2 = resid^T A^{-1} resid / n and n*log(sigma2) + log|A|. The last
+    item is L^{-1} resid.
     """
     n = y.shape[0]
     yt = f.whiten(y)
@@ -214,7 +226,7 @@ def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
     coef = solve_triangular(Rq, Q.T @ yt, lower=False, check_finite=False)
     resid_t = yt - Ft @ coef
     sigma2 = float(resid_t @ resid_t) / n
-    return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet
+    return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet, resid_t
 
 
 def gls_fit(data, model: ModelIndicator, rho, lam: float):
@@ -224,7 +236,7 @@ def gls_fit(data, model: ModelIndicator, rho, lam: float):
     is n*log(sigma2_hat) + log|R + lam*I|.
     """
     f = kernel.GpFactor(kernel.pairwise_sqdiffs(data.X), rho, lam)
-    coef, sigma2, objective = _concentrated_gls(data.y, _trend_matrix(data.X, model.gamma_r), f)
+    coef, sigma2, objective, _ = _concentrated_gls(data.y, _trend_matrix(data.X, model.gamma_r), f)
     beta_full = np.zeros(data.X.shape[1])
     beta_full[np.where(model.gamma_r == 1)[0]] = coef[1:]
     return float(coef[0]), beta_full, sigma2, objective
@@ -254,6 +266,36 @@ def _ols_fit(data, model: ModelIndicator) -> MleFit:
     )
 
 
+def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.ndarray,
+                            lambda_allowed: bool):
+    """fit_mle's objective g and its gradient at z = (active rho, log lambda if free).
+
+    d2 holds the active columns' squared differences. g is inf at an
+    infeasible point (R + lam I singular, or jittered with lam = 0), and the
+    gradient is None wherever g is not finite. See fit_mle for the gradient.
+    """
+    n_rho = d2.shape[2]
+    rho = z[:n_rho]
+    lam = math.exp(z[n_rho]) if lambda_allowed else 0.0
+    try:
+        f = kernel.GpFactor(d2, rho, lam)
+    except NumericalSingularityError:
+        return math.inf, None
+    if f.jitter > 0.0 and not lambda_allowed:
+        return math.inf, None
+    _, sigma2, val, resid_t = _concentrated_gls(y, F, f)
+    if not np.isfinite(val):
+        return val, None
+    alpha = f.back_substitute(resid_t)
+    W = f.inverse() - np.outer(alpha, alpha) / max(sigma2, 1e-300)
+    grad = np.empty(z.shape[0])
+    # the diagonal of each D2_j is 0, so A's diagonal never enters
+    grad[:n_rho] = (W * f.A).ravel() @ d2.reshape(W.size, n_rho) / rho
+    if lambda_allowed:
+        grad[n_rho] = lam * np.trace(W)
+    return val, grad
+
+
 def fit_mle(
     data,
     model: ModelIndicator,
@@ -267,11 +309,23 @@ def fit_mle(
     (rho_j in [1e-6, 1-1e-6], log lambda in [-12, 3]). Deterministic: the
     random starts come from the fixed seed MLE_START_SEED.
 
+    The search runs on the exact gradient of g = n*log(sigma2) + log|A|,
+    A = R + lam*I (Rasmussen & Williams 2006, GPML 5.4.1). With alpha =
+    A^{-1} resid for the GLS residual, W = A^{-1} - alpha alpha^T / sigma2
+    and dg/dz_k = sum_ij W_ij (dA/dz_k)_ij, where dA/drho_j = R o D2_j / rho_j
+    and dA/dlog(lambda) = lam*I; the GLS coefficients drop out by the
+    envelope theorem. L-BFGS-B's ftol is MLE_FTOL = 1e-15 so that a start
+    stops on the projected-gradient test, not on a small relative decrease
+    of the objective partway along a flat valley. The gradient changes only
+    how a start moves: the feasible set, the box and the starts stay as
+    stated here.
+
     With lambda_allowed=False the nugget is fixed at 0 and the feasible set
     is the rho at which R factors without diagonal jitter: a point that
     needs the jitter fallback scores like a singular one, since the jitter
-    would be a nugget the fit does not report. OptimizationFailureError is
-    raised when no start reaches such a point, e.g. for duplicate rows.
+    would be a nugget the fit does not report. Such points, and singular
+    ones, score 1e20 with a zero gradient. OptimizationFailureError is
+    raised when no start reaches a feasible point, e.g. for duplicate rows.
     """
     p = data.X.shape[1]
     if model.gamma_r.shape[0] != p:
@@ -290,18 +344,10 @@ def fit_mle(
     dim = n_rho + (1 if lambda_allowed else 0)
     trace: list = []
 
-    def objective(z: np.ndarray) -> float:
-        lam = math.exp(z[n_rho]) if lambda_allowed else 0.0
-        try:
-            f = kernel.GpFactor(d2, z[:n_rho], lam)
-        except NumericalSingularityError:
-            f = None
-        if f is None or (f.jitter > 0.0 and not lambda_allowed):
-            trace.append((z.copy(), np.inf))
-            return 1e20
-        val = _concentrated_gls(data.y, F, f)[2]
+    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
         trace.append((z.copy(), val))
-        return val if np.isfinite(val) else 1e20
+        return (1e20, np.zeros(dim)) if grad is None else (val, grad)
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
     rng = np.random.default_rng(MLE_START_SEED)
@@ -319,9 +365,10 @@ def fit_mle(
         res = minimize(
             objective,
             z0,
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": 200},
+            options={"maxiter": 200, "ftol": MLE_FTOL},
         )
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val = float(res.fun)
@@ -336,6 +383,11 @@ def fit_mle(
     if n_rho:
         rho_hat[active_c] = best_z[:n_rho]
     lambda_hat = math.exp(best_z[n_rho]) if lambda_allowed else 0.0
+    names = [f"rho[{data.column_names[j]}]" for j in active_c]
+    if lambda_allowed:
+        names.append("lambda")
+    at_bound = [f"{name}:{end}" for name, z, (lo, hi) in zip(names, best_z, bounds)
+                for end, edge in (("lower", lo), ("upper", hi)) if z == edge]
     beta0_hat, beta_full, sigma2, objective_val = gls_fit(data, model, rho_hat, lambda_hat)
     degenerate = sigma2 < SIGMA2_DEGENERATE
     if degenerate:
@@ -349,6 +401,8 @@ def fit_mle(
         sigma2_hat=max(sigma2, SIGMA2_DEGENERATE),
         neg_log_lik=objective_val,
         degenerate=degenerate,
+        n_evals=len(trace),
+        at_bound=at_bound,
     )
 
 

@@ -438,10 +438,15 @@ def load_chain(path) -> Chain:
                 continue
             m = _LINE.fullmatch(line)
             if m is None or m[2] != middle:
-                record = json.loads("{" + m[2] + "}") if m else None
-                if record is None or "iter" in record or "accepted" in record:
-                    # another layout, or repeated keys, of which json keeps the last
-                    m, record = None, json.loads(line)
+                try:
+                    record = json.loads("{" + m[2] + "}") if m else None
+                    if record is None or "iter" in record or "accepted" in record:
+                        # another layout, or repeated keys, of which json keeps the last
+                        m, record = None, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise ValidationError(f"{path}: line {lineno} is not a JSON object")
                 need = [*_FILE_KEYS.values(), *(() if m else ("iter", "accepted"))]
                 missing = [key for key in need if key not in record]
                 if missing:

@@ -386,17 +386,29 @@ _CHAIN_LINE = {"iter": 0, "gamma_r": [0, 0], "gamma_c": [0, 0], "beta0": 0.0,
                "omega_r": 0.5, "omega_c": 0.5, "log_post": -1.0, "accepted": True}
 
 
-@pytest.mark.parametrize("name, mode, record", [
-    ("fit.json", "mle", {"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0,
-                         "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0,
-                         "neg_log_lik": 0.0}),
-    ("chain.jsonl", "average", {k: v for k, v in _CHAIN_LINE.items() if k != "gamma_c"}),
-    ("chain.jsonl", "average", {k: v for k, v in _CHAIN_LINE.items() if k != "iter"}),
-], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter"])
+def _json_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
+def _chain_line_without(key: str) -> str:
+    return _json_line({k: v for k, v in _CHAIN_LINE.items() if k != key})
+
+
+@pytest.mark.parametrize("name, mode, text", [
+    ("fit.json", "mle", _json_line({"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0,
+                                    "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0,
+                                    "neg_log_lik": 0.0})),
+    ("chain.jsonl", "average", _chain_line_without("gamma_c")),
+    ("chain.jsonl", "average", _chain_line_without("iter")),
+    ("chain.jsonl", "average", "5"),
+    ("fit.json", "mle", "{not json"),
+    ("chain.jsonl", "average", "{not json"),
+], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
+        "chain_line_not_an_object", "fit_not_json", "chain_not_json"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
-                                                               name, mode, record):
+                                                               name, mode, text):
     path = tiny_pipeline["dir"] / name
-    path.write_text(json.dumps(record, separators=(",", ":")) + "\n")
+    path.write_text(text + "\n")
     rc = main(["--output-dir", str(tiny_pipeline["dir"] / "out"), "predict", "--mode", mode,
                "--data", tiny_pipeline["data"], "--response", "y",
                "--sites", tiny_pipeline["sites"], "--fit" if mode == "mle" else "--chain",
@@ -406,6 +418,8 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     assert len(err) == 1
     error = json.loads(err[0])
     assert error["error"] == "ValidationError" and str(path) in error["message"]
+    if mode == "average":
+        assert "line 1" in error["message"]
 
 
 def test_output_lock_blocks_concurrent_writes(tmp_path):

@@ -68,6 +68,19 @@ def corr_from_sqdiffs(d2: np.ndarray, rho) -> np.ndarray:
     return np.exp(d2 @ _log_rho(rho))
 
 
+def stacked_corr(d2: np.ndarray, rho) -> np.ndarray:
+    """Correlations under each row of a (b, p) stack of rho over an (N, p)
+    squared-difference matrix: row k is exp(d2 @ log rho[k]), all rows from
+    one matrix product. A single row is one matrix-vector product."""
+    rho = np.atleast_2d(np.asarray(rho, dtype=float))
+    if d2.shape[1] != rho.shape[1]:
+        raise DimensionMismatchError(
+            f"sqdiff matrix has {d2.shape[1]} coordinates, rho has {rho.shape[1]}"
+        )
+    K = _log_rho(rho) @ d2.T
+    return np.exp(K, out=K)
+
+
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A, escalating diagonal jitter on failure.
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 from scipy.optimize import minimize
 
 from . import kernel
@@ -32,6 +32,8 @@ RHO_BOUNDS = (1e-6, 1.0 - 1e-6)
 MLE_START_SEED = 0
 # L-BFGS-B's relative-decrease stop; near 0 so that starts stop on the gradient
 MLE_FTOL = 1e-15
+# cross-correlation elements built at once for kriging means: 2**17 doubles = 1 MB
+CROSS_BLOCK_ELEMS = 2**17
 
 
 @dataclass
@@ -116,10 +118,8 @@ def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.
     """
     if not _has_sites(data, req):
         return np.zeros(0)
-    return _kriging_mean(
-        data, kernel.pairwise_sqdiffs(data.X), kernel.pairwise_sqdiffs(req.X_new, data.X),
-        req.X_new, state.beta0, state.beta, state.rho, state.lam,
-    )[0]
+    return _kriging_means(data, req.X_new, [state.beta0], [state.beta], [state.rho],
+                          [state.lam], [1.0])[0]
 
 
 def _has_sites(data, req: PredictionRequest) -> bool:
@@ -133,15 +133,37 @@ def _has_sites(data, req: PredictionRequest) -> bool:
     return True
 
 
-def _kriging_mean(data, d2_train, d2_cross, X_new, beta0, beta, rho, lam):
-    """Kriging mean at the sites and the diagonal jitter its factor needed.
+def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
+    """Weighted sum of the kriging means of a stack of draws at the sites,
+    and the diagonal jitter each draw's factor needed.
 
-    beta0 + X_new beta + R_new,old (R + lam I)^{-1} (y - beta0 - X beta), with R
-    and R_new,old from the training and cross squared-difference tensors.
+    Draw k's mean is beta0_k + X_new beta_k + R_k,new,old alpha_k, alpha_k =
+    (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k). The cross-correlations of
+    CROSS_BLOCK_ELEMS // (m*n) draws at a time (at least one) come from one
+    matrix product over the flattened (m*n, p) cross tensor, so memory does
+    not grow with the number of draws. A block of one draw is the
+    matrix-vector product corr_from_sqdiffs runs per site, so a single draw
+    keeps its per-draw bits where BLAS rounds a row alike in both (p <= 7
+    with OpenBLAS 0.3.31).
     """
-    f = kernel.GpFactor(d2_train, rho, lam)
-    alpha = f.solve(data.y - beta0 - data.X @ beta)
-    return beta0 + X_new @ beta + kernel.corr_from_sqdiffs(d2_cross, rho) @ alpha, f.jitter
+    beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
+                                      for a in (beta0, beta, rho, lam, weights))
+    n, p = data.X.shape
+    m = X_new.shape[0]
+    d2_train = kernel.pairwise_sqdiffs(data.X)
+    d2_cross = kernel.pairwise_sqdiffs(X_new, data.X).reshape(m * n, p)
+    total = weights @ beta0 + X_new @ (weights @ beta)
+    n_draws = weights.shape[0]
+    jitters = np.empty(n_draws)
+    block = max(1, CROSS_BLOCK_ELEMS // (m * n))
+    for start in range(0, n_draws, block):
+        K = kernel.stacked_corr(d2_cross, rho[start:start + block])
+        for k in range(start, min(start + block, n_draws)):
+            f = kernel.GpFactor(d2_train, rho[k], lam[k])
+            alpha = f.solve(data.y - beta0[k] - data.X @ beta[k])
+            total += K[k - start].reshape(m, n) @ (weights[k] * alpha)
+            jitters[k] = f.jitter
+    return total, jitters
 
 
 def model_average(
@@ -154,9 +176,14 @@ def model_average(
 
     With a positive threshold, draws whose model's empirical frequency in the
     chain falls below it are dropped and the average renormalizes over the
-    remainder. Consecutive identical draws (rejected proposals) reuse the
-    previous prediction vector. One warning counts the distinct draws whose
-    factor of R + lam I needed diagonal jitter.
+    remainder. Each run of consecutive identical kept draws (rejected
+    proposals) is one distinct draw weighted by the run's length. A distinct
+    draw costs one n x n GpFactor (build, Cholesky, two triangular solves)
+    plus n*m*(p + 1) multiply-adds and n*m exp calls, built in blocks of at
+    most 1 MB; a repeat costs nothing. One warning counts the distinct draws
+    whose factor of R + lam I needed diagonal jitter. Against a draw-by-draw
+    loop the average differs at rounding level (the block build and the
+    order of the sum); each draw's alpha is the same bit for bit.
     """
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
@@ -169,25 +196,20 @@ def model_average(
     if not keep.any():
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
-    d2_train = kernel.pairwise_sqdiffs(data.X)
-    d2_cross = kernel.pairwise_sqdiffs(req.X_new, data.X)
-
     # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
-    # kept draw before it reuses that draw's prediction vector
+    # kept draw before it joins that draw's run
     kept = np.flatnonzero(keep)
     cur, prev = kept[1:], kept[:-1]
-    repeat = np.zeros(kept.size, dtype=bool)
-    repeat[1:] = ((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
-                  & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
-                  & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
-    total = np.zeros(req.m)
-    n_jittered = 0
-    for i, same in zip(kept.tolist(), repeat.tolist()):
-        if not same:
-            pred, jitter = _kriging_mean(data, d2_train, d2_cross, req.X_new, chain.beta0[i],
-                                         chain.beta[i], chain.rho[i], chain.lam[i])
-            n_jittered += jitter > 0.0
-        total += pred
+    starts = np.ones(kept.size, dtype=bool)
+    starts[1:] = ~((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
+                   & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
+                   & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
+    first = np.flatnonzero(starts)
+    runs = np.diff(first, append=kept.size)
+    draws = kept[first]
+    total, jitters = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
+                                    chain.rho[draws], chain.lam[draws], runs)
+    n_jittered = int(np.count_nonzero(jitters))
     if n_jittered:
         logger.warning(
             "model averaging: %d distinct draws needed diagonal jitter on R + lambda*I, "
@@ -219,14 +241,34 @@ def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
     sigma2 = resid^T A^{-1} resid / n and n*log(sigma2) + log|A|. The last
     item is L^{-1} resid.
     """
-    n = y.shape[0]
+    n, k = F.shape
+    if k > n:
+        raise ValueError(f"a trend of {k} columns needs at least {k} rows, got {n}")
     yt = f.whiten(y)
     Ft = f.whiten(F)
-    Q, Rq = qr(Ft, mode="economic", check_finite=False)
-    coef = solve_triangular(Rq, Q.T @ yt, lower=False, check_finite=False)
+    # the LAPACK calls scipy.linalg's qr(mode="economic") and solve_triangular
+    # make for these arrays, without their argument handling; R is the upper
+    # triangle of the first k rows of the dgeqrf output
+    qr, tau = _lapack("dgeqrf", dgeqrf, Ft)
+    (Q,) = _lapack("dorgqr", dorgqr, qr, tau)
+    coef, info = dtrtrs(qr[:k].T, Q.T @ yt, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     resid_t = yt - Ft @ coef
     sigma2 = float(resid_t @ resid_t) / n
     return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet, resid_t
+
+
+def _lapack(name, routine, *args):
+    """A LAPACK routine's outputs, called with its optimal workspace from a
+    query first, as scipy.linalg's wrappers call it."""
+    lwork = int(routine(*args, lwork=-1)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    return out
 
 
 def gls_fit(data, model: ModelIndicator, rho, lam: float):
@@ -413,10 +455,8 @@ def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
     if fit.model.gamma_c.sum() == 0 and fit.lambda_hat == 0.0:
         # no spatial component and no nugget: the fit is plain regression
         return fit.beta0_hat + req.X_new @ fit.beta_hat
-    pred, jitter = _kriging_mean(
-        data, kernel.pairwise_sqdiffs(data.X), kernel.pairwise_sqdiffs(req.X_new, data.X),
-        req.X_new, fit.beta0_hat, fit.beta_hat, fit.rho_hat, fit.lambda_hat,
-    )
+    pred, (jitter,) = _kriging_means(data, req.X_new, [fit.beta0_hat], [fit.beta_hat],
+                                     [fit.rho_hat], [fit.lambda_hat], [1.0])
     if fit.lambda_hat == 0.0 and jitter > 0.0:
         logger.warning(
             "zero-nugget fit: R needed diagonal jitter %.0e at rho_hat, which acts "

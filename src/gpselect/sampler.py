@@ -151,9 +151,11 @@ class Chain:
     def model_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct models in order of first appearance: the first draw
         of each, each draw's model number, and each model's draw count."""
+        # one fixed-width byte key per draw: the 2p indicator bits, packed
+        packed = np.packbits(np.column_stack([self.gamma_r, self.gamma_c]) != 0, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, counts = np.unique(
-            np.column_stack([self.gamma_r, self.gamma_c]), axis=0,
-            return_index=True, return_inverse=True, return_counts=True)
+            keys, return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)

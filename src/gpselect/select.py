@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -57,7 +58,10 @@ class CvReport:
 
     chosen is the RMSPE minimizer; chosen_1se the sparsest candidate within
     one standard error of it. Candidates whose fit failed on more than a
-    quarter of the folds are disqualified from both choices.
+    quarter of the folds are disqualified from both choices. fold_evals sums
+    the fold fits' objective evaluations per candidate, and fold_at_bound
+    counts per candidate how many fold fits ended on each box end, keyed like
+    MleFit.at_bound (e.g. {"lambda:lower": 8}); a failed fold adds to neither.
     """
 
     candidates: list
@@ -68,6 +72,8 @@ class CvReport:
     fold_failures: np.ndarray = field(default=None)
     implied_cutoffs: np.ndarray = field(default=None)
     disqualified: np.ndarray = field(default=None)
+    fold_evals: np.ndarray = field(default=None)
+    fold_at_bound: list = field(default=None)
 
     def to_dict(self) -> dict:
         out = {"candidates": [], "chosen": int(self.chosen), "chosen_1se": int(self.chosen_1se)}
@@ -85,6 +91,10 @@ class CvReport:
                 entry["disqualified"] = bool(self.disqualified[i])
             if self.implied_cutoffs is not None:
                 entry["implied_cutoff"] = float(self.implied_cutoffs[i])
+            if self.fold_evals is not None:
+                entry["fold_evals"] = int(self.fold_evals[i])
+            if self.fold_at_bound is not None:
+                entry["fold_at_bound"] = dict(self.fold_at_bound[i])
             out["candidates"].append(entry)
         return out
 
@@ -192,11 +202,12 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
 
 
 def _fit_and_score(data, cand, train_rows, test_rows):
+    """A fold's RMSPE, and its fit's objective evaluations and box ends."""
     train = data.subset(train_rows)
     test = data.subset(test_rows)
     fit = fit_mle(train, cand)
     pred = predict_mle(fit, train, PredictionRequest(test.X))
-    return rmspe(test.y, pred)
+    return rmspe(test.y, pred), fit.n_evals, fit.at_bound
 
 
 def cross_validate(
@@ -234,18 +245,22 @@ def cross_validate(
     def run(job):
         ci, fi, cand, train_rows, test_rows = job
         try:
-            return ci, fi, _fit_and_score(data, cand, train_rows, test_rows)
+            return ci, fi, *_fit_and_score(data, cand, train_rows, test_rows)
         except (NumericalSingularityError, OptimizationFailureError, np.linalg.LinAlgError) as exc:
             logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
-            return ci, fi, np.nan
+            return ci, fi, np.nan, 0, []
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]
-    for ci, fi, val in results:
+    fold_evals = np.zeros(len(candidates), dtype=int)
+    fold_at_bound = [Counter() for _ in candidates]
+    for ci, fi, val, n_evals, at_bound in results:
         scores[ci, fi] = val
+        fold_evals[ci] += n_evals
+        fold_at_bound[ci].update(at_bound)
 
     n_fail = np.sum(np.isnan(scores), axis=1)
     disqualified = n_fail > 0.25 * v
@@ -278,6 +293,8 @@ def cross_validate(
         chosen_1se=int(chosen_1se),
         fold_failures=n_fail,
         disqualified=disqualified,
+        fold_evals=fold_evals,
+        fold_at_bound=fold_at_bound,
     )
 
 

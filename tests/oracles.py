@@ -4,9 +4,9 @@ Everything here is deliberately written the slow, direct way (explicit
 inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
-swap search, the per-row simulation recipe, chain file I/O, the separate
-R + lambda*I factorizations of the prediction and MLE code) that the new
-ones must match exactly.
+swap search, the per-row simulation recipe, chain file I/O, model counting,
+the separate R + lambda*I factorizations of the prediction and MLE code)
+that the new ones must match exactly.
 """
 
 import json
@@ -625,6 +625,16 @@ def load_chain_reference(path):
         draw_accepted=accepted.copy(),
     )
 
+def model_counts_reference(chain):
+    """The row-wise np.unique(axis=0) version of Chain.model_counts."""
+    _, first, inverse, counts = np.unique(
+        np.column_stack([chain.gamma_r, chain.gamma_c]), axis=0,
+        return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)], counts[order]
+
 # ---------------------------------------------------------------------------
 # Reference GP paths: the correlation-matrix class with its per-lambda factor
 # cache, and the kriging mean, model averaging, GLS, MLE fit and kriging
@@ -775,6 +785,19 @@ def gls_from_factor_reference(y: np.ndarray, F: np.ndarray, L: np.ndarray):
     resid_t = yt - Ft @ coef
     sigma2 = float(resid_t @ resid_t) / n
     return coef, sigma2
+
+
+def concentrated_gls_reference(y: np.ndarray, F: np.ndarray, f):
+    """predict._concentrated_gls through scipy's qr and solve_triangular
+    wrappers, which it calls the LAPACK routines of directly."""
+    n = y.shape[0]
+    yt = f.whiten(y)
+    Ft = f.whiten(F)
+    Q, Rq = qr(Ft, mode="economic", check_finite=False)
+    coef = solve_triangular(Rq, Q.T @ yt, lower=False, check_finite=False)
+    resid_t = yt - Ft @ coef
+    sigma2 = float(resid_t @ resid_t) / n
+    return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet, resid_t
 
 
 def gls_fit_reference(data, model: ModelIndicator, rho, lam: float):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from gpselect import (
     run_chain,
     sim_response,
 )
-from gpselect.predict import LOG_LAMBDA_BOUNDS, RHO_BOUNDS, SIGMA2_DEGENERATE, gls_fit
+from gpselect import predict
+from gpselect.predict import (
+    LOG_LAMBDA_BOUNDS,
+    RHO_BOUNDS,
+    SIGMA2_DEGENERATE,
+    _concentrated_gls,
+    gls_fit,
+)
 from gpselect.sampler import Chain
 
 from oracles import dense_corr, dense_gls, profile_objective, random_dataset, random_state
@@ -395,18 +403,50 @@ def _chain_of(states):
     )
 
 
-def _assert_agree(got, want, exact, factor):
-    """Equal bit for bit when `exact`; otherwise within what a last-bit change
-    of R can move a solve with R + lam I, about cond(R + lam I) * eps."""
+def _assert_agree(got, want, exact, factor, sum_bound=None):
+    """Equal bit for bit when `exact`, or within `sum_bound` where given;
+    otherwise within what a last-bit change of R can move a solve with
+    R + lam I, about cond(R + lam I) * eps."""
     got = np.atleast_1d(np.asarray(got, dtype=float))
     want = np.atleast_1d(np.asarray(want, dtype=float))
     assert got.shape == want.shape
+    if exact and sum_bound is not None:
+        assert np.all(np.abs(got - want) <= sum_bound)
+        return
     if exact:
         assert np.array_equal(got, want)
         return
     cond = np.linalg.cond(factor.L @ factor.L.T)
     bound = max(1e-12, 1e-14 * cond) * np.max(np.abs(want), initial=0.0)
     assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+def _reordered_sum_bound(data, req, draws):
+    """Per-site bound on how far the average of the draws' kriging means can
+    move when only the summation order and the cross-correlation build change.
+
+    Each draw's mean sums 1 + p + n terms: beta0, the x_l beta_l and the
+    R_new,old[i, j] alpha_j. Any order of summing T terms stays within
+    T * eps * sum|terms| of the exact sum. Each cross term also carries the
+    rounding of its correlation exp(d2 @ log rho), whose exponent is a sum of
+    p same-signed terms: about (p |log K| + 1) eps relative. The bound is
+    four times the two together, over the number of draws. It does not grow
+    with cond(R + lam I), since alpha itself is the same bit for bit.
+    """
+    eps = np.finfo(float).eps
+    n, p = data.X.shape
+    d2_train = kernel.pairwise_sqdiffs(data.X)
+    d2_cross = kernel.pairwise_sqdiffs(req.X_new, data.X)
+    abs_sum = np.zeros(req.m)
+    exp_err = np.zeros(req.m)
+    for beta0, beta, rho, lam in draws:
+        alpha = GpFactor(d2_train, rho, lam).solve(data.y - beta0 - data.X @ beta)
+        log_k = d2_cross @ np.log(rho)
+        cross = np.abs(np.exp(log_k) * alpha)
+        abs_sum += abs(beta0) + np.abs(req.X_new * beta).sum(axis=1) + cross.sum(axis=1)
+        exp_err += (cross * (p * np.abs(log_k) + 1.0)).sum(axis=1)
+    n_terms = len(draws) * (1 + p + n)
+    return 4.0 * eps * (n_terms * abs_sum + exp_err) / len(draws)
 
 
 def _r_symmetric(X, rho) -> bool:
@@ -434,12 +474,16 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
 
     The old correlation_matrix symmetrised R as 0.5 * (R + R.T); GpFactor
     factors exp(d2 @ log rho) as computed, reading its lower triangle only.
-    Where R comes out exactly symmetric the two are the same matrix, so every
-    output must match bit for bit. At p >= 8 the matmul can round R[i, j] and
-    R[j, i] differently; there the outputs must agree to 1e-12 relative,
-    widened in proportion to cond(R + lam I) since a last-bit change of R
-    moves a solve by about cond * eps. Model averaging never symmetrised R
-    and must match bit for bit everywhere.
+    Where R comes out exactly symmetric the two are the same matrix, so the
+    factor and the GLS fit must match bit for bit. The kriging means
+    (conditional_mean, predict_mle, model_average) share one blocked path
+    that keeps each draw's alpha bit for bit but builds the cross-correlation
+    as one matrix product over a block of draws and sums in another order;
+    there they must agree within _reordered_sum_bound. At p >= 8 the matmul
+    can round R[i, j] and R[j, i] differently; there the outputs must agree
+    to 1e-12 relative, widened in proportion to cond(R + lam I) since a
+    last-bit change of R moves a solve by about cond * eps. Model averaging
+    never symmetrised R, so its bound holds everywhere.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, p))
@@ -465,15 +509,17 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
     state = ParameterState(beta0=beta0, beta=beta, rho=rho, sigma2_z=1.0, lam=lam,
                            omega_r=0.5, omega_c=0.5)
     _assert_agree(conditional_mean(data, state, req),
-                  oracles.conditional_mean_reference(data, state, req), exact, f)
+                  oracles.conditional_mean_reference(data, state, req), exact, f,
+                  _reordered_sum_bound(data, req, [(beta0, beta, rho, lam)]))
     _assert_agree(np.hstack(gls_fit(data, model, rho, lam)),
                   np.hstack(oracles.gls_fit_reference(data, model, rho, lam)), exact, f)
 
     other = (beta0 + 1.0, beta, np.where(gamma_c == 1, rng.uniform(0.05, 0.95, size=p), 1.0),
              lam + 0.5)
-    chain = _chain_of([(beta0, beta, rho, lam)] * 2 + [other, (beta0, beta, rho, lam)])
-    assert np.array_equal(model_average(chain, data, req),
-                          oracles.model_average_reference(chain, data, req))
+    draws = [(beta0, beta, rho, lam)] * 2 + [other, (beta0, beta, rho, lam)]
+    got = model_average(chain := _chain_of(draws), data, req)
+    want = oracles.model_average_reference(chain, data, req)
+    assert np.all(np.abs(got - want) <= _reordered_sum_bound(data, req, draws))
 
     try:
         want = oracles.fit_mle_reference(data, model, lambda_allowed=not zero_nugget, n_starts=2)
@@ -499,7 +545,41 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
     f_hat = GpFactor(kernel.pairwise_sqdiffs(X), want.rho_hat, want.lambda_hat)
     exact_hat = _r_symmetric(X, want.rho_hat)
     _assert_agree(predict_mle(want, data, req),
-                  oracles.predict_mle_reference(want, data, req), exact_hat, f_hat)
+                  oracles.predict_mle_reference(want, data, req), exact_hat, f_hat,
+                  _reordered_sum_bound(data, req, [(want.beta0_hat, want.beta_hat,
+                                                    want.rho_hat, want.lambda_hat)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(9, 59),
+    k=st.integers(1, 9),
+    lam=st.sampled_from([0.0, 1e-6, 0.1]),
+)
+def test_concentrated_gls_matches_the_scipy_wrapper_path(seed, n, k, lam):
+    # the trend of a model with up to 8 active covariates
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, 3))
+    F = np.hstack([np.ones((n, 1)), rng.normal(size=(n, k - 1))])
+    y = rng.normal(size=n)
+    f = GpFactor(kernel.pairwise_sqdiffs(X), rng.uniform(0.05, 0.95, size=3), lam)
+    for got, want in zip(_concentrated_gls(y, F, f), oracles.concentrated_gls_reference(y, F, f)):
+        assert np.array_equal(got, want)
+
+
+def test_concentrated_gls_keeps_the_wrapper_errors():
+    X = np.linspace(0.0, 1.0, 6)[:, None]
+    f = GpFactor(kernel.pairwise_sqdiffs(X), [0.3], 0.1)
+    y = np.arange(6.0)
+    # a zero trend column makes the QR triangle singular
+    F = np.column_stack([np.ones(6), np.zeros(6)])
+    for gls in (_concentrated_gls, oracles.concentrated_gls_reference):
+        with pytest.raises(np.linalg.LinAlgError):
+            gls(y, F, f)
+        # more trend columns than rows: an illegal argument, not a result
+        with pytest.raises(ValueError):
+            gls(y, np.ones((6, 7)), f)
 
 
 def test_model_average_warns_once_with_the_jittered_draw_count(small_data, monkeypatch, caplog):
@@ -526,3 +606,53 @@ def test_model_average_warns_once_with_the_jittered_draw_count(small_data, monke
         f"model averaging: {tally['jittered']} distinct draws needed diagonal jitter on "
         "R + lambda*I, which acts as extra nugget in their predictions"
     ]
+
+
+def _random_draws(rng, p, k):
+    """k distinct (beta0, beta, rho, lam) draws over p covariates."""
+    return [(float(rng.normal()), np.where(rng.random(p) < 0.5, rng.normal(size=p), 0.0),
+             np.where(rng.random(p) < 0.7, rng.uniform(0.05, 0.95, size=p), 1.0),
+             float(np.exp(rng.uniform(-6.0, 0.0)))) for _ in range(k)]
+
+
+def test_model_average_over_several_blocks_matches_the_reference(small_data, monkeypatch):
+    # 3 sites x 10 rows = 30 cross elements per draw: blocks of 2 draws, so
+    # the 7 distinct draws (10 kept, with repeats) fill 3 blocks and half a 4th
+    monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 60)
+    rng = np.random.default_rng(8)
+    distinct = _random_draws(rng, 2, 7)
+    draws = [distinct[i] for i in (0, 0, 1, 2, 3, 3, 3, 4, 5, 6)]
+    req = PredictionRequest(rng.uniform(size=(3, 2)))
+    got = model_average(chain := _chain_of(draws), small_data, req)
+    want = oracles.model_average_reference(chain, small_data, req)
+    assert np.all(np.abs(got - want) <= _reordered_sum_bound(small_data, req, draws))
+
+
+def test_model_average_of_a_state_that_recurs_apart_is_the_plain_mean(small_data, monkeypatch):
+    # A, A, B, A: the runs are (A, 2), (B, 1), (A, 1), whatever the block size
+    rng = np.random.default_rng(9)
+    a, b = _random_draws(rng, 2, 2)
+    draws = [a, a, b, a]
+    req = PredictionRequest(rng.uniform(size=(4, 2)))
+    brute = np.mean([oracles.conditional_mean_reference(
+        small_data, ParameterState(beta0=d[0], beta=d[1], rho=d[2], sigma2_z=1.0, lam=d[3],
+                                   omega_r=0.5, omega_c=0.5), req) for d in draws], axis=0)
+    for block in (predict.CROSS_BLOCK_ELEMS, 12, 1):
+        monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", block)
+        got = model_average(_chain_of(draws), small_data, req)
+        assert got == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+
+def test_model_average_memory_does_not_grow_with_the_distinct_draws(small_data):
+    # 5,000 distinct draws at 1,000 sites: building every draw's 1000 x 10
+    # cross-correlation at once would take 400 MB; one block takes 1 MB
+    rng = np.random.default_rng(10)
+    chain = _chain_of(_random_draws(rng, 2, 5000))
+    req = PredictionRequest(rng.uniform(size=(1000, 2)))
+    tracemalloc.start()
+    try:
+        model_average(chain, small_data, req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -32,6 +32,7 @@ from oracles import (
     _ref_validate_consistent as validate_consistent,
     load_chain_reference,
     log_prior_oracle,
+    model_counts_reference,
     loglik_oracle,
     random_dataset,
     random_state,
@@ -454,3 +455,29 @@ def test_run_chain_matches_reference_bit_for_bit(
     ref = run_chain_reference(data, prior, cfg, flat_likelihood=flat_likelihood, init=start)
     for name in CHAIN_ARRAYS:
         assert np.array_equal(getattr(chain, name), getattr(ref, name)), name
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(p=4, n_draws=1, density=0.5, seed=0)
+@example(p=3, n_draws=20, density=0.0, seed=1)
+@given(
+    p=st.integers(1, 12),
+    n_draws=st.integers(1, 60),
+    density=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_counts_match_the_row_unique_reference(p, n_draws, density, seed):
+    # 2p runs over multiples of 8 (p = 4, 8, 12) and not; density 0 gives
+    # all-zero rows; few distinct rows so that models recur
+    rng = np.random.default_rng(seed)
+    pool = (rng.random((4, 2 * p)) < density).astype(np.int8)
+    rows = pool[rng.integers(0, pool.shape[0], size=n_draws)]
+    chain = Chain(
+        gamma_r=rows[:, :p], gamma_c=rows[:, p:], beta0=np.zeros(n_draws),
+        beta=np.zeros((n_draws, p)), rho=np.ones((n_draws, p)), sigma2_z=np.ones(n_draws),
+        lam=np.ones(n_draws), omega_r=np.full(n_draws, 0.5), omega_c=np.full(n_draws, 0.5),
+        log_posts=np.zeros(n_draws), iters=np.arange(n_draws),
+        accepted=np.zeros(n_draws, dtype=bool),
+    )
+    for got, want in zip(chain.model_counts(), model_counts_reference(chain)):
+        assert np.array_equal(got, want)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from gpselect import (
     ValidationError,
     candidate_ladder,
     cross_validate,
+    fit_mle,
     inclusion_probabilities,
     map_model,
+    maximin_lhd,
     run_chain,
     threshold_model,
 )
-from gpselect.select import InclusionReport, implied_cutoffs
+from gpselect.predict import LOG_LAMBDA_BOUNDS
+from gpselect.select import InclusionReport, _cv_folds, implied_cutoffs
 
 
 def _chain_from_keys(keys):
@@ -200,6 +205,23 @@ def test_cross_validate_threads_match_serial(small_data):
     assert np.array_equal(rep1.cv_rmspe, rep2.cv_rmspe)
 
 
+def test_cross_validate_reports_the_fold_fits_evaluations_and_box_ends():
+    # a smooth noiseless response: every ordinary-kriging fold fit puts the
+    # nugget on the lower end of its box, lambda = e^-12
+    X = maximin_lhd(35, 5, seed=11, n_restarts=1).points
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
+    data = Dataset(X=X, y=(y - y.mean()) / y.std(), column_names=[f"x{j}" for j in range(1, 6)])
+    ok = ModelIndicator(np.zeros(5, dtype=int), np.ones(5, dtype=int))
+    entry = cross_validate(data, [ok], v=8, seed=0).to_dict()["candidates"][0]
+
+    fits = [fit_mle(data.subset(np.setdiff1d(np.arange(35), fold)), ok)
+            for fold in _cv_folds(35, 8, seed=0)]
+    assert all(f.lambda_hat == np.exp(LOG_LAMBDA_BOUNDS[0]) for f in fits)
+    assert entry["fold_evals"] == sum(f.n_evals for f in fits) > 0
+    assert entry["fold_at_bound"]["lambda:lower"] == 8
+    assert entry["fold_at_bound"] == dict(Counter(b for f in fits for b in f.at_bound))
+
+
 def test_cross_validate_one_se_prefers_sparse(rng):
     # two near-equivalent candidates: 1-SE pick must not be denser than the
     # minimizer when both are within one standard error
@@ -224,8 +246,6 @@ def test_cross_validate_validation_errors(small_data):
 
 
 def test_fold_sizes_differ_by_at_most_one(small_data):
-    from gpselect.select import _cv_folds
-
     folds = _cv_folds(10, 3, seed=0)
     sizes = sorted(len(f) for f in folds)
     assert sizes == [3, 3, 4]

@@ -229,12 +229,19 @@ def cmd_sample(
                 "burn_in": samp.burn_in,
                 "thin": samp.thin,
                 "stored_draws": len(chain),
-                "acceptance_rate": chain.acceptance_rate,
+                "acceptance_rate": _iteration_acceptance_rate(chain),
+                "acceptance_by_flips": chain.acceptance_by_flips,
                 "singular_rejects": chain.n_singular,
                 "jittered_factors": chain.n_jittered,
             },
         )
-    return {"chain": str(chain_path), "acceptance_rate": chain.acceptance_rate}
+    return {"chain": str(chain_path), "acceptance_rate": _iteration_acceptance_rate(chain)}
+
+
+def _iteration_acceptance_rate(chain) -> float:
+    """Accepted share of all iterations, burn-in included, from the per-move table."""
+    moves = chain.acceptance_by_flips.values()
+    return sum(m["accepted"] for m in moves) / sum(m["proposed"] for m in moves)
 
 
 def cmd_inclusion(chain_path, output_dir, column_names=None) -> dict:
@@ -393,7 +400,7 @@ def benchmark_methods(
         "rmspe": rows,
         "models": {k: v.key() for k, v in models.items()},
         "inclusion": {"p_r": report.p_r.tolist(), "p_c": report.p_c.tolist()},
-        "acceptance_rate": chain.acceptance_rate,
+        "acceptance_rate": _iteration_acceptance_rate(chain),
     }
 
 

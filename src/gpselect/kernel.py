@@ -65,7 +65,8 @@ def corr_from_sqdiffs(d2: np.ndarray, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"sqdiff tensor has {d2.shape[-1]} coordinates, rho has {rho.shape[0]}"
         )
-    return np.exp(d2 @ _log_rho(rho))
+    K = d2 @ _log_rho(rho)
+    return np.exp(K, out=K)
 
 
 def stacked_corr(d2: np.ndarray, rho) -> np.ndarray:
@@ -119,7 +120,7 @@ class GpFactor:
 
     def __init__(self, d2: np.ndarray, rho, lam: float):
         A = corr_from_sqdiffs(d2, rho)
-        A.flat[:: A.shape[0] + 1] = 1.0 + lam
+        A.ravel()[:: A.shape[0] + 1] = 1.0 + lam  # a view: A is C-ordered
         self.A = A
         self.L, self.jitter = cholesky_with_jitter(A)
 
@@ -170,8 +171,7 @@ def log_likelihood(data, state) -> float:
     """
     if state.sigma2_z <= 0.0:
         raise ValueError(f"sigma2_z must be positive, got {state.sigma2_z}")
-    cache = LikelihoodCache(data)
-    return cache.log_likelihood(state)
+    return LikelihoodCache(data).log_likelihood(state)
 
 
 class LikelihoodCache:
@@ -188,18 +188,16 @@ class LikelihoodCache:
         self.d2 = pairwise_sqdiffs(self.X)
 
     def log_likelihood(self, state) -> float:
-        return self.log_likelihood_arrays(
-            state.rho, state.lam, state.beta0, state.beta, state.sigma2_z
-        )[0]
+        return self.log_likelihood_flat(state.rho, state.lam, state.beta0, state.beta,
+                                        state.sigma2_z)[0]
 
-    def log_likelihood_arrays(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
-        """Log-likelihood at plain parameter values, and the jitter its factor needed.
-
-        log N(y; beta0 + X beta, sigma2 (R + lam I)): log-determinant from the
-        factor diagonal, quadratic form from one triangular solve.
+    def log_likelihood_flat(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
+        """log N(y; beta0 + X beta, sigma2 (R + lam I)) at plain values (rho and
+        beta as lists or arrays), and the jitter its factor needed. The logs are
+        numpy's, whose last bits can differ from the math module's.
         """
         f = GpFactor(self.d2, rho, lam)
-        z = f.whiten(self.y - beta0 - self.X @ beta)
+        z = f.whiten(self.y - beta0 - self.X @ np.asarray(beta, dtype=float))
         logdet = self.n * np.log(sigma2) + f.logdet
         quad = float(z @ z) / sigma2
-        return -0.5 * (self.n * LOG_2PI + logdet + quad), f.jitter
+        return float(-0.5 * (self.n * LOG_2PI + logdet + quad)), f.jitter

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import gammaln
 
 from . import kernel
 from .errors import InvalidStateError, TransformError
@@ -137,16 +137,18 @@ class PriorConfig:
 
 def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:
     """Inactive coordinates must sit exactly at their point masses."""
-    # plain-list loops: at the sampler's p these beat numpy's per-call cost
-    p = gamma_r.shape[0]
-    if beta.shape[0] != p or rho.shape[0] != p:
+    p = len(gamma_r)
+    if len(beta) != p or len(rho) != p:
         raise InvalidStateError(
-            f"state vectors of length {beta.shape[0]}/{rho.shape[0]} "
-            f"do not match {p} indicators"
+            f"state vectors of length {len(beta)}/{len(rho)} do not match {p} indicators"
         )
+    for g, b, c, r in zip(gamma_r, beta, gamma_c, rho):
+        if not g and b != 0.0 or not c and r != 1.0:
+            break
+    else:
+        return
     for name, gamma, x, mass in (("beta", gamma_r, beta, 0.0), ("rho", gamma_c, rho, 1.0)):
-        off = [j for j, (g, v) in enumerate(zip(gamma.tolist(), x.tolist()))
-               if g == 0 and v != mass]
+        off = [j for j, (g, v) in enumerate(zip(gamma, x)) if g == 0 and v != mass]
         if off:
             raise InvalidStateError(f"inactive {name} coordinates {off} are not {mass:g}")
 
@@ -174,34 +176,37 @@ def log_prior(ind: ModelIndicator, state: ParameterState, cfg: PriorConfig) -> f
     Gaussian for the intercept, inverse-gamma for sigma2_z and lambda, and a
     uniform (zero) term for the weights. Returns -inf outside the support.
     """
-    return log_prior_arrays(*flat_state(ind, state), cfg)
+    return log_prior_flat(*flat_state(ind, state), cfg)
 
 
 def flat_state(ind: ModelIndicator, state: ParameterState) -> tuple:
-    """(gamma_r, gamma_c, beta, rho, scalars): a state as plain arrays and floats,
+    """(gamma_r, gamma_c, beta, rho, scalars): a state as plain lists and floats,
     with scalars = (beta0, sigma2_z, lambda, omega_r, omega_c)."""
     scalars = (state.beta0, state.sigma2_z, state.lam, state.omega_r, state.omega_c)
-    return ind.gamma_r, ind.gamma_c, state.beta, state.rho, scalars
+    return (ind.gamma_r.tolist(), ind.gamma_c.tolist(), state.beta.tolist(), state.rho.tolist(),
+            tuple(map(float, scalars)))
 
 
-def log_prior_arrays(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
+def log_prior_flat(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
     """`log_prior` of a `flat_state`, the form the sampler's loop holds."""
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
     _check_consistent(gamma_r, gamma_c, beta, rho)
     if not (0.0 < omega_r < 1.0 and 0.0 < omega_c < 1.0):
         return -math.inf
-    active_rho = [r for g, r in zip(gamma_c.tolist(), rho.tolist()) if g == 1]
+    active_rho = [r for g, r in zip(gamma_c, rho) if g == 1]
     if any(r <= 0.0 or r >= 1.0 for r in active_rho):
         return -math.inf
 
-    p = gamma_r.shape[0]
-    nr = int(np.count_nonzero(gamma_r))
+    p = len(gamma_r)
+    active_beta = [b for g, b in zip(gamma_r, beta) if g == 1]
+    nr = len(active_beta)
     nc = len(active_rho)
     lp = nr * math.log(omega_r) + (p - nr) * math.log1p(-omega_r)
     lp += nc * math.log(omega_c) + (p - nc) * math.log1p(-omega_c)
 
     if nr:
-        active_beta = beta[gamma_r == 1]
+        # numpy's dot, whose summation the chain's bits depend on
+        active_beta = np.array(active_beta)
         lp += -0.5 * nr * (_LOG_2PI + 2.0 * math.log(cfg.tau))
         lp += -0.5 * float(active_beta @ active_beta) / cfg.tau**2
 
@@ -211,9 +216,7 @@ def log_prior_arrays(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
     return lp
 
 
-def log_posterior(
-    ind: ModelIndicator, state: ParameterState, data, cfg: PriorConfig
-) -> float:
+def log_posterior(ind: ModelIndicator, state: ParameterState, data, cfg: PriorConfig) -> float:
     """Unnormalized log-posterior: marginal log-likelihood plus log-prior."""
     lp = log_prior(ind, state, cfg)
     if lp == -math.inf:
@@ -231,21 +234,13 @@ def to_unconstrained(state: ParameterState) -> TransformedState:
         )
     if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
         raise TransformError("omega_r and omega_c must lie strictly inside (0, 1)")
-    return TransformedState(
-        state.beta0,
-        state.beta.copy(),
-        state.rho.copy(),
-        *scalars_to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c),
-    )
+    t = scalars_to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c)
+    return TransformedState(state.beta0, state.beta.copy(), state.rho.copy(), *t)
 
 
 def from_unconstrained(t: TransformedState) -> ParameterState:
-    return ParameterState(
-        t.beta0,
-        np.asarray(t.beta, dtype=float).copy(),
-        np.asarray(t.rho, dtype=float).copy(),
-        *scalars_from_unconstrained(t.mu, t.zeta, t.psi_r, t.psi_c),
-    )
+    return ParameterState(t.beta0, np.array(t.beta, dtype=float), np.array(t.rho, dtype=float),
+                          *scalars_from_unconstrained(t.mu, t.zeta, t.psi_r, t.psi_c))
 
 
 def log_jacobian(t: TransformedState) -> float:
@@ -268,10 +263,14 @@ def scalars_from_unconstrained(mu, zeta, psi_r, psi_c) -> tuple:
     """(sigma2_z, lambda, omega_r, omega_c), the inverse of `scalars_to_unconstrained`."""
     # expit output is clipped away from {0, 1} so downstream logs stay finite;
     # the walk never legitimately reaches |psi| ~ 36 where this matters.
-    eps = 1e-15
-    return (math.exp(mu), math.exp(zeta),
-            min(max(float(expit(psi_r)), eps), 1.0 - eps),
-            min(max(float(expit(psi_c)), eps), 1.0 - eps))
+    return math.exp(mu), math.exp(zeta), _expit_clipped(psi_r), _expit_clipped(psi_c)
+
+
+def _expit_clipped(x: float) -> float:
+    """1 / (1 + e^-x), as scipy.special.expit computes it, clipped to [1e-15, 1 - 1e-15]."""
+    if x < -700.0:
+        return 1e-15  # e^-x would overflow; expit is far below the clip there
+    return min(max(1.0 / (1.0 + math.exp(-x)), 1e-15), 1.0 - 1e-15)
 
 
 def log_jacobian_scalars(mu, zeta, psi_r, psi_c) -> float:
@@ -303,14 +302,6 @@ def draw_from_prior(p: int, cfg: PriorConfig, rng: np.random.Generator
     # inverse-gamma(shape, scale) = scale / gamma(shape, 1)
     sigma2_z = float(cfg.sigma2_scale / rng.gamma(cfg.sigma2_shape))
     lam = max(float(cfg.lambda_scale / rng.gamma(cfg.lambda_shape)), LAMBDA_FLOOR)
-    ind = ModelIndicator(gamma_r, gamma_c)
-    state = ParameterState(
-        beta0=float(rng.normal(0.0, cfg.beta0_sd)),
-        beta=beta,
-        rho=rho,
-        sigma2_z=sigma2_z,
-        lam=lam,
-        omega_r=omega_r,
-        omega_c=omega_c,
-    )
-    return ind, state
+    state = ParameterState(float(rng.normal(0.0, cfg.beta0_sd)), beta, rho, sigma2_z, lam,
+                           omega_r, omega_c)
+    return ModelIndicator(gamma_r, gamma_c), state

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from .model import (
     log_jacobian,
     log_jacobian_scalars,
     log_prior,  # noqa: F401  kept bound here: perfbench traces sampler.log_prior
-    log_prior_arrays,
+    log_prior_flat,
     scalars_from_unconstrained,
     scalars_to_unconstrained,
     to_unconstrained,
@@ -74,10 +75,12 @@ class SamplerConfig:
     slab_correction: bool = True
 
     def validate(self) -> None:
-        if self.n_iter <= 0 or self.burn_in < 0 or self.burn_in >= self.n_iter:
-            raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        # the first stored iteration is burn_in + thin - 1
+        if self.burn_in < 0 or self.burn_in + self.thin > self.n_iter:
+            raise ValueError("need 0 <= burn_in and burn_in + thin <= n_iter, "
+                             "so that the chain stores at least one draw")
         if self.nu is not None and not (0.0 < self.nu <= 1.0):
             raise ValueError("nu must lie in (0, 1]")
         if self.jitter_sd_beta <= 0.0 or self.jitter_sd_rho <= 0.0:
@@ -106,7 +109,9 @@ class Chain:
     in-process; a chain loaded from disk only has flags for the stored draws.
     n_singular counts the proposals auto-rejected because R + lambda*I could
     not be factored, n_jittered the likelihood factors that needed diagonal
-    jitter; chain files do not store them, so a loaded chain has None.
+    jitter, and acceptance_by_flips the proposals and acceptances of every
+    iteration by the number k of indicators flipped ("0", "1", "2", "3+");
+    chain files do not store them, so a loaded chain has None.
     """
 
     gamma_r: np.ndarray
@@ -124,6 +129,7 @@ class Chain:
     draw_accepted: np.ndarray = field(default=None)
     n_singular: int | None = None
     n_jittered: int | None = None
+    acceptance_by_flips: dict | None = None
 
     def __post_init__(self):
         if self.draw_accepted is None:
@@ -138,7 +144,9 @@ class Chain:
 
     @property
     def acceptance_rate(self) -> float:
-        return float(np.mean(self.accepted)) if len(self.accepted) else float("nan")
+        """Share of the stored draws whose iteration accepted its proposal; a
+        saved and loaded chain gives the same value."""
+        return float(np.mean(self.draw_accepted)) if len(self) else float("nan")
 
     def indicator(self, i: int) -> ModelIndicator:
         return ModelIndicator(self.gamma_r[i], self.gamma_c[i])
@@ -162,26 +170,27 @@ class Chain:
         return first[order], rank[inverse.reshape(-1)], counts[order]
 
 
-def reflect_unit(x: np.ndarray) -> np.ndarray:
-    """Fold values back into (0, 1) by reflection at both endpoints."""
-    t = np.mod(x, 2.0)
-    r = np.where(t > 1.0, 2.0 - t, t)
+def reflect_unit(x: float) -> float:
+    """Fold a value back into (0, 1) by reflection at both endpoints."""
+    t = x % 2.0  # the same remainder as np.mod
+    r = 2.0 - t if t > 1.0 else t
     # the fold lands exactly on an endpoint with probability zero; clamp so
     # the open-interval invariant survives even that
-    return np.minimum(np.maximum(r, 1e-12), 1.0 - 1e-12)
+    return min(max(r, 1e-12), 1.0 - 1e-12)
 
 
-def propose_arrays(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tuple:
+def propose(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tuple:
     """One proposal (both stages) from a `flat_state`, given its unconstrained
     scalars t = (mu, zeta, psi_r, psi_c) and the slab scale tau.
 
-    Returns the proposed flat state followed by the flipped coefficient slots
-    in ascending order.
+    Returns the proposed flat state (new lists; the inputs are not written),
+    the flipped coefficient slots in ascending order and the number k of
+    indicators flipped.
     """
-    p = gamma_r.shape[0]
+    p = len(gamma_r)
     nu = cfg.nu if cfg.nu is not None else 1.0 / (2.0 * p)
 
-    gamma_r, gamma_c, beta, rho = (a.copy() for a in (gamma_r, gamma_c, beta, rho))
+    gamma_r, gamma_c, beta, rho = gamma_r[:], gamma_c[:], beta[:], rho[:]
     flips_r: list[int] = []
     flips_c: list[int] = []
 
@@ -200,24 +209,25 @@ def propose_arrays(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tu
                 rho[j] = rng.uniform() if gamma_c[j] else 1.0
 
     if k > 0 or cfg.jitter_when_no_flip:
-        jit_r = gamma_r == 1
-        jit_r[flips_r] = False
-        n_jit = np.count_nonzero(jit_r)
-        if n_jit:
-            beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=n_jit)
-        jit_c = gamma_c == 1
-        jit_c[flips_c] = False
-        n_jit = np.count_nonzero(jit_c)
-        if n_jit:
-            rho[jit_c] = reflect_unit(rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=n_jit))
+        # one vector draw per block, over its unflipped active slots in order
+        jit = [j for j in range(p) if gamma_r[j] and j not in flips_r]
+        if jit:
+            for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_beta, size=len(jit)).tolist()):
+                beta[j] += e
+        jit = [j for j in range(p) if gamma_c[j] and j not in flips_c]
+        if jit:
+            for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_rho, size=len(jit)).tolist()):
+                rho[j] = reflect_unit(rho[j] + e)
 
     # stage 2: independent Gaussian walk on the transformed block
-    steps = (rng.normal(0.0, 1.0, size=5) * np.asarray(cfg.rw_sd, dtype=float)).tolist()
-    walked = (x + step for x, step in zip(t, steps[1:]))
-    sigma2_z, lam, omega_r, omega_c = scalars_from_unconstrained(*walked)
-    scalars = (scalars[0] + steps[0], sigma2_z, max(lam, LAMBDA_FLOOR), omega_r, omega_c)
+    z0, z1, z2, z3, z4 = rng.normal(0.0, 1.0, size=5).tolist()
+    sd0, sd1, sd2, sd3, sd4 = cfg.rw_sd
+    mu, zeta, psi_r, psi_c = t
+    sigma2_z, lam, omega_r, omega_c = scalars_from_unconstrained(
+        mu + z1 * sd1, zeta + z2 * sd2, psi_r + z3 * sd3, psi_c + z4 * sd4)
+    scalars = (scalars[0] + z0 * sd0, sigma2_z, max(lam, LAMBDA_FLOOR), omega_r, omega_c)
     flips_r.sort()
-    return gamma_r, gamma_c, beta, rho, scalars, flips_r
+    return gamma_r, gamma_c, beta, rho, scalars, flips_r, k
 
 
 def _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior) -> tuple:
@@ -226,11 +236,11 @@ def _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior) -> tuple:
     returns the log Jacobian and unconstrained scalars (None outside the
     support) and the jitter the likelihood's factor needed.
     """
-    lp = log_prior_arrays(gamma_r, gamma_c, beta, rho, scalars, prior)
+    lp = log_prior_flat(gamma_r, gamma_c, beta, rho, scalars, prior)
     if lp == -math.inf:
         return -math.inf, None, None, 0.0
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
-    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood_arrays(
+    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood_flat(
         rho, lam, beta0, beta, sigma2_z
     )
     t = scalars_to_unconstrained(sigma2_z, lam, omega_r, omega_c)
@@ -269,9 +279,8 @@ def log_alpha(prop_target: float, cur_target: float, correction: float) -> float
     return delta
 
 
-def initial_state(
-    data, prior: PriorConfig, cfg: SamplerConfig, rng: np.random.Generator
-) -> tuple[ModelIndicator, ParameterState]:
+def initial_state(data, prior: PriorConfig, cfg: SamplerConfig,
+                  rng: np.random.Generator) -> tuple[ModelIndicator, ParameterState]:
     """Starting point of the chain per cfg.init.
 
     'prior' draws the full state from the prior; 'empty' starts at the
@@ -282,30 +291,15 @@ def initial_state(
     if cfg.init == "prior":
         return draw_from_prior(p, prior, rng)
     y = np.asarray(data.y, dtype=float)
-    base = ParameterState(
-        beta0=float(y.mean()),
-        beta=np.zeros(p),
-        rho=np.ones(p),
-        sigma2_z=max(float(y.var()), 1e-6),
-        lam=prior.lambda_scale / (prior.lambda_shape - 1.0)
-        if prior.lambda_shape > 1.0
-        else 0.1,
-        omega_r=0.5,
-        omega_c=0.5,
-    )
-    if cfg.init == "empty":
-        return ModelIndicator(np.zeros(p, int), np.zeros(p, int)), base
-    base.rho = np.full(p, 0.5)
-    return ModelIndicator(np.zeros(p, int), np.ones(p, int)), base
+    lam = prior.lambda_scale / (prior.lambda_shape - 1.0) if prior.lambda_shape > 1.0 else 0.1
+    spatial = cfg.init == "spatial"
+    base = ParameterState(float(y.mean()), np.zeros(p), np.full(p, 0.5 if spatial else 1.0),
+                          max(float(y.var()), 1e-6), lam, omega_r=0.5, omega_c=0.5)
+    return ModelIndicator(np.zeros(p, int), np.full(p, int(spatial))), base
 
 
-def run_chain(
-    data,
-    prior: PriorConfig,
-    cfg: SamplerConfig,
-    flat_likelihood: bool = False,
-    init: tuple[ModelIndicator, ParameterState] | None = None,
-) -> Chain:
+def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: bool = False,
+              init: tuple[ModelIndicator, ParameterState] | None = None) -> Chain:
     """Run the sampler and return the thinned post-burn-in draws.
 
     Deterministic given cfg.seed. The initial state follows cfg.init unless
@@ -316,17 +310,16 @@ def run_chain(
     cfg.validate()
     if data.X.shape[0] == 0:
         raise ValueError("cannot sample from an empty dataset")
-    p = data.X.shape[1]
     rng = np.random.default_rng(cfg.seed)
     like = None if flat_likelihood else LikelihoodCache(data)
 
-    # the current state as plain arrays and floats, with its cached target,
-    # log posterior and unconstrained scalars; the loop never writes into
-    # these arrays, and the prior below validates an explicit init
+    # the current state as a `flat_state` of plain lists and floats, with its
+    # cached target, log posterior and unconstrained scalars; the loop never
+    # writes into these lists, and the prior below validates an explicit init
     ind, state = init if init is not None else initial_state(data, prior, cfg, rng)
-    gamma_r, gamma_c, beta, rho, scalars = flat_state(ind, state)
+    cur = flat_state(ind, state)
     try:
-        cur_target, _, _, jitter = _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior)
+        cur_target, _, _, jitter = _log_target(*cur, like, prior)
     except NumericalSingularityError as exc:
         raise NumericalSingularityError(
             f"initial state is numerically singular: {exc}", jitters=exc.jitters
@@ -335,23 +328,21 @@ def run_chain(
     cur_logpost = cur_target - log_jacobian(t)
     t = (t.mu, t.zeta, t.psi_r, t.psi_c)
 
-    # the stored iterations are burn_in + thin - 1, then every thin-th one
-    iters = np.arange(cfg.burn_in + cfg.thin - 1, cfg.n_iter, cfg.thin, dtype=np.int64)
-    gammas = np.zeros((2, iters.size, p), dtype=np.int8)  # gamma_r, gamma_c
-    vectors = np.zeros((2, iters.size, p))  # beta, rho
-    # beta0, sigma2_z, lam, omega_r, omega_c and log_posts, one row each
-    stored_scalars = np.zeros((6, iters.size))
-    accepted = np.zeros(cfg.n_iter, dtype=bool)
-    n_singular = 0
-    n_jittered = int(jitter > 0.0)
+    # the stored draws by runs: one packed row per stored state, appended when it
+    # is first stored (`stored` is the last), and per stored iteration its row
+    gammas, values, run_of = array("b"), array("d"), array("q")
+    n_runs, stored, next_store = 0, None, cfg.burn_in + cfg.thin - 1
+    accepted = bytearray(cfg.n_iter)
+    # proposals and acceptances by flip count k = 0, 1, 2, >= 3
+    moves = [[0, 0] for _ in range(4)]
+    n_singular, n_jittered = 0, int(jitter > 0.0)
 
-    store_idx = 0
     for it in range(cfg.n_iter):
-        prop_gamma_r, prop_gamma_c, prop_beta, prop_rho, prop_scalars, flips_r = propose_arrays(
-            gamma_r, gamma_c, beta, rho, scalars, t, cfg, prior.tau, rng)
+        *prop, flips_r, k = propose(*cur, t, cfg, prior.tau, rng)
+        move = moves[min(k, 3)]
+        move[0] += 1
         try:
-            prop_target, prop_log_jac, prop_t, jitter = _log_target(
-                prop_gamma_r, prop_gamma_c, prop_beta, prop_rho, prop_scalars, like, prior)
+            prop_target, prop_log_jac, prop_t, jitter = _log_target(*prop, like, prior)
         except NumericalSingularityError:
             n_singular += 1
             prop_target = -math.inf
@@ -359,32 +350,43 @@ def run_chain(
             n_jittered += jitter > 0.0
         corr = 0.0
         if cfg.slab_correction:
-            corr = proposal_log_correction(beta, prop_beta, gamma_r, flips_r, prior.tau)
+            corr = proposal_log_correction(cur[2], prop[2], cur[0], flips_r, prior.tau)
         # rng.random() draws the same double as rng.uniform() (0 + 1 * u),
         # without uniform's argument handling
         u = rng.random()
         if math.log(u) < log_alpha(prop_target, cur_target, corr):
-            gamma_r, gamma_c, beta, rho = prop_gamma_r, prop_gamma_c, prop_beta, prop_rho
-            scalars, t = prop_scalars, prop_t
+            cur, t = prop, prop_t
             cur_target = prop_target
             cur_logpost = cur_target - prop_log_jac
-            accepted[it] = True
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-            gammas[0, store_idx] = gamma_r
-            gammas[1, store_idx] = gamma_c
-            vectors[0, store_idx] = beta
-            vectors[1, store_idx] = rho
-            stored_scalars[:, store_idx] = (*scalars, cur_logpost)
-            store_idx += 1
+            accepted[it] = 1
+            move[1] += 1
+        if it == next_store:
+            if cur is not stored:
+                stored = cur
+                gammas.extend(cur[0] + cur[1])
+                values.extend((*cur[2], *cur[3], *cur[4], cur_logpost))
+                n_runs += 1
+            run_of.append(n_runs - 1)
+            next_store += cfg.thin
 
     if n_singular:
         logger.warning("auto-rejected %d singular proposals", n_singular)
+    # each field expanded from the rows to the stored draws
+    p, run_of = len(cur[0]), np.frombuffer(run_of, dtype=np.int64)
+    gammas = np.frombuffer(gammas, dtype=np.int8).reshape(n_runs, 2 * p)
+    values = np.frombuffer(values).reshape(n_runs, 2 * p + 6)  # beta, rho, scalars, log post
     names = ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")
-    chain = Chain(*gammas, beta=vectors[0], rho=vectors[1], **dict(zip(names, stored_scalars)),
+    iters = np.arange(cfg.burn_in + cfg.thin - 1, cfg.n_iter, cfg.thin, dtype=np.int64)
+    accepted = np.frombuffer(accepted, dtype=bool)
+    table = {key: {"proposed": n, "accepted": a}
+             for key, (n, a) in zip(("0", "1", "2", "3+"), moves)}
+    chain = Chain(gammas[run_of, :p], gammas[run_of, p:], beta=values[run_of, :p],
+                  rho=values[run_of, p:2 * p],
+                  **{name: values[run_of, 2 * p + i] for i, name in enumerate(names)},
                   iters=iters, accepted=accepted, draw_accepted=accepted[iters],
-                  n_singular=n_singular, n_jittered=int(n_jittered))
-    logger.info("chain finished: %d stored draws, acceptance rate %.3f, %d jittered factors",
-                len(chain), chain.acceptance_rate, chain.n_jittered)
+                  n_singular=n_singular, n_jittered=int(n_jittered), acceptance_by_flips=table)
+    logger.info("chain finished: %d stored draws, acceptance rate %.3f over all iterations, "
+                "%d jittered factors", len(chain), accepted.mean(), chain.n_jittered)
     return chain
 
 
@@ -403,18 +405,20 @@ def save_chain(chain: Chain, path) -> None:
     The fields between "iter" and "accepted" are encoded once per run of
     draws with the same bits (so -0.0 after 0.0 starts a new run).
     """
-    gammas = np.column_stack([chain.gamma_r, chain.gamma_c]).astype(np.int64)
+    gammas = np.column_stack([chain.gamma_r, chain.gamma_c]).astype(np.int8, copy=False)
     floats = np.column_stack([np.asarray(getattr(chain, name), dtype=np.float64)
                               for name in list(_FILE_KEYS)[2:]])
-    bits = np.column_stack([gammas, floats.view(np.int64)])
+    # no stacked copy of the bits and no chain-long lists, to keep peak memory low
     changed = np.ones(len(chain), dtype=bool)
-    changed[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    changed[1:] = (np.any(gammas[1:] != gammas[:-1], axis=1)
+                   | np.any(floats[1:].view(np.int64) != floats[:-1].view(np.int64), axis=1))
     p = chain.p
     middles = [
         json.dumps(dict(zip(_FILE_KEYS.values(), (g[:p], g[p:], f[0], f[1:p + 1],
                                                   f[p + 1:2 * p + 1], *f[-5:]))),
                    separators=(",", ":"))[1:-1]
-        for g, f in zip(gammas[changed].tolist(), floats[changed].tolist())]
+        for g, f in zip(map(np.ndarray.tolist, gammas[changed]),
+                        map(np.ndarray.tolist, floats[changed]))]
     draws = zip(np.asarray(chain.iters).astype(np.int64).tolist(),
                 (np.cumsum(changed) - 1).tolist(),
                 np.asarray(chain.draw_accepted).astype(bool).tolist())

@@ -243,6 +243,11 @@ def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeyp
     assert tally["singular"] > 0 and tally["jittered"] > 0
     assert meta["singular_rejects"] == tally["singular"]
     assert meta["jittered_factors"] == tally["jittered"]
+    # the per-move table covers all 800 iterations, burn-in included
+    moves = meta["acceptance_by_flips"]
+    assert list(moves) == ["0", "1", "2", "3+"]
+    assert sum(m["proposed"] for m in moves.values()) == 800
+    assert meta["acceptance_rate"] == sum(m["accepted"] for m in moves.values()) / 800
 
 
 def test_cli_fit_and_predict_interpolates(tiny_pipeline):
@@ -433,3 +438,16 @@ def test_output_lock_blocks_concurrent_writes(tmp_path):
     # released afterwards
     with output_lock(target):
         pass
+
+
+def test_cli_sample_rejects_a_config_that_stores_no_draws(tiny_pipeline, capsys):
+    # burn_in + thin > n_iter: the first stored iteration would be 11 of 0-9
+    cfg = tiny_pipeline["dir"] / "no_draws.json"
+    cfg.write_text(json.dumps({"sampler": {"n_iter": 10, "burn_in": 5, "thin": 7}}))
+    out = tiny_pipeline["dir"] / "run"
+    rc = main(["--config", str(cfg), "--output-dir", str(out),
+               "sample", "--data", tiny_pipeline["data"], "--response", "y"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "burn_in + thin <= n_iter" in json.loads(err[0])["message"]
+    assert not out.exists()

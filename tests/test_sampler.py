@@ -18,17 +18,19 @@ from gpselect import (
     to_unconstrained,
 )
 from gpselect.kernel import LikelihoodCache
-from gpselect.model import flat_state
+from gpselect.model import _expit_clipped, flat_state
 from gpselect.sampler import (
     Chain,
     _log_target,
     log_alpha,
     proposal_log_correction,
-    propose_arrays,
+    propose,
     reflect_unit,
 )
+from scipy.special import expit
 
 from oracles import (
+    _ref_reflect_unit,
     _ref_validate_consistent as validate_consistent,
     load_chain_reference,
     log_prior_oracle,
@@ -51,10 +53,10 @@ def _current(p, rng):
     return ind, state
 
 
-def propose(current, cfg, prior, rng):
-    """One `propose_arrays` step from an (indicator, state) pair, as a pair."""
+def propose_pair(current, cfg, prior, rng):
+    """One `propose` step from an (indicator, state) pair, as a pair."""
     t = to_unconstrained(current[1])
-    gamma_r, gamma_c, beta, rho, scalars, _ = propose_arrays(
+    gamma_r, gamma_c, beta, rho, scalars, _, _ = propose(
         *flat_state(*current), (t.mu, t.zeta, t.psi_r, t.psi_c), cfg, prior.tau, rng)
     return ModelIndicator(gamma_r, gamma_c), ParameterState(scalars[0], beta, rho, *scalars[1:])
 
@@ -72,12 +74,39 @@ def accept_probability(current, proposed, data, prior):
 
 
 def test_reflect_unit_stays_inside(rng):
-    x = rng.normal(scale=2.0, size=10000)
-    r = reflect_unit(x)
+    r = np.array([reflect_unit(x) for x in rng.normal(scale=2.0, size=10000).tolist()])
     assert np.all(r > 0.0) and np.all(r < 1.0)
     # folding is exact for single reflections
-    assert reflect_unit(np.array([1.2]))[0] == pytest.approx(0.8, rel=1e-12)
-    assert reflect_unit(np.array([-0.3]))[0] == pytest.approx(0.3, rel=1e-12)
+    assert reflect_unit(1.2) == pytest.approx(0.8, rel=1e-12)
+    assert reflect_unit(-0.3) == pytest.approx(0.3, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=1.0)
+@example(x=2.0)
+@example(x=-1.0)
+@example(x=-2.0)
+@example(x=1e-300)
+@example(x=-12.75)
+@example(x=3.0e15 + 0.5)
+@given(x=st.one_of(st.floats(-4.0, 4.0), st.floats(-1e6, 1e6),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+def test_reflect_unit_matches_the_array_form(x):
+    # the scalar fold against np.mod / np.where / np.clip, bit for bit
+    want = _ref_reflect_unit(np.array([x]))[0]
+    assert np.float64(reflect_unit(x)).view(np.int64) == want.view(np.int64)
+
+
+def test_expit_matches_scipy():
+    # a dense grid and random points on [-40, 40], the edges, and the overflow guard
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200_001),
+                        np.random.default_rng(0).uniform(-40.0, 40.0, 200_000),
+                        [0.0, -0.0, 36.7, -36.7, 800.0, -800.0]])
+    want = np.clip(expit(x), 1e-15, 1.0 - 1e-15)
+    got = np.array([_expit_clipped(v) for v in x.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_propose_keeps_consistency(rng):
@@ -85,7 +114,7 @@ def test_propose_keeps_consistency(rng):
     prior = PriorConfig()
     for _ in range(200):
         cur = _current(3, rng)
-        ind, state = propose(cur, cfg, prior, rng)
+        ind, state = propose_pair(cur, cfg, prior, rng)
         validate_consistent(ind, state)
         active = state.rho[ind.gamma_c == 1]
         assert np.all((active > 0.0) & (active < 1.0))
@@ -108,7 +137,7 @@ def test_propose_deactivation_snaps_to_point_mass(rng):
         omega_r=0.5,
         omega_c=0.5,
     )
-    new_ind, new_state = propose((ind, state), cfg, prior, rng)
+    new_ind, new_state = propose_pair((ind, state), cfg, prior, rng)
     assert np.all(new_ind.gamma_r == 0) and np.all(new_ind.gamma_c == 0)
     assert np.all(new_state.beta == 0.0)
     assert np.all(new_state.rho == 1.0)
@@ -125,7 +154,7 @@ def test_propose_activation_draws_fresh_values(rng):
     )
     betas, rhos = [], []
     for _ in range(200):
-        new_ind, new_state = propose((ind, state), cfg, prior, rng)
+        new_ind, new_state = propose_pair((ind, state), cfg, prior, rng)
         assert np.all(new_ind.gamma_r == 1) and np.all(new_ind.gamma_c == 1)
         betas.extend(new_state.beta)
         rhos.extend(new_state.rho)
@@ -142,7 +171,7 @@ def test_propose_zero_flips_only_walks(rng):
     cfg = SamplerConfig(nu=1e-12, jitter_when_no_flip=True)
     prior = PriorConfig()
     cur_ind, cur_state = _current(3, rng)
-    ind, state = propose((cur_ind, cur_state), cfg, prior, rng)
+    ind, state = propose_pair((cur_ind, cur_state), cfg, prior, rng)
     assert ind == cur_ind
     # jitter moved the active values, the walk moved the scalars
     assert state.sigma2_z != cur_state.sigma2_z
@@ -153,7 +182,7 @@ def test_propose_no_flip_jitter_flag(rng):
     cfg = SamplerConfig(nu=1e-12, jitter_when_no_flip=False)
     prior = PriorConfig()
     cur_ind, cur_state = _current(3, rng)
-    ind, state = propose((cur_ind, cur_state), cfg, prior, rng)
+    ind, state = propose_pair((cur_ind, cur_state), cfg, prior, rng)
     assert np.array_equal(state.beta, cur_state.beta)
     assert np.array_equal(state.rho, cur_state.rho)
 
@@ -267,6 +296,32 @@ def test_run_chain_draws_are_consistent(small_data):
         validate_consistent(ind, state)
         active = state.rho[ind.gamma_c == 1]
         assert np.all((active > 0.0) & (active < 1.0))
+
+
+def test_acceptance_by_flips_partitions_every_iteration(small_data, tmp_path):
+    cfg = SamplerConfig(n_iter=3000, burn_in=300, seed=7, nu=0.3)
+    chain = run_chain(small_data, PriorConfig(), cfg)
+    table = chain.acceptance_by_flips
+    assert list(table) == ["0", "1", "2", "3+"]
+    assert sum(m["proposed"] for m in table.values()) == cfg.n_iter
+    assert sum(m["accepted"] for m in table.values()) == chain.accepted.sum()
+    assert all(0 < m["proposed"] and 0 <= m["accepted"] <= m["proposed"] for m in table.values())
+    # nu = 1 flips all 2p = 4 indicators every iteration; a tiny nu flips none
+    for nu, bucket in ((1.0, "3+"), (1e-12, "0")):
+        chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=200, burn_in=20, nu=nu))
+        assert chain.acceptance_by_flips[bucket]["proposed"] == 200
+        assert chain.acceptance_by_flips[bucket]["accepted"] == chain.accepted.sum()
+    save_chain(chain, tmp_path / "chain.jsonl")
+    assert load_chain(tmp_path / "chain.jsonl").acceptance_by_flips is None
+
+
+def test_acceptance_rate_survives_a_save_load_round_trip(small_data, tmp_path):
+    cfg = SamplerConfig(n_iter=2000, burn_in=500, thin=3, seed=5)
+    chain = run_chain(small_data, PriorConfig(), cfg)
+    save_chain(chain, tmp_path / "chain.jsonl")
+    loaded = load_chain(tmp_path / "chain.jsonl")
+    assert loaded.acceptance_rate == chain.acceptance_rate
+    assert chain.acceptance_rate == np.mean(chain.accepted[chain.iters])
 
 
 def test_run_chain_acceptance_strictly_interior(small_data):
@@ -418,6 +473,10 @@ def test_config_validation():
         SamplerConfig(nu=1.5).validate()
     with pytest.raises(ValueError):
         SamplerConfig(rw_sd=(0.1, 0.1)).validate()
+    # the first stored iteration, burn_in + thin - 1, must lie inside the chain
+    with pytest.raises(ValueError, match="burn_in \\+ thin <= n_iter"):
+        SamplerConfig(n_iter=10, burn_in=5, thin=7).validate()
+    SamplerConfig(n_iter=12, burn_in=5, thin=7).validate()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -425,9 +484,14 @@ def test_config_validation():
          init="spatial", nu=0.3, flat_likelihood=False)
 @example(n=6, p=2, n_iter=300, seed=2, slab_correction=False, thin=3, jitter_when_no_flip=False,
          init="spatial", nu=None, flat_likelihood=True)
+# the replication benchmark's sampler settings, and a p = 8 chain like large_n's
+@example(n=35, p=5, n_iter=400, seed=11, slab_correction=False, thin=1,
+         jitter_when_no_flip=True, init="empty", nu=None, flat_likelihood=False)
+@example(n=40, p=8, n_iter=300, seed=3, slab_correction=True, thin=1,
+         jitter_when_no_flip=True, init="spatial", nu=None, flat_likelihood=False)
 @given(
-    n=st.integers(2, 8),
-    p=st.integers(1, 3),
+    n=st.integers(2, 40),
+    p=st.integers(1, 9),
     n_iter=st.integers(2, 400),
     seed=st.integers(0, 2**32 - 1),
     slab_correction=st.booleans(),

@@ -28,10 +28,6 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _rho_array(rho) -> np.ndarray:
-    return np.asarray(rho, dtype=float).ravel()
-
-
 def _log_rho(rho: np.ndarray) -> np.ndarray:
     # np.clip's values, without its Python-level dispatch
     return np.log(np.minimum(np.maximum(rho, RHO_FLOOR), 1.0))
@@ -41,7 +37,7 @@ def correlation(u, v, rho) -> float:
     """Correlation prod_j rho_j ** (u_j - v_j)^2 between two points."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    rho = _rho_array(rho)
+    rho = np.asarray(rho, dtype=float).ravel()
     if u.shape != v.shape or u.shape[0] != rho.shape[0]:
         raise DimensionMismatchError(
             f"point dims {u.shape[0]}/{v.shape[0]} vs {rho.shape[0]} correlation parameters"
@@ -59,26 +55,15 @@ def pairwise_sqdiffs(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
 
 def corr_from_sqdiffs(d2: np.ndarray, rho) -> np.ndarray:
-    """Correlation matrix from a precomputed squared-difference tensor."""
-    rho = _rho_array(rho)
+    """Correlations exp(d2 @ log rho) from a precomputed squared-difference
+    tensor. rho is one (p,) vector, or a (p, b) stack whose b columns give
+    the result a last axis of b correlations from one matrix product."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if d2.shape[-1] != rho.shape[0]:
         raise DimensionMismatchError(
             f"sqdiff tensor has {d2.shape[-1]} coordinates, rho has {rho.shape[0]}"
         )
     K = d2 @ _log_rho(rho)
-    return np.exp(K, out=K)
-
-
-def stacked_corr(d2: np.ndarray, rho) -> np.ndarray:
-    """Correlations under each row of a (b, p) stack of rho over an (N, p)
-    squared-difference matrix: row k is exp(d2 @ log rho[k]), all rows from
-    one matrix product. A single row is one matrix-vector product."""
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    if d2.shape[1] != rho.shape[1]:
-        raise DimensionMismatchError(
-            f"sqdiff matrix has {d2.shape[1]} coordinates, rho has {rho.shape[1]}"
-        )
-    K = _log_rho(rho) @ d2.T
     return np.exp(K, out=K)
 
 
@@ -123,6 +108,33 @@ class GpFactor:
         A.ravel()[:: A.shape[0] + 1] = 1.0 + lam  # a view: A is C-ordered
         self.A = A
         self.L, self.jitter = cholesky_with_jitter(A)
+
+    @classmethod
+    def stack(cls, d2: np.ndarray, rho, lam) -> list["GpFactor"]:
+        """One factor per row of a (b, p) stack of rho and a length-b lam, each
+        GpFactor(d2, rho_k, lam_k) bit for bit: the b matrices are built as
+        __init__ builds one, into one (b, n, n) stack, and factored by one
+        np.linalg.cholesky, which factors each as a single call would; the
+        factors are views into the stacks. That call is rung 0 of the jitter
+        ladder for all b draws: if any fails it, each is factored on its own.
+        """
+        rho = np.atleast_2d(np.asarray(rho, dtype=float))
+        if d2.shape[-1] != rho.shape[1]:
+            raise DimensionMismatchError(f"sqdiff tensor has {d2.shape[-1]} coordinates, "
+                                         f"rho has {rho.shape[1]}")
+        b, n = rho.shape[0], d2.shape[0]
+        # one call, but per draw and row the matrix-vector product of d2 @ log rho
+        A = np.matmul(d2, _log_rho(rho)[:, None, :, None]).reshape(b, n, n)
+        np.exp(A, out=A)
+        A.reshape(b, n * n)[:, :: n + 1] = 1.0 + np.asarray(lam, dtype=float)[:, None]
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            return [cls(d2, rho_k, lam_k) for rho_k, lam_k in zip(rho, lam)]
+        factors = [cls.__new__(cls) for _ in range(b)]
+        for f, A_k, L_k in zip(factors, A, L):
+            f.A, f.L, f.jitter = A_k, L_k, 0.0
+        return factors
 
     @property
     def logdet(self) -> float:

@@ -32,7 +32,7 @@ RHO_BOUNDS = (1e-6, 1.0 - 1e-6)
 MLE_START_SEED = 0
 # L-BFGS-B's relative-decrease stop; near 0 so that starts stop on the gradient
 MLE_FTOL = 1e-15
-# cross-correlation elements built at once for kriging means: 2**17 doubles = 1 MB
+# sizes the kriging means' stacks and tiles (_cross_blocks): 2**17 doubles = 1 MB
 CROSS_BLOCK_ELEMS = 2**17
 
 
@@ -64,9 +64,12 @@ class MleFit:
     lambda_hat = 0.0 from a zero-nugget fit means R itself was factored
     without diagonal jitter at rho_hat, so predict_mle interpolates the
     training data; a jittered factor would act as an undeclared nugget.
-    n_evals counts the objective evaluations over all starts, and at_bound
+    n_evals counts the objective evaluations computed over all starts (a
+    point the search requests again is not computed again), and at_bound
     names each searched coordinate that ended on an end of its box, e.g.
-    "rho[x4]:upper" or "lambda:lower".
+    "rho[x4]:upper" or "lambda:lower". starts records each L-BFGS-B start's
+    status (0 converged, 1 iteration limit, 2 other), message, nit, nfev
+    (objective requests) and final objective.
     """
 
     model: ModelIndicator
@@ -79,6 +82,7 @@ class MleFit:
     degenerate: bool = False
     n_evals: int = 0
     at_bound: list = field(default_factory=list)
+    starts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -93,6 +97,7 @@ class MleFit:
             "degenerate": bool(self.degenerate),
             "n_evals": int(self.n_evals),
             "at_bound": list(self.at_bound),
+            "starts": [dict(start) for start in self.starts],
         }
 
     @classmethod
@@ -108,7 +113,13 @@ class MleFit:
             degenerate=bool(d.get("degenerate", False)),
             n_evals=int(d.get("n_evals", 0)),
             at_bound=list(d.get("at_bound", [])),
+            starts=[dict(start) for start in d.get("starts", [])],
         )
+
+    @property
+    def best_start(self) -> dict | None:
+        """The record of the start the fit reports: the first of the lowest."""
+        return min(self.starts, key=lambda start: start["objective"], default=None)
 
 
 def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.ndarray:
@@ -138,13 +149,15 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
     and the diagonal jitter each draw's factor needed.
 
     Draw k's mean is beta0_k + X_new beta_k + R_k,new,old alpha_k, alpha_k =
-    (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k). The cross-correlations of
-    CROSS_BLOCK_ELEMS // (m*n) draws at a time (at least one) come from one
-    matrix product over the flattened (m*n, p) cross tensor, so memory does
-    not grow with the number of draws. A block of one draw is the
-    matrix-vector product corr_from_sqdiffs runs per site, so a single draw
-    keeps its per-draw bits where BLAS rounds a row alike in both (p <= 7
-    with OpenBLAS 0.3.31).
+    (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k), from GpFactor.stack over
+    blocks of b draws, bit for bit as GpFactor's. The block's correlations
+    to S sites at a time take one product of the tile's (S*n, p) squared
+    differences with the block's log rho, one exp, and one matrix-vector
+    product with the stacked weighted alphas; _cross_blocks sizes b and S,
+    so memory does not grow with the draws or sites. A block of one draw
+    runs the matrix-vector routines of corr_from_sqdiffs and a per-draw
+    sum, so a single draw keeps its per-draw bits where BLAS rounds a row
+    alike in both (p <= 7 with OpenBLAS 0.3.31).
     """
     beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
                                       for a in (beta0, beta, rho, lam, weights))
@@ -155,15 +168,31 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
     total = weights @ beta0 + X_new @ (weights @ beta)
     n_draws = weights.shape[0]
     jitters = np.empty(n_draws)
-    block = max(1, CROSS_BLOCK_ELEMS // (m * n))
+    block, sites = _cross_blocks(n)
     for start in range(0, n_draws, block):
-        K = kernel.stacked_corr(d2_cross, rho[start:start + block])
-        for k in range(start, min(start + block, n_draws)):
-            f = kernel.GpFactor(d2_train, rho[k], lam[k])
-            alpha = f.solve(data.y - beta0[k] - data.X @ beta[k])
-            total += K[k - start].reshape(m, n) @ (weights[k] * alpha)
-            jitters[k] = f.jitter
+        stop = min(start + block, n_draws)
+        factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
+        # per draw the matrix-vector product of data.X @ beta[k]
+        resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
+        # column i is draw start + i's alpha: a tile's (S*n, b) correlations,
+        # read as (S, n*b), meet the raveled weighted alphas in one product
+        alphas = np.empty((n, stop - start))
+        for i, (f, r) in enumerate(zip(factors, resid)):
+            alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
+        alphas = (alphas * weights[start:stop]).ravel()
+        rho_cols = rho[start:stop].T.copy()  # C order: a faster tile product
+        for s in range(0, m, sites):  # one expression: one tile alive at a time
+            total[s:s + sites] += kernel.corr_from_sqdiffs(
+                d2_cross[s * n:(s + sites) * n], rho_cols).reshape(-1, alphas.size) @ alphas
     return total, jitters
+
+
+def _cross_blocks(n: int) -> tuple[int, int]:
+    """Draws b per stack and sites S per tile at n training rows: b matrices
+    and factors fill at most half of CROSS_BLOCK_ELEMS, S*n*b correlations
+    at most all of it."""
+    draws = max(1, CROSS_BLOCK_ELEMS // (4 * n * n))
+    return draws, max(1, CROSS_BLOCK_ELEMS // (n * draws))
 
 
 def model_average(
@@ -177,13 +206,16 @@ def model_average(
     With a positive threshold, draws whose model's empirical frequency in the
     chain falls below it are dropped and the average renormalizes over the
     remainder. Each run of consecutive identical kept draws (rejected
-    proposals) is one distinct draw weighted by the run's length. A distinct
-    draw costs one n x n GpFactor (build, Cholesky, two triangular solves)
-    plus n*m*(p + 1) multiply-adds and n*m exp calls, built in blocks of at
-    most 1 MB; a repeat costs nothing. One warning counts the distinct draws
-    whose factor of R + lam I needed diagonal jitter. Against a draw-by-draw
-    loop the average differs at rounding level (the block build and the
-    order of the sum); each draw's alpha is the same bit for bit.
+    proposals) is one distinct draw weighted by the run's length. Distinct
+    draws are factored in stacks, one Cholesky call each, and per draw
+    through the jitter ladder when a draw of the stack needs it; their
+    cross-correlations are built in cache-sized tiles of sites. A distinct
+    draw costs an n x n factor, two triangular solves, n*m*(p + 1)
+    multiply-adds and n*m exp calls; a repeat costs nothing. One warning
+    counts the distinct draws whose factor needed diagonal jitter. Against
+    a draw-by-draw loop the average differs at rounding level (the tile
+    product, the order of the sum); each alpha is the same bit for bit, and
+    a single draw's mean too for p <= 7 (see _kriging_means).
     """
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
@@ -385,11 +417,15 @@ def fit_mle(
     n_rho = active_c.size
     dim = n_rho + (1 if lambda_allowed else 0)
     trace: list = []
+    computed: dict = {}  # a point L-BFGS-B requests again is computed once
 
     def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
-        val, grad = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
-        trace.append((z.copy(), val))
-        return (1e20, np.zeros(dim)) if grad is None else (val, grad)
+        key = z.tobytes()
+        if key not in computed:
+            val, grad = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
+            trace.append((z.copy(), val))
+            computed[key] = (1e20, np.zeros(dim)) if grad is None else (val, grad)
+        return computed[key][0], computed[key][1].copy()
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
     rng = np.random.default_rng(MLE_START_SEED)
@@ -401,25 +437,14 @@ def fit_mle(
             z0[n_rho] = rng.uniform(*LOG_LAMBDA_BOUNDS)
         starts.append(z0)
 
-    best_z = None
-    best_val = np.inf
-    for z0 in starts:
-        res = minimize(
-            objective,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 200, "ftol": MLE_FTOL},
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_z = res.x.copy()
-
-    if best_z is None or best_val >= 1e20:
-        raise OptimizationFailureError(
-            "no finite concentrated likelihood found", trace=trace[-50:]
-        )
+    runs = [minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+                     options={"maxiter": 200, "ftol": MLE_FTOL}) for z0 in starts]
+    records = [{"status": int(res.status), "message": str(res.message), "nit": int(res.nit),
+                "nfev": int(res.nfev), "objective": float(res.fun)} for res in runs]
+    best_z = min(runs, key=lambda res: res.fun).x  # as MleFit.best_start
+    if not min(record["objective"] for record in records) < 1e20:
+        raise OptimizationFailureError("no finite concentrated likelihood found",
+                                       trace=trace[-50:])
 
     rho_hat = np.ones(p)
     if n_rho:
@@ -445,6 +470,7 @@ def fit_mle(
         degenerate=degenerate,
         n_evals=len(trace),
         at_bound=at_bound,
+        starts=records,
     )
 
 

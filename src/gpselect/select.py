@@ -61,7 +61,8 @@ class CvReport:
     quarter of the folds are disqualified from both choices. fold_evals sums
     the fold fits' objective evaluations per candidate, and fold_at_bound
     counts per candidate how many fold fits ended on each box end, keyed like
-    MleFit.at_bound (e.g. {"lambda:lower": 8}); a failed fold adds to neither.
+    MleFit.at_bound (e.g. {"lambda:lower": 8}), and fold_status by the status
+    of their best start (e.g. {"0": 7, "2": 1}). A failed fold adds to none.
     """
 
     candidates: list
@@ -74,6 +75,7 @@ class CvReport:
     disqualified: np.ndarray = field(default=None)
     fold_evals: np.ndarray = field(default=None)
     fold_at_bound: list = field(default=None)
+    fold_status: list = field(default=None)
 
     def to_dict(self) -> dict:
         out = {"candidates": [], "chosen": int(self.chosen), "chosen_1se": int(self.chosen_1se)}
@@ -85,16 +87,12 @@ class CvReport:
                 "cv_rmspe": float(self.cv_rmspe[i]),
                 "cv_se": float(self.cv_se[i]),
             }
-            if self.fold_failures is not None:
-                entry["failed_folds"] = int(self.fold_failures[i])
-            if self.disqualified is not None:
-                entry["disqualified"] = bool(self.disqualified[i])
-            if self.implied_cutoffs is not None:
-                entry["implied_cutoff"] = float(self.implied_cutoffs[i])
-            if self.fold_evals is not None:
-                entry["fold_evals"] = int(self.fold_evals[i])
-            if self.fold_at_bound is not None:
-                entry["fold_at_bound"] = dict(self.fold_at_bound[i])
+            for key, attr, cast in (
+                    ("failed_folds", "fold_failures", int), ("disqualified", "disqualified", bool),
+                    ("implied_cutoff", "implied_cutoffs", float), ("fold_evals", "fold_evals", int),
+                    ("fold_at_bound", "fold_at_bound", dict), ("fold_status", "fold_status", dict)):
+                if getattr(self, attr) is not None:
+                    entry[key] = cast(getattr(self, attr)[i])
             out["candidates"].append(entry)
         return out
 
@@ -202,12 +200,12 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
 
 
 def _fit_and_score(data, cand, train_rows, test_rows):
-    """A fold's RMSPE, and its fit's objective evaluations and box ends."""
+    """A fold's RMSPE and its fit."""
     train = data.subset(train_rows)
     test = data.subset(test_rows)
     fit = fit_mle(train, cand)
     pred = predict_mle(fit, train, PredictionRequest(test.X))
-    return rmspe(test.y, pred), fit.n_evals, fit.at_bound
+    return rmspe(test.y, pred), fit
 
 
 def cross_validate(
@@ -248,7 +246,7 @@ def cross_validate(
             return ci, fi, *_fit_and_score(data, cand, train_rows, test_rows)
         except (NumericalSingularityError, OptimizationFailureError, np.linalg.LinAlgError) as exc:
             logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
-            return ci, fi, np.nan, 0, []
+            return ci, fi, np.nan, None
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -257,10 +255,13 @@ def cross_validate(
         results = [run(job) for job in jobs]
     fold_evals = np.zeros(len(candidates), dtype=int)
     fold_at_bound = [Counter() for _ in candidates]
-    for ci, fi, val, n_evals, at_bound in results:
+    fold_status = [Counter() for _ in candidates]
+    for ci, fi, val, fit in results:
         scores[ci, fi] = val
-        fold_evals[ci] += n_evals
-        fold_at_bound[ci].update(at_bound)
+        if fit is not None:
+            fold_evals[ci] += fit.n_evals
+            fold_at_bound[ci].update(fit.at_bound)
+            fold_status[ci][str(fit.best_start["status"])] += 1
 
     n_fail = np.sum(np.isnan(scores), axis=1)
     disqualified = n_fail > 0.25 * v
@@ -295,6 +296,7 @@ def cross_validate(
         disqualified=disqualified,
         fold_evals=fold_evals,
         fold_at_bound=fold_at_bound,
+        fold_status=fold_status,
     )
 
 

@@ -2,9 +2,11 @@
 
 Times one `model_average` at the scale of the benchmark's chain_reuse
 workload: n=35 training rows, p=5 on a maximin LHD, 1,000 prediction sites
-and a 50,000-draw chain holding about 5,000 distinct draws (runs of repeated
-states, as rejected proposals leave them). The number of distinct draws is
-recorded in the benchmark's extra_info. For a reading, pin BLAS to one
+and a 50,000-draw chain holding 5,000 distinct draws (runs of repeated
+states, as rejected proposals leave them). The benchmark's extra_info
+records the number of distinct draws, the median microseconds per distinct
+draw, and the shapes the kriging means work in: draws per factored stack
+and sites per cross-correlation tile. For a reading, pin BLAS to one
 thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
@@ -14,6 +16,7 @@ thread:
 import numpy as np
 
 from gpselect import Chain, Dataset, PredictionRequest, maximin_lhd, model_average, sim_response
+from gpselect.predict import _cross_blocks
 
 
 def _chain_of_runs(rng, p, n_distinct, mean_run):
@@ -46,4 +49,8 @@ def test_model_average_time(benchmark):
 
     benchmark.extra_info["draws"] = len(chain)
     benchmark.extra_info["distinct_draws"] = 5000
+    benchmark.extra_info["us_per_distinct_draw"] = benchmark.stats.stats.median / 5000 * 1e6
+    draws, sites = _cross_blocks(35)
+    benchmark.extra_info["draws_per_stack"] = draws
+    benchmark.extra_info["sites_per_tile"] = sites
     assert preds.shape == (1000,) and np.all(np.isfinite(preds))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpselect import (
     Dataset,
@@ -178,6 +180,66 @@ def test_jitter_ladder_exhaustion_reports_levels():
     with pytest.raises(NumericalSingularityError) as err:
         cholesky_with_jitter(A)
     assert err.value.jitters == (0.0, 1e-10, 1e-8, 1e-6)
+
+
+def _stacked_draws(rng, p, b, zero_nugget):
+    """A (b, p) stack of rho, some coordinates inert, and b nuggets; the
+    draws flagged in zero_nugget get lam = 0."""
+    rho = np.where(rng.random((b, p)) < 0.7, rng.uniform(0.05, 0.95, size=(b, p)), 1.0)
+    lam = np.where(zero_nugget, 0.0, np.exp(rng.uniform(-8.0, 0.0, size=b)))
+    return rho, lam
+
+
+def _assert_factors_match(factors, d2, rho, lam, y):
+    """Each stacked factor equals its own GpFactor bit for bit: A, L, jitter
+    and the alpha of a solve."""
+    assert len(factors) == len(lam)
+    for f, rho_k, lam_k in zip(factors, rho, lam):
+        want = GpFactor(d2, rho_k, lam_k)
+        assert np.array_equal(f.A, want.A) and np.array_equal(f.L, want.L)
+        assert f.jitter == want.jitter
+        assert np.array_equal(f.solve(y), want.solve(y))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@example(seed=0, n=35, p=5, b=5, duplicate=False, n_zero=0)
+@example(seed=1, n=40, p=9, b=3, duplicate=True, n_zero=1)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    p=st.integers(1, 9),
+    b=st.integers(1, 5),
+    duplicate=st.booleans(),
+    n_zero=st.integers(0, 2),
+)
+def test_stacked_factors_match_per_draw_factors(seed, n, p, b, duplicate, n_zero):
+    # duplicate rows with a zero nugget fail rung 0 of the ladder, which
+    # sends the whole stack through per-draw factors
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, p))
+    if duplicate and n > 1:
+        X[1] = X[0]
+    d2 = pairwise_sqdiffs(X)
+    rho, lam = _stacked_draws(rng, p, b, np.arange(b) < n_zero)
+    _assert_factors_match(GpFactor.stack(d2, rho, lam), d2, rho, lam, rng.normal(size=n))
+
+
+def test_stack_falls_back_per_draw_when_one_draw_fails_rung_0():
+    # rows 0 and 1 coincide, so R is singular and only the zero-nugget draw
+    # needs the ladder; the other three keep their factors' bits
+    rng = np.random.default_rng(6)
+    X = rng.uniform(size=(12, 3))
+    X[1] = X[0]
+    d2 = pairwise_sqdiffs(X)
+    rho, lam = _stacked_draws(rng, 3, 4, np.arange(4) == 2)
+    factors = GpFactor.stack(d2, rho, lam)
+    assert [f.jitter > 0.0 for f in factors] == [False, False, True, False]
+    _assert_factors_match(factors, d2, rho, lam, rng.normal(size=12))
+
+
+def test_stack_rejects_mismatched_rho():
+    with pytest.raises(DimensionMismatchError):
+        GpFactor.stack(pairwise_sqdiffs(np.zeros((3, 2))), np.full((2, 3), 0.5), [0.1, 0.1])
 
 
 def test_factor_reproduces_matrix():

@@ -332,6 +332,31 @@ def test_mle_fit_counts_evaluations_and_reports_the_box_ends_it_stops_on(monkeyp
     assert fit.n_evals == len(calls) - 1
 
 
+def test_mle_fit_reports_how_each_start_ended():
+    # a universal-kriging fit at the paper's design size, from 5 starts
+    X = maximin_lhd(35, 5, seed=11, n_restarts=1).points
+    y = sim_response(X, noise_sd=0.1, rng=np.random.default_rng(11))
+    data = Dataset(X=X, y=(y - y.mean()) / y.std(), column_names=[f"x{j}" for j in range(1, 6)])
+    fit = fit_mle(data, ModelIndicator(np.ones(5, dtype=int), np.ones(5, dtype=int)))
+
+    assert len(fit.starts) == 5
+    for start in fit.starts:
+        assert set(start) == {"status", "message", "nit", "nfev", "objective"}
+        assert start["status"] in (0, 1, 2) and start["message"]
+        assert 0 <= start["nit"] <= 200 and start["nfev"] >= 1
+    best = fit.best_start
+    assert best is fit.starts[[s["objective"] for s in fit.starts].index(best["objective"])]
+    assert best["objective"] == pytest.approx(fit.neg_log_lik, rel=1e-12)
+    # this search requests some points twice; each is computed once
+    assert fit.n_evals < sum(s["nfev"] for s in fit.starts)
+    from gpselect.predict import MleFit
+
+    d = fit.to_dict()
+    assert MleFit.from_dict(d).starts == fit.starts
+    old = MleFit.from_dict({k: v for k, v in d.items() if k != "starts"})
+    assert old.starts == [] and old.best_start is None
+
+
 def _fd_gradient(fun, z, steps):
     """Fourth-order central differences of fun along each coordinate of z."""
     grad = np.empty(z.size)
@@ -582,28 +607,29 @@ def test_concentrated_gls_keeps_the_wrapper_errors():
             gls(y, np.ones((6, 7)), f)
 
 
-def test_model_average_warns_once_with_the_jittered_draw_count(small_data, monkeypatch, caplog):
-    # every 2nd factorization reports jitter, so the warning must count
-    # exactly the distinct draws whose factor did
-    factor = kernel.cholesky_with_jitter
-    tally = {"calls": 0, "jittered": 0}
-
-    def flaky_factor(A):
-        tally["calls"] += 1
-        L, jitter = factor(A)
-        if tally["calls"] % 2 == 0:
-            tally["jittered"] += 1
-            jitter = 1e-10
-        return L, jitter
-
-    chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=300, burn_in=50, seed=4))
-    monkeypatch.setattr(kernel, "cholesky_with_jitter", flaky_factor)
+def test_model_average_warns_once_with_the_jittered_draw_count(monkeypatch, caplog):
+    # rows 0 and 1 coincide, so R is singular: a zero-nugget draw fails rung 0
+    # of the ladder and needs jitter, a nugget draw does not. Blocks of two
+    # draws mix stacks that factor at once with stacks that fall back per
+    # draw; the warning must count exactly the distinct draws whose own
+    # GpFactor needs jitter, once each however often they repeat
+    monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 800)
+    assert predict._cross_blocks(10)[0] == 2
+    rng = np.random.default_rng(4)
+    X = rng.uniform(size=(10, 2))
+    X[1] = X[0]
+    data = Dataset(X=X, y=rng.normal(size=10), column_names=["x1", "x2"])
+    distinct = [(b0, b, r, 0.0 if i in (1, 4, 5) else lam)
+                for i, (b0, b, r, lam) in enumerate(_random_draws(rng, 2, 9))]
+    d2 = kernel.pairwise_sqdiffs(X)
+    jittered = sum(GpFactor(d2, r, lam).jitter > 0.0 for _, _, r, lam in distinct)
+    draws = [d for i, d in enumerate(distinct) for _ in range(1 + i % 3)]
     with caplog.at_level("WARNING", logger="gpselect.predict"):
-        model_average(chain, small_data, PredictionRequest(small_data.X[:3]))
+        model_average(_chain_of(draws), data, PredictionRequest(X[:3]))
     warnings = [r.getMessage() for r in caplog.records if "jitter" in r.getMessage()]
-    assert tally["jittered"] > 0 and tally["calls"] < len(chain)
+    assert jittered == 3
     assert warnings == [
-        f"model averaging: {tally['jittered']} distinct draws needed diagonal jitter on "
+        f"model averaging: {jittered} distinct draws needed diagonal jitter on "
         "R + lambda*I, which acts as extra nugget in their predictions"
     ]
 
@@ -616,13 +642,28 @@ def _random_draws(rng, p, k):
 
 
 def test_model_average_over_several_blocks_matches_the_reference(small_data, monkeypatch):
-    # 3 sites x 10 rows = 30 cross elements per draw: blocks of 2 draws, so
-    # the 7 distinct draws (10 kept, with repeats) fill 3 blocks and half a 4th
+    # 60 elements at 10 rows: stacks of one draw, so the 7 distinct draws
+    # (10 kept, with repeats) take 7 blocks
     monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 60)
     rng = np.random.default_rng(8)
     distinct = _random_draws(rng, 2, 7)
     draws = [distinct[i] for i in (0, 0, 1, 2, 3, 3, 3, 4, 5, 6)]
     req = PredictionRequest(rng.uniform(size=(3, 2)))
+    got = model_average(chain := _chain_of(draws), small_data, req)
+    want = oracles.model_average_reference(chain, small_data, req)
+    assert np.all(np.abs(got - want) <= _reordered_sum_bound(small_data, req, draws))
+
+
+def test_model_average_with_part_full_blocks_and_tiles_matches_the_reference(
+        small_data, monkeypatch):
+    # 1,200 elements at 10 rows: stacks of 3 draws and tiles of 40 sites, so
+    # the 7 distinct draws end in a block of one and the 50 sites in a tile of 10
+    monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 1200)
+    assert predict._cross_blocks(10) == (3, 40)
+    rng = np.random.default_rng(11)
+    distinct = _random_draws(rng, 2, 7)
+    draws = [distinct[i] for i in (0, 1, 1, 2, 3, 4, 4, 4, 5, 6, 6)]
+    req = PredictionRequest(rng.uniform(size=(50, 2)))
     got = model_average(chain := _chain_of(draws), small_data, req)
     want = oracles.model_average_reference(chain, small_data, req)
     assert np.all(np.abs(got - want) <= _reordered_sum_bound(small_data, req, draws))

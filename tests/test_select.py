@@ -220,6 +220,8 @@ def test_cross_validate_reports_the_fold_fits_evaluations_and_box_ends():
     assert entry["fold_evals"] == sum(f.n_evals for f in fits) > 0
     assert entry["fold_at_bound"]["lambda:lower"] == 8
     assert entry["fold_at_bound"] == dict(Counter(b for f in fits for b in f.at_bound))
+    assert entry["fold_status"] == dict(Counter(str(f.best_start["status"]) for f in fits))
+    assert sum(entry["fold_status"].values()) == 8
 
 
 def test_cross_validate_one_se_prefers_sparse(rng):

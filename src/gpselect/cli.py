@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import design, predict, sampler, select
+from . import design, kernel, predict, sampler, select
 from .data import Dataset, export_csv, ingest, minmax_scale, read_sites_csv, split_rows
 from .errors import (
     GpSelectError,
@@ -143,10 +143,17 @@ def output_lock(output_dir: Path):
             os.unlink(lock)
 
 
-def _write_meta(output_dir: Path, command: str, t0: float, extra: dict | None = None) -> None:
-    """run_meta.json: command, timestamp, wall_s since t0 (perf_counter) and extras."""
+def _clock() -> tuple[float, float]:
+    """A command's start for _write_meta: perf_counter and kernel._import_s."""
+    return time.perf_counter(), kernel._import_s
+
+
+def _write_meta(output_dir: Path, command: str, t0: tuple, extra: dict | None = None) -> None:
+    """run_meta.json: command, timestamp, extras, and since t0 (a _clock()) the
+    wall_s and the import_s of it spent on scipy's first imports (0.0 once
+    they are loaded in the process)."""
     meta = {"command": command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "wall_s": time.perf_counter() - t0}
+            "wall_s": time.perf_counter() - t0[0], "import_s": kernel._import_s - t0[1]}
     if extra:
         meta.update(extra)
     with open(output_dir / "run_meta.json", "w", encoding="utf-8") as fh:
@@ -178,7 +185,7 @@ def _load_model_file(path, p: int) -> ModelIndicator:
 
 def cmd_simulate(cfg: RunConfig, output_dir, seed: int | None = None) -> dict:
     """Generate train/validation CSVs from the synthetic 5-d response."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     base_seed = seed if seed is not None else cfg.sampler.seed
     train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
@@ -211,7 +218,7 @@ def cmd_sample(
     standardize: bool = True,
 ) -> dict:
     """Run the sampler on an ingested dataset and persist the chain."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
@@ -246,7 +253,7 @@ def _iteration_acceptance_rate(chain) -> float:
 
 def cmd_inclusion(chain_path, output_dir, column_names=None) -> dict:
     """Summarize a chain file into inclusion reports and plot CSVs."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     chain = sampler.load_chain(chain_path)
     report = select.inclusion_probabilities(chain)
@@ -276,7 +283,7 @@ def cmd_select(
     standardize: bool = True,
 ) -> dict:
     """Build the candidate ladder from a chain and cross-validate it."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     chain = sampler.load_chain(chain_path)
@@ -306,7 +313,7 @@ def cmd_fit(
     standardize: bool = True,
 ) -> dict:
     """Fit a fixed model by maximum likelihood and persist the estimates."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     model = _load_model_file(model_path, data.p)
@@ -330,7 +337,7 @@ def cmd_predict(
     standardize: bool = True,
 ) -> dict:
     """Predict at new sites, either from an MLE fit or by model averaging."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     data = ingest(data_path, response, standardize=standardize)
     X_sites_raw = read_sites_csv(sites_path, data.column_names)
@@ -416,7 +423,7 @@ def cmd_benchmark(
     standardize: bool = True,
 ) -> dict:
     """Produce the five-row comparison table on a holdout set."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     output_dir = Path(output_dir)
     if simulate:
         result = benchmark_methods(*simulated_data(cfg, seed), cfg, seed=seed)

@@ -8,10 +8,13 @@ escalating diagonal jitter fallback for nearly singular cases.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import logging
+import threading
+import time
 
 import numpy as np
-from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import DimensionMismatchError, NumericalSingularityError
 
@@ -26,6 +29,24 @@ RHO_FLOOR = 1e-12
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# seconds this process has spent importing scipy modules through _scipy
+_import_s = 0.0
+_import_lock = threading.Lock()
+
+
+@functools.cache
+def _scipy(name: str):
+    """The module scipy.<name>, imported on its first use, so that a command
+    which factors no matrix and runs no optimizer starts without scipy. The
+    seconds each first import takes add to _import_s; the lock keeps a
+    thread that waits for another's import from counting its wait."""
+    global _import_s
+    with _import_lock:
+        t0 = time.perf_counter()
+        module = importlib.import_module(f"scipy.{name}")
+        _import_s += time.perf_counter() - t0
+    return module
 
 
 def _log_rho(rho: np.ndarray) -> np.ndarray:
@@ -159,7 +180,7 @@ class GpFactor:
         """(R + lam * I)^{-1} (jitter included) from the factor, by LAPACK dpotri."""
         # L.T is the upper factor U with U^T U = A; dpotri overwrites a copy of
         # its upper triangle and leaves the zero strict lower triangle as is
-        U, info = dpotri(self.L.T, lower=0)
+        U, info = _scipy("linalg.lapack").dpotri(self.L.T, lower=0)
         if info != 0:
             raise np.linalg.LinAlgError(f"inverse from the factor failed (info {info})")
         inv = U + U.T
@@ -168,7 +189,7 @@ class GpFactor:
 
 
 def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    x, info = dtrtrs(U, b, lower=0, trans=trans)
+    x, info = _scipy("linalg.lapack").dtrtrs(U, b, lower=0, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
     return x

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import kernel
 from .errors import InvalidStateError, TransformError
@@ -159,7 +158,7 @@ def _norm_logpdf(x: float, sd: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _invgamma_norm(shape: float, scale: float) -> float:
-    return shape * math.log(scale) - float(gammaln(shape))
+    return shape * math.log(scale) - float(kernel._scipy("special").gammaln(shape))
 
 
 def _invgamma_logpdf(x: float, shape: float, scale: float) -> float:

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
-from scipy.optimize import minimize
 
 from . import kernel
 from .errors import (
@@ -281,9 +279,9 @@ def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
     # the LAPACK calls scipy.linalg's qr(mode="economic") and solve_triangular
     # make for these arrays, without their argument handling; R is the upper
     # triangle of the first k rows of the dgeqrf output
-    qr, tau = _lapack("dgeqrf", dgeqrf, Ft)
-    (Q,) = _lapack("dorgqr", dorgqr, qr, tau)
-    coef, info = dtrtrs(qr[:k].T, Q.T @ yt, lower=1, trans=1)
+    qr, tau = _lapack("dgeqrf", Ft)
+    (Q,) = _lapack("dorgqr", qr, tau)
+    coef, info = kernel._scipy("linalg.lapack").dtrtrs(qr[:k].T, Q.T @ yt, lower=1, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -293,10 +291,19 @@ def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
     return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet, resid_t
 
 
-def _lapack(name, routine, *args):
-    """A LAPACK routine's outputs, called with its optimal workspace from a
-    query first, as scipy.linalg's wrappers call it."""
-    lwork = int(routine(*args, lwork=-1)[-2][0])
+# (routine name, argument shapes) -> the routine's optimal workspace there
+_LWORK: dict = {}
+
+
+def _lapack(name, *args):
+    """The outputs of scipy's LAPACK routine `name`, called with its optimal
+    workspace, as scipy.linalg's wrappers call it. The workspace query, which
+    depends on the arguments' shapes only, runs once per name and shapes."""
+    routine = getattr(kernel._scipy("linalg.lapack"), name)
+    key = (name, *(a.shape for a in args))
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = _LWORK[key] = int(routine(*args, lwork=-1)[-2][0])
     *out, _, info = routine(*args, lwork=lwork)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {name}")
@@ -419,13 +426,13 @@ def fit_mle(
     trace: list = []
     computed: dict = {}  # a point L-BFGS-B requests again is computed once
 
-    def objective(z: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
         key = z.tobytes()
         if key not in computed:
             val, grad = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
             trace.append((z.copy(), val))
             computed[key] = (1e20, np.zeros(dim)) if grad is None else (val, grad)
-        return computed[key][0], computed[key][1].copy()
+        return computed[key]
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
     rng = np.random.default_rng(MLE_START_SEED)
@@ -437,7 +444,11 @@ def fit_mle(
             z0[n_rho] = rng.uniform(*LOG_LAMBDA_BOUNDS)
         starts.append(z0)
 
-    runs = [minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+    # the value and the gradient as two callables on one memo: jac=True would
+    # add scipy's own memo layer on top of it
+    minimize = kernel._scipy("optimize").minimize
+    runs = [minimize(lambda z: evaluate(z)[0], z0, jac=lambda z: evaluate(z)[1].copy(),
+                     method="L-BFGS-B", bounds=bounds,
                      options={"maxiter": 200, "ftol": MLE_FTOL}) for z0 in starts]
     records = [{"status": int(res.status), "message": str(res.message), "nit": int(res.nit),
                 "nfev": int(res.nfev), "objective": float(res.fun)} for res in runs]

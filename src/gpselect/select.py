@@ -9,7 +9,6 @@ import csv
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +248,8 @@ def cross_validate(
             return ci, fi, np.nan, None
 
     if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(run, jobs))
     else:

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpselect
 from gpselect import Dataset, ValidationError, export_csv, ingest
 from gpselect.cli import RunConfig, main
 from gpselect.data import read_sites_csv, split_rows
@@ -211,6 +215,44 @@ def test_cli_run_meta_records_each_stage_wall_time(tiny_pipeline):
         meta = json.loads((root / name / "run_meta.json").read_text())
         assert meta["command"] == name
         assert 0.0 < meta["wall_s"] <= elapsed
+
+
+SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.special")
+
+# run in a fresh interpreter: the scipy parts loaded after importing the CLI,
+# after `inclusion` and after `fit`, as one JSON line
+IMPORT_PROBE = f"""
+import json, sys
+from gpselect.cli import main
+loaded = lambda: [m for m in {SCIPY_PARTS!r} if m in sys.modules]
+stages = {{"import": loaded()}}
+for name, argv in json.loads(sys.argv[1]).items():
+    assert main(argv) == 0, name
+    stages[name] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_cli_loads_scipy_only_in_the_commands_that_need_it(tiny_pipeline):
+    root = tiny_pipeline["dir"]
+    cfg = ["--config", tiny_pipeline["config"]]
+    data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    assert main(cfg + ["--output-dir", str(root / "sample"), "sample"] + data) == 0
+    (root / "model.json").write_text('{"gamma_r": [1, 0], "gamma_c": [1, 1]}')
+    stages = {
+        "inclusion": cfg + ["--output-dir", str(root / "inclusion"), "inclusion",
+                            "--chain", str(root / "sample" / "chain.jsonl")],
+        "fit": cfg + ["--output-dir", str(root / "fit"), "fit", "--model",
+                      str(root / "model.json")] + data,
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(gpselect.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(stages)], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "inclusion": [], "fit": list(SCIPY_PARTS)}
+    meta = {name: json.loads((root / name / "run_meta.json").read_text()) for name in stages}
+    assert meta["inclusion"]["import_s"] == 0.0
+    assert 0.0 < meta["fit"]["import_s"] < meta["fit"]["wall_s"]
 
 
 def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeypatch):

@@ -72,7 +72,8 @@ def pairwise_sqdiffs(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"column mismatch {A.shape[1]} vs {B.shape[1]}")
-    return (A[:, None, :] - B[None, :, :]) ** 2
+    d = A[:, None, :] - B[None, :, :]
+    return np.square(d, out=d)  # in place: one tensor per call
 
 
 def corr_from_sqdiffs(d2: np.ndarray, rho) -> np.ndarray:

@@ -148,49 +148,58 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
 
     Draw k's mean is beta0_k + X_new beta_k + R_k,new,old alpha_k, alpha_k =
     (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k), from GpFactor.stack over
-    blocks of b draws, bit for bit as GpFactor's. The block's correlations
-    to S sites at a time take one product of the tile's (S*n, p) squared
-    differences with the block's log rho, one exp, and one matrix-vector
-    product with the stacked weighted alphas; _cross_blocks sizes b and S,
-    so memory does not grow with the draws or sites. A block of one draw
-    runs the matrix-vector routines of corr_from_sqdiffs and a per-draw
-    sum, so a single draw keeps its per-draw bits where BLAS rounds a row
-    alike in both (p <= 7 with OpenBLAS 0.3.31).
+    blocks of b draws, bit for bit as GpFactor's. The draws go in chunks of
+    whole blocks whose weighted alphas fill at most CROSS_BLOCK_ELEMS; for
+    each chunk the sites go in tiles of S, whose (S*n, p) squared
+    differences are built once and serve every block of the chunk: one
+    product with the block's log rho, one exp, and one matrix-vector
+    product with the block's stacked weighted alphas. _cross_blocks sizes b
+    and S, so memory holds one chunk of alphas and one tile, whatever the
+    number of draws or sites; each site adds the blocks' terms in draw
+    order. A block of one draw runs the matrix-vector routines of
+    corr_from_sqdiffs and a per-draw sum, so a single draw keeps its
+    per-draw bits where BLAS rounds a row alike in both (p <= 7 with
+    OpenBLAS 0.3.31).
     """
     beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
                                       for a in (beta0, beta, rho, lam, weights))
     n, p = data.X.shape
     m = X_new.shape[0]
     d2_train = kernel.pairwise_sqdiffs(data.X)
-    d2_cross = kernel.pairwise_sqdiffs(X_new, data.X).reshape(m * n, p)
     total = weights @ beta0 + X_new @ (weights @ beta)
     n_draws = weights.shape[0]
     jitters = np.empty(n_draws)
-    block, sites = _cross_blocks(n)
-    for start in range(0, n_draws, block):
-        stop = min(start + block, n_draws)
-        factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
-        # per draw the matrix-vector product of data.X @ beta[k]
-        resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
-        # column i is draw start + i's alpha: a tile's (S*n, b) correlations,
-        # read as (S, n*b), meet the raveled weighted alphas in one product
-        alphas = np.empty((n, stop - start))
-        for i, (f, r) in enumerate(zip(factors, resid)):
-            alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
-        alphas = (alphas * weights[start:stop]).ravel()
-        rho_cols = rho[start:stop].T.copy()  # C order: a faster tile product
-        for s in range(0, m, sites):  # one expression: one tile alive at a time
-            total[s:s + sites] += kernel.corr_from_sqdiffs(
-                d2_cross[s * n:(s + sites) * n], rho_cols).reshape(-1, alphas.size) @ alphas
+    block, sites = _cross_blocks(n, p)
+    chunk = max(1, CROSS_BLOCK_ELEMS // (n * block)) * block
+    for first in range(0, n_draws, chunk):
+        blocks = []  # per block: its rho columns and its raveled weighted alphas
+        for start in range(first, min(first + chunk, n_draws), block):
+            stop = min(start + block, n_draws)
+            factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
+            # per draw the matrix-vector product of data.X @ beta[k]
+            resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
+            # column i is draw start + i's alpha: a tile's (S*n, b) correlations,
+            # read as (S, n*b), meet the raveled weighted alphas in one product
+            alphas = np.empty((n, stop - start))
+            for i, (f, r) in enumerate(zip(factors, resid)):
+                alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
+            # C-ordered rho columns: a faster tile product
+            blocks.append((rho[start:stop].T.copy(), (alphas * weights[start:stop]).ravel()))
+        for s in range(0, m, sites):
+            d2_cross = kernel.pairwise_sqdiffs(X_new[s:s + sites], data.X).reshape(-1, p)
+            for rho_cols, alphas in blocks:  # one expression: one tile alive at a time
+                total[s:s + sites] += kernel.corr_from_sqdiffs(
+                    d2_cross, rho_cols).reshape(-1, alphas.size) @ alphas
     return total, jitters
 
 
-def _cross_blocks(n: int) -> tuple[int, int]:
-    """Draws b per stack and sites S per tile at n training rows: b matrices
-    and factors fill at most half of CROSS_BLOCK_ELEMS, S*n*b correlations
-    at most all of it."""
+def _cross_blocks(n: int, p: int) -> tuple[int, int]:
+    """Draws b per stack and sites S per tile at n training rows and p
+    columns: b matrices and factors fill at most half of CROSS_BLOCK_ELEMS,
+    and a tile's S*n*p squared differences and S*n*b correlations at most
+    all of it, S = CROSS_BLOCK_ELEMS // (n * max(b, p))."""
     draws = max(1, CROSS_BLOCK_ELEMS // (4 * n * n))
-    return draws, max(1, CROSS_BLOCK_ELEMS // (n * draws))
+    return draws, max(1, CROSS_BLOCK_ELEMS // (n * max(draws, p)))
 
 
 def model_average(
@@ -420,7 +429,7 @@ def fit_mle(
     F = _trend_matrix(data.X, model.gamma_r)
     # only the active columns: exp(d2 @ log rho) over all of them (with
     # log 1 = 0 for the rest) can round differently, and so move the fit
-    d2 = kernel.pairwise_sqdiffs(data.X)[:, :, active_c]
+    d2 = kernel.pairwise_sqdiffs(data.X[:, active_c])
     n_rho = active_c.size
     dim = n_rho + (1 if lambda_allowed else 0)
     trace: list = []

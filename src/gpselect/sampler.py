@@ -371,23 +371,32 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
 
     if n_singular:
         logger.warning("auto-rejected %d singular proposals", n_singular)
-    # each field expanded from the rows to the stored draws
-    p, run_of = len(cur[0]), np.frombuffer(run_of, dtype=np.int64)
-    gammas = np.frombuffer(gammas, dtype=np.int8).reshape(n_runs, 2 * p)
-    values = np.frombuffer(values).reshape(n_runs, 2 * p + 6)  # beta, rho, scalars, log post
-    names = ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")
     iters = np.arange(cfg.burn_in + cfg.thin - 1, cfg.n_iter, cfg.thin, dtype=np.int64)
     accepted = np.frombuffer(accepted, dtype=bool)
     table = {key: {"proposed": n, "accepted": a}
              for key, (n, a) in zip(("0", "1", "2", "3+"), moves)}
-    chain = Chain(gammas[run_of, :p], gammas[run_of, p:], beta=values[run_of, :p],
-                  rho=values[run_of, p:2 * p],
-                  **{name: values[run_of, 2 * p + i] for i, name in enumerate(names)},
+    chain = Chain(**_row_fields(gammas, values, n_runs, len(cur[0]), run_of),
                   iters=iters, accepted=accepted, draw_accepted=accepted[iters],
                   n_singular=n_singular, n_jittered=int(n_jittered), acceptance_by_flips=table)
     logger.info("chain finished: %d stored draws, acceptance rate %.3f over all iterations, "
                 "%d jittered factors", len(chain), accepted.mean(), chain.n_jittered)
     return chain
+
+
+# a packed state row of doubles: beta, rho, then these fields
+_ROW_SCALARS = ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")
+
+
+def _row_fields(gammas: array, values: array, n_rows: int, p: int, run_of: array) -> dict:
+    """The Chain's state fields from typed rows, each expanded from the rows
+    to the stored draws: row run_of[k] is draw k's state. A row holds 2p
+    int8 indicators and 2p + 6 doubles (beta, rho, _ROW_SCALARS)."""
+    run_of = np.frombuffer(run_of, dtype=np.int64)
+    gammas = np.frombuffer(gammas, dtype=np.int8).reshape(n_rows, 2 * p)
+    values = np.frombuffer(values).reshape(n_rows, 2 * p + 6)
+    return dict(gamma_r=gammas[run_of, :p], gamma_c=gammas[run_of, p:],
+                beta=values[run_of, :p], rho=values[run_of, p:2 * p],
+                **{name: values[run_of, 2 * p + i] for i, name in enumerate(_ROW_SCALARS)})
 
 
 # Chain field -> chain.jsonl key, in file order between "iter" and "accepted"
@@ -434,9 +443,11 @@ def load_chain(path) -> Chain:
     file, so `accepted` covers only the stored draws. Any JSON-Lines layout
     loads; on lines in save_chain's own layout the fields between "iter"
     and "accepted" are parsed only when they differ from the previous line's.
+    Each parsed state is checked and packed into typed rows, as run_chain
+    packs its states; a malformed one is a ValidationError naming its line.
     """
-    records, runs, iters, flags = [], [], [], []
-    middle = None
+    gammas, values, runs, iters, flags = array("b"), array("d"), array("q"), [], []
+    p, n_rows, middle = None, 0, None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -457,16 +468,54 @@ def load_chain(path) -> Chain:
                 missing = [key for key in need if key not in record]
                 if missing:
                     raise ValidationError(f"{path}: line {lineno} has no field(s) {missing}")
-                records.append(record)
+                try:
+                    if m is None and (type(record["iter"]) is not int
+                                      or type(record["accepted"]) is not bool):
+                        raise ValueError('"iter" must be an integer and "accepted" true or false')
+                    p = _pack_state(record, p, gammas, values)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+                n_rows += 1
                 middle = m and m[2]
-            runs.append(len(records) - 1)
+            runs.append(n_rows - 1)
             iters.append(int(m[1]) if m else record["iter"])
             flags.append(m[3] == "true" if m else record["accepted"])
-    if not records:
+    if not runs:
         raise ValueError(f"{path}: chain file holds no draws")
     accepted = np.array(flags, dtype=bool)
-    return Chain(**{name: np.array([r[key] for r in records],
-                                   dtype=np.int8 if name.startswith("gamma") else None)[runs]
-                    for name, key in _FILE_KEYS.items()},
+    return Chain(**_row_fields(gammas, values, n_rows, p, runs),
                  iters=np.array(iters, dtype=np.int64), accepted=accepted,
                  draw_accepted=accepted.copy())
+
+
+_VECTOR_KEYS = ("gamma_r", "gamma_c", "beta", "rho")
+_ROW_SCALAR_KEYS = tuple(_FILE_KEYS[name] for name in _ROW_SCALARS)
+_NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
+
+
+def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> int:
+    """Append a chain file state to the typed rows of _row_fields and return
+    p. Raises ValueError unless every vector holds p values (the first
+    vector's count when p is None), each indicator is 0 or 1 and every other
+    value is a number (not a boolean)."""
+    vectors = [record[key] for key in _VECTOR_KEYS]
+    for key, vector in zip(_VECTOR_KEYS, vectors):
+        if type(vector) is not list:
+            raise ValueError(f'"{key}" must be a list')
+        p = len(vector) if p is None else p
+        if len(vector) != p:
+            raise ValueError(f'"{key}" holds {len(vector)} values, not {p}')
+    indicators = vectors[0] + vectors[1]
+    # the types first: they make the values hashable
+    if not (set(map(type, indicators)) <= _NUMBER_TYPES and set(indicators) <= {0, 1}):
+        raise ValueError('"gamma_r" and "gamma_c" must hold 0 or 1')
+    row = [*vectors[2], *vectors[3], *map(record.__getitem__, _ROW_SCALAR_KEYS)]
+    if not set(map(type, row)) <= _NUMBER_TYPES:
+        raise ValueError(f"every value of beta, rho, {', '.join(_ROW_SCALAR_KEYS)} "
+                         "must be a number")
+    try:
+        values.extend(row)
+    except OverflowError:
+        raise ValueError("a number is too large for a double") from None
+    gammas.extend(map(int, indicators))
+    return p

@@ -5,8 +5,9 @@ inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
 swap search, the per-row simulation recipe, chain file I/O, model counting,
-the separate R + lambda*I factorizations of the prediction and MLE code)
-that the new ones must match exactly.
+the separate R + lambda*I factorizations of the prediction and MLE code,
+the kriging means over all sites' squared differences at once) that the
+new ones must match exactly.
 """
 
 import json
@@ -33,6 +34,7 @@ from gpselect import (
     TransformError,
     kernel,
     maximin_lhd,
+    predict,
 )
 from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
 from gpselect.model import LAMBDA_FLOOR, TransformedState
@@ -951,3 +953,44 @@ def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarr
         )
     r_cross = corr_from_sqdiffs(pairwise_sqdiffs(X_new, data.X), fit.rho_hat)
     return trend + r_cross @ alpha
+
+
+def _cross_blocks_reference(n: int) -> tuple[int, int]:
+    """The tile sizing that counted only the draws: S*n*b <= CROSS_BLOCK_ELEMS.
+    It reads the package's constant at call time, so a test that patches it
+    sizes both versions alike."""
+    elems = predict.CROSS_BLOCK_ELEMS
+    draws = max(1, elems // (4 * n * n))
+    return draws, max(1, elems // (n * draws))
+
+
+def kriging_means_reference(data, X_new, beta0, beta, rho, lam, weights):
+    """The blocked kriging means that built all m sites' (m, n, p) squared
+    differences up front and looped over the draw blocks outside the site
+    tiles."""
+    beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
+                                      for a in (beta0, beta, rho, lam, weights))
+    n, p = data.X.shape
+    m = X_new.shape[0]
+    d2_train = kernel.pairwise_sqdiffs(data.X)
+    d2_cross = kernel.pairwise_sqdiffs(X_new, data.X).reshape(m * n, p)
+    total = weights @ beta0 + X_new @ (weights @ beta)
+    n_draws = weights.shape[0]
+    jitters = np.empty(n_draws)
+    block, sites = _cross_blocks_reference(n)
+    for start in range(0, n_draws, block):
+        stop = min(start + block, n_draws)
+        factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
+        # per draw the matrix-vector product of data.X @ beta[k]
+        resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
+        # column i is draw start + i's alpha: a tile's (S*n, b) correlations,
+        # read as (S, n*b), meet the raveled weighted alphas in one product
+        alphas = np.empty((n, stop - start))
+        for i, (f, r) in enumerate(zip(factors, resid)):
+            alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
+        alphas = (alphas * weights[start:stop]).ravel()
+        rho_cols = rho[start:stop].T.copy()  # C order: a faster tile product
+        for s in range(0, m, sites):  # one expression: one tile alive at a time
+            total[s:s + sites] += kernel.corr_from_sqdiffs(
+                d2_cross[s * n:(s + sites) * n], rho_cols).reshape(-1, alphas.size) @ alphas
+    return total, jitters

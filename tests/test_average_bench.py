@@ -50,7 +50,7 @@ def test_model_average_time(benchmark):
     benchmark.extra_info["draws"] = len(chain)
     benchmark.extra_info["distinct_draws"] = 5000
     benchmark.extra_info["us_per_distinct_draw"] = benchmark.stats.stats.median / 5000 * 1e6
-    draws, sites = _cross_blocks(35)
+    draws, sites = _cross_blocks(35, 5)
     benchmark.extra_info["draws_per_stack"] = draws
     benchmark.extra_info["sites_per_tile"] = sites
     assert preds.shape == (1000,) and np.all(np.isfinite(preds))

@@ -450,8 +450,18 @@ def _chain_line_without(key: str) -> str:
     ("chain.jsonl", "average", "5"),
     ("fit.json", "mle", "{not json"),
     ("chain.jsonl", "average", "{not json"),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "gamma_r": [0, 1.5]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "gamma_r": [0, 300]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "beta": [0.0, "x"]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "beta0": None})),
+    ("chain.jsonl", "average", _json_line(_CHAIN_LINE) + "\n"
+     + _json_line({**_CHAIN_LINE, "iter": 1, "beta": [0.0, 0.0, 0.0]})),
+    ("chain.jsonl", "average", json.dumps({**_CHAIN_LINE, "iter": 1.5})),
 ], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
-        "chain_line_not_an_object", "fit_not_json", "chain_not_json"])
+        "chain_line_not_an_object", "fit_not_json", "chain_not_json",
+        "chain_indicator_not_0_or_1", "chain_indicator_out_of_int8", "chain_beta_not_a_number",
+        "chain_beta0_null", "chain_vector_length_differs_between_lines",
+        "chain_iter_not_an_integer"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
                                                                name, mode, text):
     path = tiny_pipeline["dir"] / name
@@ -465,8 +475,8 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     assert len(err) == 1
     error = json.loads(err[0])
     assert error["error"] == "ValidationError" and str(path) in error["message"]
-    if mode == "average":
-        assert "line 1" in error["message"]
+    if mode == "average":  # the last line is the malformed one
+        assert f"line {len(text.splitlines())}" in error["message"]
 
 
 def test_output_lock_blocks_concurrent_writes(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gpselect.predict import (
     LOG_LAMBDA_BOUNDS,
     RHO_BOUNDS,
     SIGMA2_DEGENERATE,
+    MleFit,
     _concentrated_gls,
     gls_fit,
 )
@@ -614,7 +616,7 @@ def test_model_average_warns_once_with_the_jittered_draw_count(monkeypatch, capl
     # draw; the warning must count exactly the distinct draws whose own
     # GpFactor needs jitter, once each however often they repeat
     monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 800)
-    assert predict._cross_blocks(10)[0] == 2
+    assert predict._cross_blocks(10, 2)[0] == 2
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(10, 2))
     X[1] = X[0]
@@ -659,7 +661,7 @@ def test_model_average_with_part_full_blocks_and_tiles_matches_the_reference(
     # 1,200 elements at 10 rows: stacks of 3 draws and tiles of 40 sites, so
     # the 7 distinct draws end in a block of one and the 50 sites in a tile of 10
     monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 1200)
-    assert predict._cross_blocks(10) == (3, 40)
+    assert predict._cross_blocks(10, 2) == (3, 40)
     rng = np.random.default_rng(11)
     distinct = _random_draws(rng, 2, 7)
     draws = [distinct[i] for i in (0, 1, 1, 2, 3, 4, 4, 4, 5, 6, 6)]
@@ -697,3 +699,70 @@ def test_model_average_memory_does_not_grow_with_the_distinct_draws(small_data):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# p > b: 2-site tiles of one-draw blocks, 13 sites end in a tile of one
+@example(seed=0, n=10, p=7, m=13, n_distinct=9, elems=200)
+# blocks of 5 draws in chunks of 65: 70 distinct draws take two chunks
+@example(seed=1, n=3, p=2, m=7, n_distinct=70, elems=200)
+# one-draw blocks in chunks of 6 draws, p <= b
+@example(seed=2, n=10, p=1, m=13, n_distinct=20, elems=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p=st.integers(1, 9),
+    m=st.integers(1, 40),
+    n_distinct=st.integers(1, 20),
+    elems=st.sampled_from([60, 200, 800, 1200, 2**17]),
+)
+def test_kriging_means_match_the_all_sites_reference(seed, n, p, m, n_distinct, elems):
+    """The site tiles outside the draw chunks against the loop that built all
+    m sites' squared differences first. Where p <= b the tiles keep their
+    shape and each site adds the same terms in the same order, so the sums
+    are equal bit for bit; where p > b the tiles shrink to count the p
+    columns, and the sums agree within _reordered_sum_bound."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(X=rng.uniform(size=(n, p)), y=rng.normal(size=n),
+                   column_names=[f"x{j + 1}" for j in range(p)])
+    draws = _random_draws(rng, p, n_distinct)
+    weights = rng.integers(1, 4, size=n_distinct).astype(float)
+    X_new = rng.uniform(size=(m, p))
+    args = (data, X_new, *(list(field) for field in zip(*draws)), weights)
+    with mock.patch.object(predict, "CROSS_BLOCK_ELEMS", elems):
+        block = predict._cross_blocks(n, p)[0]
+        got, got_jitters = predict._kriging_means(*args)
+        want, want_jitters = oracles.kriging_means_reference(*args)
+    assert got_jitters.tobytes() == want_jitters.tobytes()
+    if p <= block:
+        assert got.tobytes() == want.tobytes()
+        return
+    # the bound is on the mean of the weighted draws; the sums carry their total weight
+    expanded = [draw for draw, w in zip(draws, weights) for _ in range(int(w))]
+    bound = weights.sum() * _reordered_sum_bound(data, PredictionRequest(X_new), expanded)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_kriging_means_memory_does_not_grow_with_the_sites():
+    # 20,000 sites at n = 20, p = 8: all sites' squared differences take
+    # 25.6 MB; a tile of them, its correlations and a chunk of weighted
+    # alphas take at most 1 MB each
+    rng = np.random.default_rng(13)
+    n, p, m = 20, 8, 20_000
+    data = Dataset(X=rng.uniform(size=(n, p)), y=rng.normal(size=n),
+                   column_names=[f"x{j + 1}" for j in range(p)])
+    fit = MleFit(model=ModelIndicator(np.ones(p, dtype=int), np.ones(p, dtype=int)),
+                 beta0_hat=0.5, beta_hat=rng.normal(size=p),
+                 rho_hat=rng.uniform(0.05, 0.95, size=p), lambda_hat=1e-3, sigma2_hat=1.0,
+                 neg_log_lik=0.0)
+    chain = _chain_of(_random_draws(rng, p, 30))
+    req = PredictionRequest(rng.uniform(size=(m, p)))
+    for predict_at in (lambda: predict_mle(fit, data, req),
+                       lambda: model_average(chain, data, req)):
+        tracemalloc.start()
+        try:
+            predict_at()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

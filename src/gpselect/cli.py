@@ -5,6 +5,17 @@ summarize inclusion probabilities, cross-validate the candidate ladder, fit
 a chosen model by maximum likelihood, predict at new sites, and benchmark
 the prediction strategies against each other on a holdout set.
 
+`main` is the one command runner. It takes the start clock, loads the
+config, applies `--seed` to `sampler.seed`, ingests `--data` for the
+commands that read it, and runs the command that `COMMANDS` names. A
+command is a function of (args, cfg, data) that computes and returns three
+things: its stdout record, whose strings name its files; its files as
+name -> writer; and its run_meta.json extras. Only once the command has
+succeeded does the runner write those files and run_meta.json, under the
+output-directory lock, so a failed command leaves no output directory.
+This module decides how every output file is written, apart from
+chain.jsonl, whose writer `sampler.save_chain` pairs with `load_chain`.
+
 All outputs are plain files (CSV / JSON / JSON-Lines) and every command is
 reproducible given its seed; wall-clock timestamps only ever land in the
 run_meta.json side file.
@@ -14,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import logging
 import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -143,22 +156,17 @@ def output_lock(output_dir: Path):
             os.unlink(lock)
 
 
-def _clock() -> tuple[float, float]:
-    """A command's start for _write_meta: perf_counter and kernel._import_s."""
-    return time.perf_counter(), kernel._import_s
-
-
-def _write_meta(output_dir: Path, command: str, t0: tuple, extra: dict | None = None) -> None:
-    """run_meta.json: command, timestamp, extras, and since t0 (a _clock()) the
-    wall_s and the import_s of it spent on scipy's first imports (0.0 once
-    they are loaded in the process)."""
-    meta = {"command": command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "wall_s": time.perf_counter() - t0[0], "import_s": kernel._import_s - t0[1]}
-    if extra:
-        meta.update(extra)
-    with open(output_dir / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+def _write_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(header: list, rows: list, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_json(path, build, expected: str):
@@ -183,66 +191,43 @@ def _load_model_file(path, p: int) -> ModelIndicator:
     return ind
 
 
-def cmd_simulate(cfg: RunConfig, output_dir, seed: int | None = None) -> dict:
-    """Generate train/validation CSVs from the synthetic 5-d response."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    base_seed = seed if seed is not None else cfg.sampler.seed
-    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
-
+def cmd_simulate(args, cfg: RunConfig, data: None) -> tuple:
+    """Train/validation CSVs from the synthetic 5-d response."""
+    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate,
+                                                                     cfg.sampler.seed)
     names = [f"x{j+1}" for j in range(5)]
-    with output_lock(output_dir):
-        train_path = output_dir / "train.csv"
-        val_path = output_dir / "validation.csv"
-        export_csv(Dataset(X=train_design.points, y=y_train, column_names=names), train_path)
-        export_csv(Dataset(X=val_design.points, y=y_val, column_names=names), val_path)
-        _write_meta(
-            output_dir,
-            "simulate",
-            t0,
-            {
-                "seed": base_seed,
-                "train_maximin_dist": train_design.maximin_dist,
-                "validation_maximin_dist": val_design.maximin_dist,
-            },
-        )
-    return {"train": str(train_path), "validation": str(val_path)}
+    files = {
+        "train.csv": partial(export_csv, Dataset(X=train_design.points, y=y_train,
+                                                 column_names=names)),
+        "validation.csv": partial(export_csv, Dataset(X=val_design.points, y=y_val,
+                                                      column_names=names)),
+    }
+    meta = {
+        "seed": cfg.sampler.seed,
+        "train_maximin_dist": train_design.maximin_dist,
+        "validation_maximin_dist": val_design.maximin_dist,
+    }
+    return {"train": "train.csv", "validation": "validation.csv"}, files, meta
 
 
-def cmd_sample(
-    data_path,
-    response: str,
-    cfg: RunConfig,
-    output_dir,
-    seed: int | None = None,
-    standardize: bool = True,
-) -> dict:
-    """Run the sampler on an ingested dataset and persist the chain."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    data = ingest(data_path, response, standardize=standardize)
-    samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
+def cmd_sample(args, cfg: RunConfig, data: Dataset) -> tuple:
+    """Run the sampler and keep the chain."""
+    samp = cfg.sampler
     chain = sampler.run_chain(data, cfg.prior, samp)
-    with output_lock(output_dir):
-        chain_path = output_dir / "chain.jsonl"
-        sampler.save_chain(chain, chain_path)
-        _write_meta(
-            output_dir,
-            "sample",
-            t0,
-            {
-                "seed": samp.seed,
-                "n_iter": samp.n_iter,
-                "burn_in": samp.burn_in,
-                "thin": samp.thin,
-                "stored_draws": len(chain),
-                "acceptance_rate": _iteration_acceptance_rate(chain),
-                "acceptance_by_flips": chain.acceptance_by_flips,
-                "singular_rejects": chain.n_singular,
-                "jittered_factors": chain.n_jittered,
-            },
-        )
-    return {"chain": str(chain_path), "acceptance_rate": _iteration_acceptance_rate(chain)}
+    rate = _iteration_acceptance_rate(chain)
+    meta = {
+        "seed": samp.seed,
+        "n_iter": samp.n_iter,
+        "burn_in": samp.burn_in,
+        "thin": samp.thin,
+        "stored_draws": len(chain),
+        "acceptance_rate": rate,
+        "acceptance_by_flips": chain.acceptance_by_flips,
+        "singular_rejects": chain.n_singular,
+        "jittered_factors": chain.n_jittered,
+    }
+    return ({"chain": "chain.jsonl", "acceptance_rate": rate},
+            {"chain.jsonl": partial(sampler.save_chain, chain)}, meta)
 
 
 def _iteration_acceptance_rate(chain) -> float:
@@ -251,118 +236,81 @@ def _iteration_acceptance_rate(chain) -> float:
     return sum(m["accepted"] for m in moves) / sum(m["proposed"] for m in moves)
 
 
-def cmd_inclusion(chain_path, output_dir, column_names=None) -> dict:
-    """Summarize a chain file into inclusion reports and plot CSVs."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    chain = sampler.load_chain(chain_path)
+def cmd_inclusion(args, cfg: RunConfig, data: None) -> tuple:
+    """Inclusion report and plot CSV of a chain file."""
+    chain = sampler.load_chain(args.chain)
     report = select.inclusion_probabilities(chain)
     map_ind = select.map_model(report)
-    with output_lock(output_dir):
-        report_path = output_dir / "inclusion_report.json"
-        payload = report.to_dict(column_names)
-        payload["map_model"] = {
-            "gamma_r": [int(g) for g in map_ind.gamma_r],
-            "gamma_c": [int(g) for g in map_ind.gamma_c],
-        }
-        select.save_report_json(report_path, payload)
-        csv_path = output_dir / "inclusion_probs.csv"
-        select.inclusion_csv(csv_path, report, column_names)
-        _write_meta(output_dir, "inclusion", t0, {"draws": len(chain)})
-    return {"report": str(report_path), "plot_csv": str(csv_path)}
+    payload = report.to_dict()
+    payload["map_model"] = {
+        "gamma_r": [int(g) for g in map_ind.gamma_r],
+        "gamma_c": [int(g) for g in map_ind.gamma_c],
+    }
+    # one bar per indicator: every linear one, then every spatial one
+    rows = [[part, name, repr(float(prob))]
+            for part, probs in (("linear", report.p_r), ("spatial", report.p_c))
+            for name, prob in zip(payload["columns"], probs)]
+    files = {
+        "inclusion_report.json": partial(_write_json, payload),
+        "inclusion_probs.csv": partial(_write_csv, ["part", "column", "probability"], rows),
+    }
+    return ({"report": "inclusion_report.json", "plot_csv": "inclusion_probs.csv"}, files,
+            {"draws": len(chain)})
 
 
-def cmd_select(
-    chain_path,
-    data_path,
-    response: str,
-    cfg: RunConfig,
-    output_dir,
-    seed: int | None = None,
-    n_threads: int = 1,
-    standardize: bool = True,
-) -> dict:
-    """Build the candidate ladder from a chain and cross-validate it."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    data = ingest(data_path, response, standardize=standardize)
-    chain = sampler.load_chain(chain_path)
+def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
+    """Candidate ladder from a chain, cross-validated, with a plot CSV of the CV curve."""
+    chain = sampler.load_chain(args.chain)
     report = select.inclusion_probabilities(chain)
     ladder = select.candidate_ladder(report, cfg.select.low, cfg.select.high)
-    cv_seed = seed if seed is not None else cfg.sampler.seed
     cv = select.cross_validate(
-        data, ladder, cfg.select.v_folds, seed=cv_seed, n_threads=n_threads
+        data, ladder, cfg.select.v_folds, seed=cfg.sampler.seed, n_threads=args.threads
     )
     cv.implied_cutoffs = select.implied_cutoffs(report, ladder, cfg.select.high)
-    with output_lock(output_dir):
-        report_path = output_dir / "cv_report.json"
-        select.save_report_json(report_path, cv.to_dict())
-        curve_path = output_dir / "cv_curve.csv"
-        select.cv_curve_csv(curve_path, cv)
-        _write_meta(output_dir, "select", t0,
-                    {"seed": cv_seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds})
-    return {"report": str(report_path), "curve_csv": str(curve_path), "chosen": cv.chosen}
+    header = ["candidate", "n_active", "implied_cutoff", "cv_rmspe", "cv_se",
+              "rmspe_minus_se", "rmspe_plus_se", "chosen", "chosen_1se"]
+    rows = [[i, cand.n_active(), repr(float(cutoff)),
+             *(repr(float(v)) for v in (rmspe, se, rmspe - se, rmspe + se)),
+             int(i == cv.chosen), int(i == cv.chosen_1se)]
+            for i, (cand, cutoff, rmspe, se)
+            in enumerate(zip(cv.candidates, cv.implied_cutoffs, cv.cv_rmspe, cv.cv_se))]
+    files = {
+        "cv_report.json": partial(_write_json, cv.to_dict()),
+        "cv_curve.csv": partial(_write_csv, header, rows),
+    }
+    meta = {"seed": cfg.sampler.seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds}
+    return ({"report": "cv_report.json", "curve_csv": "cv_curve.csv", "chosen": cv.chosen},
+            files, meta)
 
 
-def cmd_fit(
-    data_path,
-    response: str,
-    model_path,
-    output_dir,
-    lambda_allowed: bool = True,
-    standardize: bool = True,
-) -> dict:
-    """Fit a fixed model by maximum likelihood and persist the estimates."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    data = ingest(data_path, response, standardize=standardize)
-    model = _load_model_file(model_path, data.p)
-    fit = predict.fit_mle(data, model, lambda_allowed=lambda_allowed)
-    with output_lock(output_dir):
-        fit_path = output_dir / "mle_fit.json"
-        select.save_report_json(fit_path, fit.to_dict())
-        _write_meta(output_dir, "fit", t0, {"neg_log_lik": fit.neg_log_lik})
-    return {"fit": str(fit_path)}
+def cmd_fit(args, cfg: RunConfig, data: Dataset) -> tuple:
+    """Fit a fixed model by maximum likelihood."""
+    model = _load_model_file(args.model, data.p)
+    fit = predict.fit_mle(data, model, lambda_allowed=not args.no_nugget)
+    return ({"fit": "mle_fit.json"}, {"mle_fit.json": partial(_write_json, fit.to_dict())},
+            {"neg_log_lik": fit.neg_log_lik})
 
 
-def cmd_predict(
-    mode: str,
-    data_path,
-    response: str,
-    sites_path,
-    output_dir,
-    fit_path=None,
-    chain_path=None,
-    denoise_threshold: float = 0.0,
-    standardize: bool = True,
-) -> dict:
+def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
     """Predict at new sites, either from an MLE fit or by model averaging."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    data = ingest(data_path, response, standardize=standardize)
-    X_sites_raw = read_sites_csv(sites_path, data.column_names)
-    req = PredictionRequest(data.transform_sites(X_sites_raw))
-
-    ensemble_size = None
-    if mode == "mle":
-        if fit_path is None:
+    req = PredictionRequest(data.transform_sites(read_sites_csv(args.sites, data.column_names)))
+    if args.mode == "mle":
+        if args.fit is None:
             raise ValidationError("mode 'mle' requires a fit file")
-        fit = _load_json(fit_path, MleFit.from_dict, "an mle_fit.json record")
+        fit = _load_json(args.fit, MleFit.from_dict, "an mle_fit.json record")
         preds = predict.predict_mle(fit, data, req)
-    elif mode == "average":
-        if chain_path is None:
-            raise ValidationError("mode 'average' requires a chain file")
-        chain = sampler.load_chain(chain_path)
-        preds = predict.model_average(chain, data, req, denoise_threshold)
-        ensemble_size = int(predict.denoise_mask(chain, denoise_threshold).sum())
+        extra_columns = {}
     else:
-        raise ValidationError(f"unknown prediction mode: {mode!r}")
-
-    with output_lock(output_dir):
-        pred_path = output_dir / "predictions.csv"
-        predict.predictions_to_csv(pred_path, preds, ensemble_size)
-        _write_meta(output_dir, "predict", t0, {"mode": mode, "sites": len(preds)})
-    return {"predictions": str(pred_path)}
+        if args.chain is None:
+            raise ValidationError("mode 'average' requires a chain file")
+        denoise = (cfg.denoise_threshold if args.denoise_threshold is None
+                   else args.denoise_threshold)
+        chain = sampler.load_chain(args.chain)
+        preds = predict.model_average(chain, data, req, denoise)
+        extra_columns = {"ensemble_size": int(predict.denoise_mask(chain, denoise).sum())}
+    rows = [[i, repr(float(v)), *extra_columns.values()] for i, v in enumerate(preds)]
+    files = {"predictions.csv": partial(_write_csv, ["site", "prediction", *extra_columns], rows)}
+    return {"predictions": "predictions.csv"}, files, {"mode": args.mode, "sites": len(preds)}
 
 
 BENCHMARK_METHODS = ("ok", "uk", "averaging", "posterior_inclusion", "map")
@@ -411,54 +359,30 @@ def benchmark_methods(
     }
 
 
-def cmd_benchmark(
-    cfg: RunConfig,
-    output_dir,
-    data_path=None,
-    response: str | None = None,
-    simulate: bool = False,
-    holdout_fraction: float = 0.25,
-    split_seed: int = 0,
-    seed: int | None = None,
-    standardize: bool = True,
-) -> dict:
-    """Produce the five-row comparison table on a holdout set."""
-    t0 = _clock()
-    output_dir = Path(output_dir)
-    if simulate:
-        result = benchmark_methods(*simulated_data(cfg, seed), cfg, seed=seed)
+def cmd_benchmark(args, cfg: RunConfig, data: Dataset | None) -> tuple:
+    """The five-row comparison table on a holdout set."""
+    if args.simulate:
+        result = benchmark_methods(*simulated_data(cfg), cfg)
     else:
-        if data_path is None or response is None:
-            raise ValidationError("benchmark needs either --simulate or --data/--response")
-        full = ingest(data_path, response, standardize=standardize)
-        train_rows, hold_rows = split_rows(full.n, holdout_fraction, split_seed)
-        train = full.subset(train_rows)
-        holdout = full.subset(hold_rows)
-        result = benchmark_methods(train, holdout.X, holdout.y, cfg, seed=seed)
-
-    with output_lock(output_dir):
-        bench_path = output_dir / "benchmark.csv"
-        with open(bench_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("method,rmspe\r\n")
-            for name in BENCHMARK_METHODS:
-                fh.write(f"{name},{result['rmspe'][name]!r}\r\n")
-        detail_path = output_dir / "benchmark_models.json"
-        select.save_report_json(
-            detail_path,
-            {
-                "rmspe": result["rmspe"],
-                "models": {
-                    k: {"gamma_r": list(v[0]), "gamma_c": list(v[1])}
-                    for k, v in result["models"].items()
-                },
-                "inclusion": result["inclusion"],
-            },
-        )
-        _write_meta(output_dir, "benchmark", t0, {"acceptance_rate": result["acceptance_rate"]})
-    return {"table": str(bench_path), "rmspe": result["rmspe"]}
+        train_rows, hold_rows = split_rows(data.n, args.holdout_fraction, args.split_seed)
+        holdout = data.subset(hold_rows)
+        result = benchmark_methods(data.subset(train_rows), holdout.X, holdout.y, cfg)
+    detail = {"rmspe": result["rmspe"],
+              "models": {k: {"gamma_r": list(v[0]), "gamma_c": list(v[1])}
+                         for k, v in result["models"].items()},
+              "inclusion": result["inclusion"]}
+    files = {
+        "benchmark.csv": partial(_write_csv, ["method", "rmspe"],
+                                 [[name, repr(result["rmspe"][name])]
+                                  for name in BENCHMARK_METHODS]),
+        "benchmark_models.json": partial(_write_json, detail),
+    }
+    return ({"table": "benchmark.csv", "rmspe": result["rmspe"]}, files,
+            {"acceptance_rate": result["acceptance_rate"]})
 
 
-def simulated_data(cfg: RunConfig, seed: int | None) -> tuple[Dataset, np.ndarray, np.ndarray]:
+def simulated_data(cfg: RunConfig,
+                   seed: int | None = None) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """The simulated study in memory: the training set on the analysis
     scale, the validation sites on that scale, and the validation responses."""
     base_seed = seed if seed is not None else cfg.sampler.seed
@@ -529,8 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_io(args, cfg: RunConfig) -> None:
-    """Fill missing input flags from the config's io section."""
+def _resolve_args(args, cfg: RunConfig) -> None:
+    """Fill missing input flags from the config's io section; reject what is
+    still missing and a --threads below 1."""
     for flag, key in (("data", "data"), ("response", "response"), ("sites", "sites")):
         if hasattr(args, flag) and getattr(args, flag) is None:
             setattr(args, flag, cfg.io.get(key))
@@ -541,9 +466,27 @@ def _resolve_io(args, cfg: RunConfig) -> None:
             raise ValidationError(
                 f"'{args.command}' needs --{flag} (or io.{flag} in the config)"
             )
+    if args.command == "benchmark" and not args.simulate and (
+            args.data is None or args.response is None):
+        raise ValidationError("benchmark needs either --simulate or --data/--response")
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "sample": cmd_sample,
+    "inclusion": cmd_inclusion,
+    "select": cmd_select,
+    "fit": cmd_fit,
+    "predict": cmd_predict,
+    "benchmark": cmd_benchmark,
+}
 
 
 def main(argv=None) -> int:
+    # wall_s and import_s in run_meta.json count from here
+    t0, import0 = time.perf_counter(), kernel._import_s
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
@@ -552,56 +495,31 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
         cfg.validate()
-        _resolve_io(args, cfg)
-        standardize = not args.no_standardize
-        if args.command == "simulate":
-            out = cmd_simulate(cfg, args.output_dir, seed=args.seed)
-        elif args.command == "sample":
-            out = cmd_sample(
-                args.data, args.response, cfg, args.output_dir,
-                seed=args.seed, standardize=standardize,
-            )
-        elif args.command == "inclusion":
-            out = cmd_inclusion(args.chain, args.output_dir)
-        elif args.command == "select":
-            out = cmd_select(
-                args.chain, args.data, args.response, cfg, args.output_dir,
-                seed=args.seed, n_threads=args.threads, standardize=standardize,
-            )
-        elif args.command == "fit":
-            out = cmd_fit(
-                args.data, args.response, args.model, args.output_dir,
-                lambda_allowed=not args.no_nugget, standardize=standardize,
-            )
-        elif args.command == "predict":
-            denoise = (
-                args.denoise_threshold
-                if args.denoise_threshold is not None
-                else cfg.denoise_threshold
-            )
-            out = cmd_predict(
-                args.mode, args.data, args.response, args.sites, args.output_dir,
-                fit_path=args.fit, chain_path=args.chain,
-                denoise_threshold=denoise, standardize=standardize,
-            )
-        elif args.command == "benchmark":
-            out = cmd_benchmark(
-                cfg, args.output_dir,
-                data_path=args.data, response=args.response,
-                simulate=args.simulate,
-                holdout_fraction=args.holdout_fraction,
-                split_seed=args.split_seed, seed=args.seed,
-                standardize=standardize,
-            )
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.command!r}")
+        _resolve_args(args, cfg)
+        if args.seed is not None:
+            cfg.sampler.seed = args.seed
+        data = None
+        # every command with a --data flag reads it, except benchmark --simulate
+        if hasattr(args, "data") and not getattr(args, "simulate", False):
+            data = ingest(args.data, args.response, standardize=not args.no_standardize)
+        record, files, extra = COMMANDS[args.command](args, cfg, data)
+        output_dir = Path(args.output_dir)
+        with output_lock(output_dir):
+            for name, write in files.items():
+                write(output_dir / name)
+            meta = {"command": args.command, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                    "wall_s": time.perf_counter() - t0, "import_s": kernel._import_s - import0,
+                    **extra}
+            _write_json(meta, output_dir / "run_meta.json")
     except (NumericalSingularityError, OptimizationFailureError) as exc:
         _emit_error(exc)
         return EXIT_NUMERICAL
     except (ValidationError, GpSelectError, OSError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    print(json.dumps(out, sort_keys=True))
+    # a record's string values name the command's files
+    record = {k: str(output_dir / v) if isinstance(v, str) else v for k, v in record.items()}
+    print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 

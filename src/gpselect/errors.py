@@ -14,7 +14,9 @@ class DimensionMismatchError(GpSelectError, ValueError):
 
 
 class InvalidStateError(GpSelectError, ValueError):
-    """Indicator and parameter state disagree (inactive slot not at its point mass)."""
+    """A state the model cannot hold: indicators and parameters disagree
+    (inactive slot not at its point mass), or a chain's start lies outside
+    the prior's support."""
 
 
 class TransformError(GpSelectError, ValueError):

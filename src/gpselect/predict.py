@@ -4,7 +4,6 @@ plug-in maximum-likelihood kriging with a nugget for a fixed model.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -509,18 +508,3 @@ def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
             "as an undeclared nugget; predictions will not interpolate the data", jitter,
         )
     return pred
-
-
-def predictions_to_csv(path, predictions: np.ndarray, ensemble_size: int | None = None) -> None:
-    """Write predictions as CSV: site index, value, optional ensemble size."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["site", "prediction"]
-        if ensemble_size is not None:
-            header.append("ensemble_size")
-        writer.writerow(header)
-        for i, v in enumerate(predictions):
-            row = [i, repr(float(v))]
-            if ensemble_size is not None:
-                row.append(ensemble_size)
-            writer.writerow(row)

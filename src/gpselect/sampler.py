@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalSingularityError, ValidationError
+from .errors import InvalidStateError, NumericalSingularityError, ValidationError
 from .kernel import LikelihoodCache
 from .model import (
     LAMBDA_FLOOR,
@@ -37,13 +37,11 @@ from .model import (
     _norm_logpdf,
     draw_from_prior,
     flat_state,
-    log_jacobian,
     log_jacobian_scalars,
     log_prior,  # noqa: F401  kept bound here: perfbench traces sampler.log_prior
     log_prior_flat,
     scalars_from_unconstrained,
     scalars_to_unconstrained,
-    to_unconstrained,
 )
 
 logger = logging.getLogger(__name__)
@@ -315,18 +313,22 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
 
     # the current state as a `flat_state` of plain lists and floats, with its
     # cached target, log posterior and unconstrained scalars; the loop never
-    # writes into these lists, and the prior below validates an explicit init
+    # writes into these lists, and the target below validates an explicit init
     ind, state = init if init is not None else initial_state(data, prior, cfg, rng)
     cur = flat_state(ind, state)
     try:
-        cur_target, _, _, jitter = _log_target(*cur, like, prior)
+        cur_target, cur_log_jac, t, jitter = _log_target(*cur, like, prior)
     except NumericalSingularityError as exc:
         raise NumericalSingularityError(
             f"initial state is numerically singular: {exc}", jitters=exc.jitters
         ) from exc
-    t = to_unconstrained(state)
-    cur_logpost = cur_target - log_jacobian(t)
-    t = (t.mu, t.zeta, t.psi_r, t.psi_c)
+    if not math.isfinite(cur_target):
+        raise InvalidStateError(
+            f"initial state has log target {cur_target}, outside the prior's support or "
+            f"undefined: beta0={cur[4][0]}, sigma2_z={cur[4][1]}, lambda={cur[4][2]}, "
+            f"omega_r={cur[4][3]}, omega_c={cur[4][4]}, beta={cur[2]}, rho={cur[3]}"
+        )
+    cur_logpost = cur_target - cur_log_jac
 
     # the stored draws by runs: one packed row per stored state, appended when it
     # is first stored (`stored` is the last), and per stored iteration its row

@@ -5,8 +5,6 @@ one-standard-error alternative.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,10 +36,9 @@ class InclusionReport:
     def p(self) -> int:
         return int(self.p_r.shape[0])
 
-    def to_dict(self, column_names=None) -> dict:
-        names = list(column_names) if column_names else [f"x{j+1}" for j in range(self.p)]
+    def to_dict(self) -> dict:
         return {
-            "columns": names,
+            "columns": [f"x{j+1}" for j in range(self.p)],
             "p_r": [float(v) for v in self.p_r],
             "p_c": [float(v) for v in self.p_c],
             "model_freqs": [
@@ -299,54 +296,3 @@ def cross_validate(
         fold_at_bound=fold_at_bound,
         fold_status=fold_status,
     )
-
-
-def inclusion_csv(path, report: InclusionReport, column_names=None) -> None:
-    """Plot-ready CSV of inclusion probabilities (one bar per indicator)."""
-    names = list(column_names) if column_names else [f"x{j+1}" for j in range(report.p)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["part", "column", "probability"])
-        for j, name in enumerate(names):
-            writer.writerow(["linear", name, repr(float(report.p_r[j]))])
-        for j, name in enumerate(names):
-            writer.writerow(["spatial", name, repr(float(report.p_c[j]))])
-
-
-def cv_curve_csv(path, report: CvReport) -> None:
-    """Plot-ready CSV of the CV curve with one-standard-error marks."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [
-            "candidate",
-            "n_active",
-            "cv_rmspe",
-            "cv_se",
-            "rmspe_minus_se",
-            "rmspe_plus_se",
-            "chosen",
-            "chosen_1se",
-        ]
-        if report.implied_cutoffs is not None:
-            header.insert(2, "implied_cutoff")
-        writer.writerow(header)
-        for i, cand in enumerate(report.candidates):
-            row = [
-                i,
-                cand.n_active(),
-                repr(float(report.cv_rmspe[i])),
-                repr(float(report.cv_se[i])),
-                repr(float(report.cv_rmspe[i] - report.cv_se[i])),
-                repr(float(report.cv_rmspe[i] + report.cv_se[i])),
-                int(i == report.chosen),
-                int(i == report.chosen_1se),
-            ]
-            if report.implied_cutoffs is not None:
-                row.insert(2, repr(float(report.implied_cutoffs[i])))
-            writer.writerow(row)
-
-
-def save_report_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

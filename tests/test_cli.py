@@ -339,16 +339,68 @@ def test_cli_predict_average(tiny_pipeline):
     assert len(lines) == 6
 
 
-def test_cli_determinism_byte_identical(tiny_pipeline):
-    d1 = tiny_pipeline["dir"] / "det1"
-    d2 = tiny_pipeline["dir"] / "det2"
-    for d in (d1, d2):
-        rc = main([
-            "--config", tiny_pipeline["config"], "--output-dir", str(d),
-            "sample", "--data", tiny_pipeline["data"], "--response", "y",
-        ])
-        assert rc == 0
-    assert (d1 / "chain.jsonl").read_bytes() == (d2 / "chain.jsonl").read_bytes()
+def _every_command(tiny_pipeline, root: Path) -> dict:
+    """command label -> argv after the global flags, for one run of every
+    subcommand into root, both predict modes and benchmark --simulate."""
+    data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    sites = ["--sites", tiny_pipeline["sites"]]
+    chain = ["--chain", str(root / "sample" / "chain.jsonl")]
+    model = tiny_pipeline["dir"] / "model.json"
+    model.write_text(json.dumps({"gamma_r": [1, 0], "gamma_c": [1, 1]}))
+    return {
+        "simulate": ["simulate"],
+        "sample": ["sample"] + data,
+        "inclusion": ["inclusion"] + chain,
+        "select": ["select"] + chain + data,
+        "fit": ["fit", "--model", str(model)] + data,
+        "predict_mle": ["predict", "--mode", "mle", "--fit", str(root / "fit" / "mle_fit.json")]
+        + data + sites,
+        "predict_average": ["predict", "--mode", "average"] + chain + data + sites,
+        "benchmark": ["benchmark", "--simulate"],
+    }
+
+
+def test_cli_determinism_byte_identical(tiny_pipeline, capsys):
+    cfg = tiny_pipeline["dir"] / "cfg_all.json"
+    cfg.write_text(json.dumps({
+        **json.loads(Path(tiny_pipeline["config"]).read_text()),
+        "simulate": {"n_train": 12, "n_validation": 10, "lhd_restarts": 1},
+    }))
+    roots = [tiny_pipeline["dir"] / "det1", tiny_pipeline["dir"] / "det2"]
+    for root in roots:
+        for label, argv in _every_command(tiny_pipeline, root).items():
+            rc = main(["--config", str(cfg), "--output-dir", str(root / label)] + argv)
+            out, err = capsys.readouterr()
+            assert rc == 0 and err == "", label
+            paths = [v for v in json.loads(out).values() if isinstance(v, str)]
+            assert paths and all(Path(v).is_file() for v in paths), label
+    files = sorted(p.relative_to(roots[0]) for p in roots[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(roots[1]) for p in roots[1].rglob("*") if p.is_file())
+    assert len(files) == 20
+    for rel in files:
+        if rel.name != "run_meta.json":
+            assert (roots[0] / rel).read_bytes() == (roots[1] / rel).read_bytes(), rel
+
+
+def test_cli_seed_replaces_the_config_seed(tiny_pipeline):
+    root = tiny_pipeline["dir"]
+    data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    config = {"sampler": {"n_iter": 800, "burn_in": 200},
+              "select": {"low": 0.3, "high": 0.9, "q": 0.5, "v_folds": 3},
+              "simulate": {"n_train": 12, "n_validation": 10, "lhd_restarts": 1}}
+    for seed in (7, 12):
+        config["sampler"]["seed"] = seed
+        (root / f"cfg{seed}.json").write_text(json.dumps(config))
+    assert main(["--config", str(root / "cfg7.json"), "--output-dir", str(root / "by_config"),
+                 "sample"] + data) == 0
+    commands = {"simulate": ["simulate"], "sample": ["sample"] + data,
+                "select": ["select", "--chain", str(root / "sample" / "chain.jsonl")] + data}
+    for name, argv in commands.items():
+        assert main(["--config", str(root / "cfg12.json"), "--seed", "7",
+                     "--output-dir", str(root / name)] + argv) == 0
+        assert json.loads((root / name / "run_meta.json").read_text())["seed"] == 7
+    assert ((root / "sample" / "chain.jsonl").read_bytes()
+            == (root / "by_config" / "chain.jsonl").read_bytes())
 
 
 def test_cli_simulate_row_counts(tmp_path):
@@ -477,6 +529,33 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     assert error["error"] == "ValidationError" and str(path) in error["message"]
     if mode == "average":  # the last line is the malformed one
         assert f"line {len(text.splitlines())}" in error["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--mode", "mle", "--data", "DATA", "--response", "y", "--sites", "SITES"],
+     "mode 'mle' requires a fit file"),
+    (["predict", "--mode", "average", "--data", "DATA", "--response", "y", "--sites", "SITES"],
+     "mode 'average' requires a chain file"),
+    (["benchmark"], "benchmark needs either --simulate or --data/--response"),
+    (["fit", "--model", "MISSING", "--data", "DATA", "--response", "y"], "MISSING"),
+    (["inclusion", "--chain", "MISSING"], "MISSING"),
+    (["--threads", "0", "sample", "--data", "DATA", "--response", "y"],
+     "--threads must be at least 1, got 0"),
+], ids=["predict_mle_without_fit", "predict_average_without_chain", "benchmark_without_input",
+        "fit_model_missing", "inclusion_chain_missing", "threads_zero"])
+def test_cli_failure_after_the_config_loads_writes_nothing(tiny_pipeline, capsys, argv,
+                                                          message):
+    paths = {"DATA": tiny_pipeline["data"], "SITES": tiny_pipeline["sites"],
+             "MISSING": str(tiny_pipeline["dir"] / "missing.json")}
+    out = tiny_pipeline["dir"] / "out"
+    rc = main(["--config", tiny_pipeline["config"], "--output-dir", str(out)]
+              + [paths.get(a, a) for a in argv])
+    assert rc == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    err = stderr.splitlines()
+    assert len(err) == 1 and paths.get(message, message) in json.loads(err[0])["message"]
+    assert not out.exists()
 
 
 def test_output_lock_blocks_concurrent_writes(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gpselect import (
     Dataset,
+    GpSelectError,
     ModelIndicator,
     ParameterState,
     PriorConfig,
@@ -271,6 +273,25 @@ def test_run_chain_rejects_empty_data():
     data = Dataset(X=np.zeros((0, 2)), y=np.zeros(0), column_names=["a", "b"])
     with pytest.raises(ValueError, match="empty dataset"):
         run_chain(data, PriorConfig(), SamplerConfig(n_iter=10, burn_in=1))
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"rho": [1.0, 0.5]}, r"rho=\[1\.0, 0\.5\]"),
+    ({"rho": [0.0, 0.5]}, r"rho=\[0\.0, 0\.5\]"),
+    ({"beta0": math.nan}, r"beta0=nan"),
+    ({"sigma2_z": -1.0}, r"sigma2_z.*-1\.0"),
+], ids=["active_rho_one", "active_rho_zero", "beta0_nan", "sigma2_z_negative"])
+def test_run_chain_rejects_an_init_outside_the_support(change, named):
+    # both correlations active: at rho_j = 1 or 0 the uniform slab has no
+    # density, and a NaN intercept leaves the target undefined
+    data = random_dataset(np.random.default_rng(4), n=10, p=2)
+    state = ParameterState(beta0=0.0, beta=[0.0, 0.0], rho=[0.5, 0.5], sigma2_z=1.0, lam=0.1,
+                           omega_r=0.5, omega_c=0.5)
+    init = (ModelIndicator([0, 0], [1, 1]), dataclasses.replace(state, **change))
+    cfg = SamplerConfig(n_iter=50, burn_in=0, seed=1)
+    with pytest.raises(GpSelectError, match=named) as info:
+        run_chain(data, PriorConfig(), cfg, init=init)
+    assert isinstance(info.value, ValueError)
 
 
 def test_run_chain_thinning_arithmetic(small_data):

@@ -87,6 +87,45 @@ class SimulateConfig:
     def __post_init__(self):
         self.box = tuple(self.box)
 
+    def validate(self) -> None:
+        for name in ("n_train", "n_validation"):
+            if getattr(self, name) < 2:
+                raise ValidationError(f"simulate.{name} must be at least 2, "
+                                      f"got {getattr(self, name)}")
+        if not self.noise_sd >= 0.0:
+            raise ValidationError(f"simulate.noise_sd must be at least 0, got {self.noise_sd}")
+        if len(self.box) != 2 or not -np.inf < self.box[0] < self.box[1] < np.inf:
+            raise ValidationError(f"simulate.box must be two finite numbers a < b, "
+                                  f"got {list(self.box)}")
+        if self.lhd_restarts < 1:
+            raise ValidationError(f"simulate.lhd_restarts must be at least 1, "
+                                  f"got {self.lhd_restarts}")
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a config default's type -> the test a JSON value for its key must pass, and its wording
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_number, "a number"),
+    type(None): (lambda v: v is None or _number(v), "a number or null"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+}
+
+
+def _check_types(section: str, values: dict, defaults: dict) -> None:
+    """Each value in a config section must have the JSON type of its key's
+    default; a key without a default is left to the section's parser."""
+    for key, value in values.items():
+        if key in defaults:
+            test, kind = _JSON_TYPES[type(defaults[key])]
+            if not test(value):
+                raise ValidationError(f"{section}.{key} must be {kind}, got {value!r}")
+
 
 @dataclass
 class RunConfig:
@@ -102,6 +141,7 @@ class RunConfig:
     def validate(self) -> None:
         self.sampler.validate()
         self.select.validate()
+        self.simulate.validate()
         if not 0.0 <= self.denoise_threshold < 1.0:
             raise ValidationError("predict.denoise_threshold must lie in [0, 1)")
         for key in ("data", "sites"):
@@ -121,19 +161,25 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: the config must be a JSON object")
         cfg = cls()
+        # the defaults the sections' value types are checked against
+        defaults = {"predict": {"denoise_threshold": cfg.denoise_threshold},
+                    "io": dict.fromkeys(("data", "response", "sites"), "")}
         # each section parsed into its RunConfig field; an absent one parses as {}
-        for key, parse in (("prior", PriorConfig.from_dict), ("sampler", SamplerConfig.from_dict),
-                           ("predict", lambda d: float(d.get("denoise_threshold", 0.0))),
-                           ("select", lambda d: SelectConfig(**d)),
-                           ("simulate", lambda d: SimulateConfig(**d)), ("io", dict)):
-            section = raw.get(key, {})
-            if not isinstance(section, dict):
-                raise ValidationError(f"{path}: {key} must be a JSON object")
-            try:
+        try:
+            for key, parse in (("prior", PriorConfig.from_dict),
+                               ("sampler", SamplerConfig.from_dict),
+                               ("predict", lambda d: float(d.get("denoise_threshold", 0.0))),
+                               ("select", lambda d: SelectConfig(**d)),
+                               ("simulate", lambda d: SimulateConfig(**d)), ("io", dict)):
+                section = raw.get(key, {})
+                if not isinstance(section, dict):
+                    raise ValidationError(f"{key} must be a JSON object")
+                _check_types(key, section, defaults[key] if key in defaults
+                             else vars(getattr(cfg, key)))
                 setattr(cfg, "denoise_threshold" if key == "predict" else key, parse(section))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}: bad config value: {exc}") from None
-        cfg.validate()
+            cfg.validate()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad config value: {exc}") from None
         return cfg
 
 
@@ -179,7 +225,7 @@ def _load_json(path, build, expected: str):
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         return build(raw)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: expected {expected}: {exc}") from None
 
 
@@ -189,6 +235,27 @@ def _load_model_file(path, p: int) -> ModelIndicator:
     if ind.p != p:
         raise ValidationError(f"{path}: model has {ind.p} indicators, data has {p}")
     return ind
+
+
+def _load_fit_file(path, p: int) -> MleFit:
+    """An mle_fit.json record that predict_mle can honour on data of p columns."""
+    fit = _load_json(path, MleFit.from_dict, "an mle_fit.json record")
+    for name, size in (("gamma_r", fit.model.p), ("beta_hat", fit.beta_hat.size),
+                       ("rho_hat", fit.rho_hat.size)):
+        if size != p:
+            raise ValidationError(f"{path}: {name} has {size} values, data has {p} columns")
+    rho_active = fit.rho_hat[fit.model.gamma_c == 1]
+    for ok, rule in (
+            (np.all(np.isfinite([fit.beta0_hat, *fit.beta_hat, *fit.rho_hat, fit.lambda_hat,
+                                 fit.sigma2_hat, fit.neg_log_lik])), "every value must be finite"),
+            (np.all(fit.beta_hat[fit.model.gamma_r == 0] == 0.0), "inactive beta_hat must be 0"),
+            (np.all(fit.rho_hat[fit.model.gamma_c == 0] == 1.0), "inactive rho_hat must be 1"),
+            (np.all((rho_active > 0.0) & (rho_active <= 1.0)), "active rho_hat must lie in (0, 1]"),
+            (fit.lambda_hat >= 0.0, "lambda_hat must be at least 0"),
+            (fit.sigma2_hat > 0.0, "sigma2_hat must be positive")):
+        if not ok:
+            raise ValidationError(f"{path}: {rule}")
+    return fit
 
 
 def cmd_simulate(args, cfg: RunConfig, data: None) -> tuple:
@@ -297,8 +364,7 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
     if args.mode == "mle":
         if args.fit is None:
             raise ValidationError("mode 'mle' requires a fit file")
-        fit = _load_json(args.fit, MleFit.from_dict, "an mle_fit.json record")
-        preds = predict.predict_mle(fit, data, req)
+        preds = predict.predict_mle(_load_fit_file(args.fit, data.p), data, req)
         extra_columns = {}
     else:
         if args.chain is None:
@@ -494,7 +560,6 @@ def main(argv=None) -> int:
     )
     try:
         cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-        cfg.validate()
         _resolve_args(args, cfg)
         if args.seed is not None:
             cfg.sampler.seed = args.seed

@@ -119,12 +119,9 @@ class PriorConfig:
     lambda_scale: float = 0.2
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
+        for name, value in vars(self).items():
             if value <= 0.0:
                 raise ValueError(f"PriorConfig.{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorConfig":

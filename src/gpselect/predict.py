@@ -29,6 +29,8 @@ RHO_BOUNDS = (1e-6, 1.0 - 1e-6)
 MLE_START_SEED = 0
 # L-BFGS-B's relative-decrease stop; near 0 so that starts stop on the gradient
 MLE_FTOL = 1e-15
+# L-BFGS-B's iteration limit per start: at 200, p = 8 fits stopped short of an optimum
+MLE_MAXITER = 1000
 # sizes the kriging means' stacks and tiles (_cross_blocks): 2**17 doubles = 1 MB
 CROSS_BLOCK_ELEMS = 2**17
 
@@ -57,7 +59,8 @@ class MleFit:
 
     beta_hat is the full-length coefficient vector with exact zeros at
     inactive positions; rho_hat holds exact ones at inactive positions.
-    neg_log_lik is the concentrated objective n*log(sigma2_hat) + log|R + lam*I|.
+    neg_log_lik is the concentrated objective n*log(sigma2_hat) + log|R + lam*I|;
+    from a search, it and the estimates are those computed at best_start's end.
     lambda_hat = 0.0 from a zero-nugget fit means R itself was factored
     without diagonal jitter at rho_hat, so predict_mle interpolates the
     training data; a jittered factor would act as an undeclared nugget.
@@ -116,7 +119,12 @@ class MleFit:
     @property
     def best_start(self) -> dict | None:
         """The record of the start the fit reports: the first of the lowest."""
-        return min(self.starts, key=lambda start: start["objective"], default=None)
+        return _best_of(self.starts)
+
+
+def _best_of(starts: list) -> dict | None:
+    """MleFit.best_start's rule: the first start record of the lowest objective."""
+    return min(starts, key=lambda start: start["objective"], default=None)
 
 
 def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.ndarray:
@@ -336,32 +344,34 @@ def _ols_fit(data, model: ModelIndicator) -> MleFit:
     F = _trend_matrix(data.X, model.gamma_r)
     coef, *_ = np.linalg.lstsq(F, data.y, rcond=None)
     resid = data.y - F @ coef
-    n = data.X.shape[0]
-    sigma2 = float(resid @ resid) / n
-    degenerate = sigma2 < SIGMA2_DEGENERATE
+    sigma2 = float(resid @ resid) / data.y.shape[0]
+    return _plug_in_fit(data, model, coef, sigma2, rho_hat=np.ones(data.X.shape[1]), lambda_hat=0.0,
+                        neg_log_lik=data.y.shape[0] * math.log(max(sigma2, SIGMA2_DEGENERATE)))
+
+
+def _plug_in_fit(data, model: ModelIndicator, coef, sigma2: float, **fields) -> MleFit:
+    """The MleFit of a trend fit with coefficients coef (the intercept, then
+    the active columns') and variance sigma2: beta_hat holds exact zeros at
+    the inactive columns, and sigma2_hat is sigma2 floored at
+    SIGMA2_DEGENERATE, with a warning where the floor binds."""
     beta_full = np.zeros(data.X.shape[1])
-    active = np.where(model.gamma_r == 1)[0]
-    beta_full[active] = coef[1:]
-    rho_hat = np.ones(data.X.shape[1])
-    return MleFit(
-        model=model.copy(),
-        beta0_hat=float(coef[0]),
-        beta_hat=beta_full,
-        rho_hat=rho_hat,
-        lambda_hat=0.0,
-        sigma2_hat=max(sigma2, SIGMA2_DEGENERATE),
-        neg_log_lik=n * math.log(max(sigma2, SIGMA2_DEGENERATE)),
-        degenerate=degenerate,
-    )
+    beta_full[model.gamma_r == 1] = coef[1:]
+    degenerate = sigma2 < SIGMA2_DEGENERATE
+    if degenerate:
+        logger.warning("near-exact fit: sigma2 floored at %.1e", SIGMA2_DEGENERATE)
+    return MleFit(model=model.copy(), beta0_hat=float(coef[0]), beta_hat=beta_full,
+                  sigma2_hat=max(sigma2, SIGMA2_DEGENERATE), degenerate=degenerate, **fields)
 
 
 def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.ndarray,
                             lambda_allowed: bool):
-    """fit_mle's objective g and its gradient at z = (active rho, log lambda if free).
+    """fit_mle's objective g, its gradient, and the GLS coefficients and
+    sigma2 at z = (active rho, log lambda if free).
 
     d2 holds the active columns' squared differences. g is inf at an
-    infeasible point (R + lam I singular, or jittered with lam = 0), and the
-    gradient is None wherever g is not finite. See fit_mle for the gradient.
+    infeasible point (R + lam I singular, or jittered with lam = 0), where
+    no coefficients are computed (None). The gradient is None wherever g is
+    not finite. See fit_mle for the gradient.
     """
     n_rho = d2.shape[2]
     rho = z[:n_rho]
@@ -369,12 +379,12 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     try:
         f = kernel.GpFactor(d2, rho, lam)
     except NumericalSingularityError:
-        return math.inf, None
+        return math.inf, None, None, None
     if f.jitter > 0.0 and not lambda_allowed:
-        return math.inf, None
-    _, sigma2, val, resid_t = _concentrated_gls(y, F, f)
+        return math.inf, None, None, None
+    coef, sigma2, val, resid_t = _concentrated_gls(y, F, f)
     if not np.isfinite(val):
-        return val, None
+        return val, None, coef, sigma2
     alpha = f.back_substitute(resid_t)
     W = f.inverse() - np.outer(alpha, alpha) / max(sigma2, 1e-300)
     grad = np.empty(z.shape[0])
@@ -382,7 +392,7 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     grad[:n_rho] = (W * f.A).ravel() @ d2.reshape(W.size, n_rho) / rho
     if lambda_allowed:
         grad[n_rho] = lam * np.trace(W)
-    return val, grad
+    return val, grad, coef, sigma2
 
 
 def fit_mle(
@@ -405,7 +415,8 @@ def fit_mle(
     and dA/dlog(lambda) = lam*I; the GLS coefficients drop out by the
     envelope theorem. L-BFGS-B's ftol is MLE_FTOL = 1e-15 so that a start
     stops on the projected-gradient test, not on a small relative decrease
-    of the objective partway along a flat valley. The gradient changes only
+    of the objective partway along a flat valley; such a valley can take
+    hundreds of iterations, hence MLE_MAXITER = 1000. The gradient changes only
     how a start moves: the feasible set, the box and the starts stay as
     stated here.
 
@@ -431,16 +442,14 @@ def fit_mle(
     d2 = kernel.pairwise_sqdiffs(data.X[:, active_c])
     n_rho = active_c.size
     dim = n_rho + (1 if lambda_allowed else 0)
-    trace: list = []
-    computed: dict = {}  # a point L-BFGS-B requests again is computed once
+    computed: dict = {}  # z.tobytes() -> _concentrated_objective(z): each point computed once
 
     def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
         key = z.tobytes()
         if key not in computed:
-            val, grad = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
-            trace.append((z.copy(), val))
-            computed[key] = (1e20, np.zeros(dim)) if grad is None else (val, grad)
-        return computed[key]
+            computed[key] = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
+        val, grad, _, _ = computed[key]
+        return (1e20, np.zeros(dim)) if grad is None else (val, grad)
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
     rng = np.random.default_rng(MLE_START_SEED)
@@ -457,13 +466,17 @@ def fit_mle(
     minimize = kernel._scipy("optimize").minimize
     runs = [minimize(lambda z: evaluate(z)[0], z0, jac=lambda z: evaluate(z)[1].copy(),
                      method="L-BFGS-B", bounds=bounds,
-                     options={"maxiter": 200, "ftol": MLE_FTOL}) for z0 in starts]
+                     options={"maxiter": MLE_MAXITER, "ftol": MLE_FTOL}) for z0 in starts]
+    # a start's objective is the memo's at its final point res.x: after an
+    # abnormal line-search stop, res.fun can be the value at another point
     records = [{"status": int(res.status), "message": str(res.message), "nit": int(res.nit),
-                "nfev": int(res.nfev), "objective": float(res.fun)} for res in runs]
-    best_z = min(runs, key=lambda res: res.fun).x  # as MleFit.best_start
-    if not min(record["objective"] for record in records) < 1e20:
-        raise OptimizationFailureError("no finite concentrated likelihood found",
-                                       trace=trace[-50:])
+                "nfev": int(res.nfev), "objective": float(evaluate(res.x)[0])} for res in runs]
+    best = _best_of(records)
+    if not best["objective"] < 1e20:
+        raise OptimizationFailureError("no finite concentrated likelihood found", trace=[
+            (np.frombuffer(key), entry[0]) for key, entry in list(computed.items())[-50:]])
+    best_z = runs[records.index(best)].x
+    objective, _, coef, sigma2 = computed[best_z.tobytes()]
 
     rho_hat = np.ones(p)
     if n_rho:
@@ -474,23 +487,9 @@ def fit_mle(
         names.append("lambda")
     at_bound = [f"{name}:{end}" for name, z, (lo, hi) in zip(names, best_z, bounds)
                 for end, edge in (("lower", lo), ("upper", hi)) if z == edge]
-    beta0_hat, beta_full, sigma2, objective_val = gls_fit(data, model, rho_hat, lambda_hat)
-    degenerate = sigma2 < SIGMA2_DEGENERATE
-    if degenerate:
-        logger.warning("near-exact fit: sigma2 floored at %.1e", SIGMA2_DEGENERATE)
-    return MleFit(
-        model=model.copy(),
-        beta0_hat=beta0_hat,
-        beta_hat=beta_full,
-        rho_hat=rho_hat,
-        lambda_hat=lambda_hat,
-        sigma2_hat=max(sigma2, SIGMA2_DEGENERATE),
-        neg_log_lik=objective_val,
-        degenerate=degenerate,
-        n_evals=len(trace),
-        at_bound=at_bound,
-        starts=records,
-    )
+    return _plug_in_fit(data, model, coef, sigma2, rho_hat=rho_hat, lambda_hat=lambda_hat,
+                        neg_log_lik=objective, n_evals=len(computed), at_bound=at_bound,
+                        starts=records)
 
 
 def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:

@@ -17,7 +17,6 @@ nothing else enters the ratio.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import math
@@ -87,9 +86,6 @@ class SamplerConfig:
             raise ValueError("rw_sd must be 5 positive values")
         if self.init not in ("prior", "empty", "spatial"):
             raise ValueError("init must be one of 'prior', 'empty', 'spatial'")
-
-    def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "rw_sd": list(self.rw_sd)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerConfig":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,12 @@ class CvReport:
     cv_se: np.ndarray
     chosen: int
     chosen_1se: int
-    fold_failures: np.ndarray = field(default=None)
-    implied_cutoffs: np.ndarray = field(default=None)
-    disqualified: np.ndarray = field(default=None)
-    fold_evals: np.ndarray = field(default=None)
-    fold_at_bound: list = field(default=None)
-    fold_status: list = field(default=None)
+    fold_failures: np.ndarray
+    disqualified: np.ndarray
+    fold_evals: np.ndarray
+    fold_at_bound: list
+    fold_status: list
+    implied_cutoffs: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         out = {"candidates": [], "chosen": int(self.chosen), "chosen_1se": int(self.chosen_1se)}
@@ -82,13 +82,14 @@ class CvReport:
                 "n_active": cand.n_active(),
                 "cv_rmspe": float(self.cv_rmspe[i]),
                 "cv_se": float(self.cv_se[i]),
+                "failed_folds": int(self.fold_failures[i]),
+                "disqualified": bool(self.disqualified[i]),
+                "fold_evals": int(self.fold_evals[i]),
+                "fold_at_bound": dict(self.fold_at_bound[i]),
+                "fold_status": dict(self.fold_status[i]),
             }
-            for key, attr, cast in (
-                    ("failed_folds", "fold_failures", int), ("disqualified", "disqualified", bool),
-                    ("implied_cutoff", "implied_cutoffs", float), ("fold_evals", "fold_evals", int),
-                    ("fold_at_bound", "fold_at_bound", dict), ("fold_status", "fold_status", dict)):
-                if getattr(self, attr) is not None:
-                    entry[key] = cast(getattr(self, attr)[i])
+            if self.implied_cutoffs is not None:
+                entry["implied_cutoff"] = float(self.implied_cutoffs[i])
             out["candidates"].append(entry)
         return out
 

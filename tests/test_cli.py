@@ -132,6 +132,31 @@ def test_run_config_rejects_bad_values(tmp_path):
             RunConfig.from_json(path)
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"select": {"v_folds": "8"}}, "select.v_folds"),
+    ({"sampler": {"n_iter": "100"}}, "sampler.n_iter"),
+    ({"simulate": {"noise_sd": "0.1"}}, "simulate.noise_sd"),
+    ({"simulate": {"noise_sd": -0.5}}, "simulate.noise_sd"),
+    ({"simulate": {"box": [-0.75, 0.0, 0.75]}}, "simulate.box"),
+    ({"simulate": {"n_train": 1}}, "simulate.n_train"),
+    ({"prior": {"tau": True}}, "prior.tau"),
+    ({"io": {"data": 5}}, "io.data"),
+], ids=["v_folds_a_string", "n_iter_a_string", "noise_sd_a_string", "noise_sd_negative",
+        "box_of_three", "n_train_1", "tau_a_flag", "io_data_a_number"])
+def test_cli_malformed_config_is_one_line_validation_error(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--output-dir", str(out), "simulate"]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    err = stderr.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ValidationError"
+    assert str(path) in error["message"] and key in error["message"]
+
+
 @pytest.fixture
 def tiny_pipeline(tmp_path):
     """Small end-to-end material: data CSV, sites CSV, fast config."""
@@ -304,6 +329,8 @@ def test_cli_fit_and_predict_interpolates(tiny_pipeline):
     assert rc == 0
     fit = json.loads((fit_dir / "mle_fit.json").read_text())
     assert fit["lambda_hat"] == 0.0
+    # the reported values are those the best start's final point scored
+    assert fit["neg_log_lik"] == min(start["objective"] for start in fit["starts"])
 
     # predicting at the training sites must reproduce the training responses
     pred_dir = tiny_pipeline["dir"] / "pred"
@@ -493,10 +520,12 @@ def _chain_line_without(key: str) -> str:
     return _json_line({k: v for k, v in _CHAIN_LINE.items() if k != key})
 
 
+_FIT = {"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0, "beta_hat": [1.0, 0.0],
+        "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0, "neg_log_lik": 0.0}
+
+
 @pytest.mark.parametrize("name, mode, text", [
-    ("fit.json", "mle", _json_line({"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0,
-                                    "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0,
-                                    "neg_log_lik": 0.0})),
+    ("fit.json", "mle", _json_line({k: v for k, v in _FIT.items() if k != "beta_hat"})),
     ("chain.jsonl", "average", _chain_line_without("gamma_c")),
     ("chain.jsonl", "average", _chain_line_without("iter")),
     ("chain.jsonl", "average", "5"),
@@ -509,11 +538,17 @@ def _chain_line_without(key: str) -> str:
     ("chain.jsonl", "average", _json_line(_CHAIN_LINE) + "\n"
      + _json_line({**_CHAIN_LINE, "iter": 1, "beta": [0.0, 0.0, 0.0]})),
     ("chain.jsonl", "average", json.dumps({**_CHAIN_LINE, "iter": 1.5})),
+    ("fit.json", "mle", _json_line({**_FIT, "rho_hat": [1.5, 0.5]})),
+    ("fit.json", "mle", _json_line({**_FIT, "beta0_hat": float("nan")})),
+    ("fit.json", "mle", _json_line({**_FIT, "gamma_r": [0, 0], "beta_hat": [3.0, 0.0]})),
+    ("fit.json", "mle", _json_line({**_FIT, "lambda_hat": -5.0})),
+    ("fit.json", "mle", _json_line({**_FIT, "beta_hat": [1.0, 0.0, 0.0]})),
 ], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
         "chain_line_not_an_object", "fit_not_json", "chain_not_json",
         "chain_indicator_not_0_or_1", "chain_indicator_out_of_int8", "chain_beta_not_a_number",
         "chain_beta0_null", "chain_vector_length_differs_between_lines",
-        "chain_iter_not_an_integer"])
+        "chain_iter_not_an_integer", "fit_rho_above_1", "fit_beta0_nan",
+        "fit_inactive_beta_not_0", "fit_lambda_negative", "fit_beta_hat_longer_than_the_data"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
                                                                name, mode, text):
     path = tiny_pipeline["dir"] / name

@@ -330,8 +330,8 @@ def test_mle_fit_counts_evaluations_and_reports_the_box_ends_it_stops_on(monkeyp
     ends = {RHO_BOUNDS[0]: "lower", RHO_BOUNDS[1]: "upper"}
     assert fit.at_bound == [f"rho[x{j + 1}]:{ends[r]}" for j, r in enumerate(fit.rho_hat)
                             if r in ends] + ["lambda:lower"]
-    # one factorization per objective evaluation, plus the final GLS fit
-    assert fit.n_evals == len(calls) - 1
+    # one factorization per objective evaluation, and none after the search
+    assert fit.n_evals == len(calls)
 
 
 def test_mle_fit_reports_how_each_start_ended():
@@ -348,7 +348,7 @@ def test_mle_fit_reports_how_each_start_ended():
         assert 0 <= start["nit"] <= 200 and start["nfev"] >= 1
     best = fit.best_start
     assert best is fit.starts[[s["objective"] for s in fit.starts].index(best["objective"])]
-    assert best["objective"] == pytest.approx(fit.neg_log_lik, rel=1e-12)
+    assert best["objective"] == fit.neg_log_lik
     # this search requests some points twice; each is computed once
     assert fit.n_evals < sum(s["nfev"] for s in fit.starts)
     from gpselect.predict import MleFit
@@ -402,7 +402,7 @@ def test_mle_objective_gradient_matches_finite_differences():
         lam = math.exp(log_lam[0]) if lambda_allowed else 0.0
         if np.linalg.cond(GpFactor(d2, rho, lam).A) > 1e6:
             continue
-        val, grad = _concentrated_objective(z, y, F, d2, lambda_allowed)
+        val, grad, _, _ = _concentrated_objective(z, y, F, d2, lambda_allowed)
         steps = [0.01 * min(0.1, r, 1.0 - r) for r in rho] + [1e-3] * lambda_allowed
         fd = _fd_gradient(lambda w: _concentrated_objective(w, y, F, d2, lambda_allowed)[0],
                           z, steps)
@@ -564,10 +564,17 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
         # plain least squares with no search: the reference's fit is the value
         b0, b, s2, obj = want.beta0_hat, want.beta_hat, want.sigma2_hat, want.neg_log_lik
     else:
-        b0, b, s2, obj = oracles.gls_fit_reference(data, model, got.rho_hat, got.lambda_hat)
-    _assert_agree([got.beta0_hat, *got.beta_hat, got.sigma2_hat, got.neg_log_lik],
-                  [b0, *b, max(s2, SIGMA2_DEGENERATE), obj], _r_symmetric(X, got.rho_hat),
-                  GpFactor(kernel.pairwise_sqdiffs(X), got.rho_hat, got.lambda_hat))
+        # the GLS on the search's own tensor, the active columns' squared
+        # differences, at the reported point
+        active_c = np.flatnonzero(gamma_c)
+        f_got = GpFactor(kernel.pairwise_sqdiffs(X[:, active_c]), got.rho_hat[active_c],
+                         got.lambda_hat)
+        coef, s2, obj, _ = oracles.concentrated_gls_reference(
+            y, predict._trend_matrix(X, gamma_r), f_got)
+        b0, b = coef[0], np.zeros(p)
+        b[gamma_r == 1] = coef[1:]
+    assert np.array_equal([got.beta0_hat, *got.beta_hat, got.sigma2_hat, got.neg_log_lik],
+                          [b0, *b, max(s2, SIGMA2_DEGENERATE), obj])
     assert got.neg_log_lik <= want.neg_log_lik + 1e-6 * max(1.0, abs(want.neg_log_lik))
     f_hat = GpFactor(kernel.pairwise_sqdiffs(X), want.rho_hat, want.lambda_hat)
     exact_hat = _r_symmetric(X, want.rho_hat)

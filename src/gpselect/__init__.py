@@ -18,7 +18,6 @@ from .errors import (
     InvalidStateError,
     NumericalSingularityError,
     OptimizationFailureError,
-    TransformError,
     ValidationError,
 )
 from .kernel import GpFactor, correlation, log_likelihood
@@ -27,10 +26,8 @@ from .model import (
     ModelIndicator,
     ParameterState,
     PriorConfig,
-    TransformedState,
     from_unconstrained,
     log_jacobian,
-    log_posterior,
     log_prior,
     to_unconstrained,
 )
@@ -81,8 +78,6 @@ __all__ = [
     "PredictionRequest",
     "PriorConfig",
     "SamplerConfig",
-    "TransformError",
-    "TransformedState",
     "ValidationError",
     "candidate_ladder",
     "conditional_mean",
@@ -96,7 +91,6 @@ __all__ = [
     "load_chain",
     "log_jacobian",
     "log_likelihood",
-    "log_posterior",
     "log_prior",
     "map_model",
     "maximin_lhd",

@@ -28,6 +28,7 @@ import contextlib
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -103,28 +104,32 @@ class SimulateConfig:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: not NaN or an infinity, and not true or false."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 # a config default's type -> the test a JSON value for its key must pass, and its wording
 _JSON_TYPES = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_number, "a number"),
-    type(None): (lambda v: v is None or _number(v), "a number or null"),
+    float: (_number, "a finite number"),
+    type(None): (lambda v: v is None or _number(v), "a finite number or null"),
     str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+    tuple: (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of finite numbers"),
 }
 
 
 def _check_types(section: str, values: dict, defaults: dict) -> None:
-    """Each value in a config section must have the JSON type of its key's
-    default; a key without a default is left to the section's parser."""
+    """Each key of a config section must be one of its defaults' keys, and
+    its value must have the JSON type of that default."""
     for key, value in values.items():
-        if key in defaults:
-            test, kind = _JSON_TYPES[type(defaults[key])]
-            if not test(value):
-                raise ValidationError(f"{section}.{key} must be {kind}, got {value!r}")
+        if key not in defaults:
+            raise ValidationError(f"{section}.{key} is not a config key; "
+                                  f"{section} takes {sorted(defaults)}")
+        test, kind = _JSON_TYPES[type(defaults[key])]
+        if not test(value):
+            raise ValidationError(f"{section}.{key} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -161,25 +166,32 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: the config must be a JSON object")
         cfg = cls()
-        # the defaults the sections' value types are checked against
-        defaults = {"predict": {"denoise_threshold": cfg.denoise_threshold},
-                    "io": dict.fromkeys(("data", "response", "sites"), "")}
-        # each section parsed into its RunConfig field; an absent one parses as {}
+        # per section: the parser into its RunConfig field, and the defaults
+        # that name its keys and the types of their values
+        sections = {
+            "prior": (lambda d: PriorConfig(**d), vars(cfg.prior)),
+            "sampler": (lambda d: SamplerConfig(**d), vars(cfg.sampler)),
+            "predict": (lambda d: float(d.get("denoise_threshold", 0.0)),
+                        {"denoise_threshold": cfg.denoise_threshold}),
+            "select": (lambda d: SelectConfig(**d), vars(cfg.select)),
+            "simulate": (lambda d: SimulateConfig(**d), vars(cfg.simulate)),
+            "io": (dict, dict.fromkeys(("data", "response", "sites"), "")),
+        }
         try:
-            for key, parse in (("prior", PriorConfig.from_dict),
-                               ("sampler", SamplerConfig.from_dict),
-                               ("predict", lambda d: float(d.get("denoise_threshold", 0.0))),
-                               ("select", lambda d: SelectConfig(**d)),
-                               ("simulate", lambda d: SimulateConfig(**d)), ("io", dict)):
+            unknown = sorted(set(raw) - set(sections))
+            if unknown:
+                raise ValidationError(f"{unknown[0]} is not a config section; "
+                                      f"the config takes {sorted(sections)}")
+            # an absent section parses as {}
+            for key, (parse, defaults) in sections.items():
                 section = raw.get(key, {})
                 if not isinstance(section, dict):
                     raise ValidationError(f"{key} must be a JSON object")
-                _check_types(key, section, defaults[key] if key in defaults
-                             else vars(getattr(cfg, key)))
+                _check_types(key, section, defaults)
                 setattr(cfg, "denoise_threshold" if key == "predict" else key, parse(section))
             cfg.validate()
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad config value: {exc}") from None
+            raise ValidationError(f"{path}: {exc}") from None
         return cfg
 
 
@@ -521,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_args(args, cfg: RunConfig) -> None:
     """Fill missing input flags from the config's io section; reject what is
-    still missing and a --threads below 1."""
+    still missing, a --threads below 1 and a negative --seed."""
     for flag, key in (("data", "data"), ("response", "response"), ("sites", "sites")):
         if hasattr(args, flag) and getattr(args, flag) is None:
             setattr(args, flag, cfg.io.get(key))
@@ -537,6 +549,8 @@ def _resolve_args(args, cfg: RunConfig) -> None:
         raise ValidationError("benchmark needs either --simulate or --data/--response")
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be at least 0, got {args.seed}")
 
 
 COMMANDS = {

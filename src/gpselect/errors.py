@@ -19,10 +19,6 @@ class InvalidStateError(GpSelectError, ValueError):
     the prior's support."""
 
 
-class TransformError(GpSelectError, ValueError):
-    """Parameter outside the domain of the log/logit reparameterization."""
-
-
 class NumericalSingularityError(GpSelectError, RuntimeError):
     """Correlation matrix could not be factorized even after diagonal jitter.
 

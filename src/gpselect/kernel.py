@@ -197,15 +197,12 @@ def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
 
 
 def log_likelihood(data, state) -> float:
-    """Marginal log-likelihood of y under the Gaussian process model.
-
-    y ~ N(beta0 * 1 + X beta, sigma2_z * (R(rho) + lambda * I)), evaluated
-    via triangular factorization: log-determinant from the factor diagonal,
-    quadratic form from one triangular solve.
-    """
+    """Marginal log-likelihood of y under the Gaussian process model at a
+    `ParameterState`; `LikelihoodCache.log_likelihood` evaluates it."""
     if state.sigma2_z <= 0.0:
         raise ValueError(f"sigma2_z must be positive, got {state.sigma2_z}")
-    return LikelihoodCache(data).log_likelihood(state)
+    return LikelihoodCache(data).log_likelihood(state.rho, state.lam, state.beta0, state.beta,
+                                                state.sigma2_z)[0]
 
 
 class LikelihoodCache:
@@ -221,14 +218,13 @@ class LikelihoodCache:
         self.n = self.X.shape[0]
         self.d2 = pairwise_sqdiffs(self.X)
 
-    def log_likelihood(self, state) -> float:
-        return self.log_likelihood_flat(state.rho, state.lam, state.beta0, state.beta,
-                                        state.sigma2_z)[0]
-
-    def log_likelihood_flat(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
+    def log_likelihood(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
         """log N(y; beta0 + X beta, sigma2 (R + lam I)) at plain values (rho and
-        beta as lists or arrays), and the jitter its factor needed. The logs are
-        numpy's, whose last bits can differ from the math module's.
+        beta as lists or arrays), and the jitter its factor needed.
+
+        The log-determinant comes from the factor diagonal and the quadratic
+        form from one triangular solve. The logs are numpy's, whose last bits
+        can differ from the math module's.
         """
         f = GpFactor(self.d2, rho, lam)
         z = f.whiten(self.y - beta0 - self.X @ np.asarray(beta, dtype=float))

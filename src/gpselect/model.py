@@ -1,4 +1,4 @@
-"""Model state, spike-and-slab priors, and the unnormalized log-posterior.
+"""Model state, spike-and-slab priors, and the transforms the sampler walks on.
 
 Each covariate may enter the linear trend (indicator gamma_r, coefficient
 beta_j) and/or the spatial correlation (indicator gamma_c, parameter rho_j).
@@ -9,7 +9,6 @@ mass contributes only its Bernoulli weight, never a density term.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import InvalidStateError, TransformError
+from .errors import InvalidStateError
 
 # Smallest nugget ratio the sampler will represent; log(lambda) must stay
 # defined. Exact lambda = 0 is reserved for deterministic interpolation.
@@ -81,26 +80,6 @@ class ParameterState:
         self.beta = np.asarray(self.beta, dtype=float).ravel()
         self.rho = np.asarray(self.rho, dtype=float).ravel()
 
-    def copy(self) -> "ParameterState":
-        return dataclasses.replace(self, beta=self.beta.copy(), rho=self.rho.copy())
-
-
-@dataclass
-class TransformedState:
-    """State with positivity/interval parameters mapped to the real line.
-
-    mu = log sigma2_z, zeta = log lambda, psi_r = logit omega_r,
-    psi_c = logit omega_c. beta0, beta and rho ride along unchanged.
-    """
-
-    beta0: float
-    beta: np.ndarray
-    rho: np.ndarray
-    mu: float
-    zeta: float
-    psi_r: float
-    psi_c: float
-
 
 @dataclass
 class PriorConfig:
@@ -121,14 +100,7 @@ class PriorConfig:
     def __post_init__(self):
         for name, value in vars(self).items():
             if value <= 0.0:
-                raise ValueError(f"PriorConfig.{name} must be positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown prior config keys: {sorted(unknown)}")
-        return cls(**d)
+                raise ValueError(f"prior.{name} must be positive, got {value}")
 
 
 def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:
@@ -164,27 +136,23 @@ def _invgamma_logpdf(x: float, shape: float, scale: float) -> float:
     return _invgamma_norm(shape, scale) - (shape + 1.0) * math.log(x) - scale / x
 
 
-def log_prior(ind: ModelIndicator, state: ParameterState, cfg: PriorConfig) -> float:
-    """Joint log-prior over indicators and parameters.
+def flat_state(ind: ModelIndicator, state: ParameterState) -> tuple:
+    """(gamma_r, gamma_c, beta, rho, scalars): a state as plain lists and floats,
+    with scalars = (beta0, sigma2_z, lambda, omega_r, omega_c); the form the
+    sampler's loop holds and `log_prior` takes."""
+    scalars = (state.beta0, state.sigma2_z, state.lam, state.omega_r, state.omega_c)
+    return (ind.gamma_r.tolist(), ind.gamma_c.tolist(), state.beta.tolist(), state.rho.tolist(),
+            tuple(map(float, scalars)))
+
+
+def log_prior(gamma_r, gamma_c, beta, rho, scalars, cfg: PriorConfig) -> float:
+    """Joint log-prior over indicators and parameters of a `flat_state`.
 
     Bernoulli(omega) mass for every indicator, N(0, tau^2) density for each
     active coefficient, uniform slab (zero contribution) for each active rho,
     Gaussian for the intercept, inverse-gamma for sigma2_z and lambda, and a
     uniform (zero) term for the weights. Returns -inf outside the support.
     """
-    return log_prior_flat(*flat_state(ind, state), cfg)
-
-
-def flat_state(ind: ModelIndicator, state: ParameterState) -> tuple:
-    """(gamma_r, gamma_c, beta, rho, scalars): a state as plain lists and floats,
-    with scalars = (beta0, sigma2_z, lambda, omega_r, omega_c)."""
-    scalars = (state.beta0, state.sigma2_z, state.lam, state.omega_r, state.omega_c)
-    return (ind.gamma_r.tolist(), ind.gamma_c.tolist(), state.beta.tolist(), state.rho.tolist(),
-            tuple(map(float, scalars)))
-
-
-def log_prior_flat(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
-    """`log_prior` of a `flat_state`, the form the sampler's loop holds."""
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
     _check_consistent(gamma_r, gamma_c, beta, rho)
     if not (0.0 < omega_r < 1.0 and 0.0 < omega_c < 1.0):
@@ -212,51 +180,15 @@ def log_prior_flat(gamma_r, gamma_c, beta, rho, scalars, cfg) -> float:
     return lp
 
 
-def log_posterior(ind: ModelIndicator, state: ParameterState, data, cfg: PriorConfig) -> float:
-    """Unnormalized log-posterior: marginal log-likelihood plus log-prior."""
-    lp = log_prior(ind, state, cfg)
-    if lp == -math.inf:
-        return -math.inf
-    return kernel.log_likelihood(data, state) + lp
-
-
-def to_unconstrained(state: ParameterState) -> TransformedState:
-    if state.sigma2_z <= 0.0:
-        raise TransformError(f"sigma2_z must be positive, got {state.sigma2_z}")
-    if state.lam <= 0.0:
-        raise TransformError(
-            f"lambda must be positive for the log transform, got {state.lam}; "
-            f"use lambda >= {LAMBDA_FLOOR}"
-        )
-    if not (0.0 < state.omega_r < 1.0 and 0.0 < state.omega_c < 1.0):
-        raise TransformError("omega_r and omega_c must lie strictly inside (0, 1)")
-    t = scalars_to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c)
-    return TransformedState(state.beta0, state.beta.copy(), state.rho.copy(), *t)
-
-
-def from_unconstrained(t: TransformedState) -> ParameterState:
-    return ParameterState(t.beta0, np.array(t.beta, dtype=float), np.array(t.rho, dtype=float),
-                          *scalars_from_unconstrained(t.mu, t.zeta, t.psi_r, t.psi_c))
-
-
-def log_jacobian(t: TransformedState) -> float:
-    """Log-determinant of d(sigma2_z, lambda, omega_r, omega_c)/d(mu, zeta, psi_r, psi_c).
-
-    The map is diagonal: exp for the log-transformed pair and the logistic
-    derivative omega*(1-omega) for each weight, so the log-determinant is
-    mu + zeta + log omega_r(1-omega_r) + log omega_c(1-omega_c).
-    """
-    return log_jacobian_scalars(t.mu, t.zeta, t.psi_r, t.psi_c)
-
-
-def scalars_to_unconstrained(sigma2_z, lam, omega_r, omega_c) -> tuple:
-    """(mu, zeta, psi_r, psi_c) of in-range scalars; `to_unconstrained` checks the range."""
+def to_unconstrained(sigma2_z, lam, omega_r, omega_c) -> tuple:
+    """(mu, zeta, psi_r, psi_c) = (log sigma2_z, log lambda, logit omega_r,
+    logit omega_c) of scalars inside the support, where `log_prior` is finite."""
     return (math.log(sigma2_z), math.log(lam),
             math.log(omega_r / (1.0 - omega_r)), math.log(omega_c / (1.0 - omega_c)))
 
 
-def scalars_from_unconstrained(mu, zeta, psi_r, psi_c) -> tuple:
-    """(sigma2_z, lambda, omega_r, omega_c), the inverse of `scalars_to_unconstrained`."""
+def from_unconstrained(mu, zeta, psi_r, psi_c) -> tuple:
+    """(sigma2_z, lambda, omega_r, omega_c), the inverse of `to_unconstrained`."""
     # expit output is clipped away from {0, 1} so downstream logs stay finite;
     # the walk never legitimately reaches |psi| ~ 36 where this matters.
     return math.exp(mu), math.exp(zeta), _expit_clipped(psi_r), _expit_clipped(psi_c)
@@ -269,8 +201,13 @@ def _expit_clipped(x: float) -> float:
     return min(max(1.0 / (1.0 + math.exp(-x)), 1e-15), 1.0 - 1e-15)
 
 
-def log_jacobian_scalars(mu, zeta, psi_r, psi_c) -> float:
-    """`log_jacobian` on the four unconstrained scalars."""
+def log_jacobian(mu, zeta, psi_r, psi_c) -> float:
+    """Log-determinant of d(sigma2_z, lambda, omega_r, omega_c)/d(mu, zeta, psi_r, psi_c).
+
+    The map is diagonal: exp for the log-transformed pair and the logistic
+    derivative omega*(1-omega) for each weight, so the log-determinant is
+    mu + zeta + log omega_r(1-omega_r) + log omega_c(1-omega_c).
+    """
     # log sigma(psi) + log(1 - sigma(psi)) = -softplus(-psi) - softplus(psi)
     return float(
         mu + zeta - (_softplus(-psi_r) + _softplus(psi_r)) - (_softplus(-psi_c) + _softplus(psi_c))

@@ -36,11 +36,10 @@ from .model import (
     _norm_logpdf,
     draw_from_prior,
     flat_state,
-    log_jacobian_scalars,
-    log_prior,  # noqa: F401  kept bound here: perfbench traces sampler.log_prior
-    log_prior_flat,
-    scalars_from_unconstrained,
-    scalars_to_unconstrained,
+    from_unconstrained,
+    log_jacobian,
+    log_prior,
+    to_unconstrained,
 )
 
 logger = logging.getLogger(__name__)
@@ -52,11 +51,10 @@ class SamplerConfig:
 
     nu is the per-indicator flip rate; None resolves to 1/(2p) at run time.
     rw_sd holds the random-walk standard deviations for
-    (beta0, log sigma2_z, log lambda, logit omega_r, logit omega_c).
-    jitter_when_no_flip controls whether the stage-1 jitter is applied on
-    iterations whose Binomial draw is k = 0. With slab_correction off the
-    acceptance ratio omits `proposal_log_correction`, treating the whole
-    proposal as symmetric; that biases activations down by the slab density.
+    (beta0, log sigma2_z, log lambda, logit omega_r, logit omega_c). With
+    slab_correction off the acceptance ratio omits `proposal_log_correction`,
+    treating the whole proposal as symmetric; that biases activations down by
+    the slab density.
     """
 
     n_iter: int = 20000
@@ -67,32 +65,29 @@ class SamplerConfig:
     rw_sd: tuple = (0.2, 0.2, 0.2, 0.3, 0.3)
     seed: int = 0
     thin: int = 1
-    jitter_when_no_flip: bool = True
     init: str = "empty"
     slab_correction: bool = True
 
+    def __post_init__(self):
+        self.rw_sd = tuple(self.rw_sd)
+
     def validate(self) -> None:
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ValueError("sampler.thin must be >= 1")
         # the first stored iteration is burn_in + thin - 1
         if self.burn_in < 0 or self.burn_in + self.thin > self.n_iter:
-            raise ValueError("need 0 <= burn_in and burn_in + thin <= n_iter, "
+            raise ValueError("sampler.burn_in: need 0 <= burn_in and burn_in + thin <= n_iter, "
                              "so that the chain stores at least one draw")
         if self.nu is not None and not (0.0 < self.nu <= 1.0):
-            raise ValueError("nu must lie in (0, 1]")
+            raise ValueError("sampler.nu must lie in (0, 1]")
         if self.jitter_sd_beta <= 0.0 or self.jitter_sd_rho <= 0.0:
-            raise ValueError("jitter standard deviations must be positive")
+            raise ValueError("sampler.jitter_sd_beta and sampler.jitter_sd_rho must be positive")
         if len(self.rw_sd) != 5 or any(s <= 0.0 for s in self.rw_sd):
-            raise ValueError("rw_sd must be 5 positive values")
+            raise ValueError("sampler.rw_sd must be 5 positive values")
+        if self.seed < 0:
+            raise ValueError(f"sampler.seed must be at least 0, got {self.seed}")
         if self.init not in ("prior", "empty", "spatial"):
-            raise ValueError("init must be one of 'prior', 'empty', 'spatial'")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown sampler config keys: {sorted(unknown)}")
-        return cls(**{**d, "rw_sd": tuple(d.get("rw_sd", cls.rw_sd))})
+            raise ValueError("sampler.init must be one of 'prior', 'empty', 'spatial'")
 
 
 @dataclass
@@ -202,22 +197,21 @@ def propose(gamma_r, gamma_c, beta, rho, scalars, t, cfg, tau, rng) -> tuple:
                 gamma_c[j] = 1 - gamma_c[j]
                 rho[j] = rng.uniform() if gamma_c[j] else 1.0
 
-    if k > 0 or cfg.jitter_when_no_flip:
-        # one vector draw per block, over its unflipped active slots in order
-        jit = [j for j in range(p) if gamma_r[j] and j not in flips_r]
-        if jit:
-            for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_beta, size=len(jit)).tolist()):
-                beta[j] += e
-        jit = [j for j in range(p) if gamma_c[j] and j not in flips_c]
-        if jit:
-            for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_rho, size=len(jit)).tolist()):
-                rho[j] = reflect_unit(rho[j] + e)
+    # one vector draw per block, over its unflipped active slots in order
+    jit = [j for j in range(p) if gamma_r[j] and j not in flips_r]
+    if jit:
+        for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_beta, size=len(jit)).tolist()):
+            beta[j] += e
+    jit = [j for j in range(p) if gamma_c[j] and j not in flips_c]
+    if jit:
+        for j, e in zip(jit, rng.normal(0.0, cfg.jitter_sd_rho, size=len(jit)).tolist()):
+            rho[j] = reflect_unit(rho[j] + e)
 
     # stage 2: independent Gaussian walk on the transformed block
     z0, z1, z2, z3, z4 = rng.normal(0.0, 1.0, size=5).tolist()
     sd0, sd1, sd2, sd3, sd4 = cfg.rw_sd
     mu, zeta, psi_r, psi_c = t
-    sigma2_z, lam, omega_r, omega_c = scalars_from_unconstrained(
+    sigma2_z, lam, omega_r, omega_c = from_unconstrained(
         mu + z1 * sd1, zeta + z2 * sd2, psi_r + z3 * sd3, psi_c + z4 * sd4)
     scalars = (scalars[0] + z0 * sd0, sigma2_z, max(lam, LAMBDA_FLOOR), omega_r, omega_c)
     flips_r.sort()
@@ -230,15 +224,15 @@ def _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior) -> tuple:
     returns the log Jacobian and unconstrained scalars (None outside the
     support) and the jitter the likelihood's factor needed.
     """
-    lp = log_prior_flat(gamma_r, gamma_c, beta, rho, scalars, prior)
+    lp = log_prior(gamma_r, gamma_c, beta, rho, scalars, prior)
     if lp == -math.inf:
         return -math.inf, None, None, 0.0
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
-    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood_flat(
+    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood(
         rho, lam, beta0, beta, sigma2_z
     )
-    t = scalars_to_unconstrained(sigma2_z, lam, omega_r, omega_c)
-    log_jac = log_jacobian_scalars(*t)
+    t = to_unconstrained(sigma2_z, lam, omega_r, omega_c)
+    log_jac = log_jacobian(*t)
     return ll + lp + log_jac, log_jac, t, jitter
 
 

@@ -10,6 +10,7 @@ the kriging means over all sites' squared differences at once) that the
 new ones must match exactly.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -31,13 +32,12 @@ from gpselect import (
     OptimizationFailureError,
     ParameterState,
     PredictionRequest,
-    TransformError,
     kernel,
     maximin_lhd,
     predict,
 )
 from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
-from gpselect.model import LAMBDA_FLOOR, TransformedState
+from gpselect.model import LAMBDA_FLOOR
 from gpselect.predict import (
     LOG_LAMBDA_BOUNDS,
     RHO_BOUNDS,
@@ -100,29 +100,21 @@ def log_prior_oracle(ind, state, cfg):
 
 
 def fd_jacobian_logdet(t, h=1e-6):
-    """log |d(sigma2, lambda, omega_r, omega_c)/d(mu, zeta, psi_r, psi_c)|
-    by central differences. The map is diagonal, so the determinant is the
+    """log |d(sigma2, lambda, omega_r, omega_c)/d(mu, zeta, psi_r, psi_c)| at
+    t = (mu, zeta, psi_r, psi_c), by central differences of the package's
+    `from_unconstrained`. The map is diagonal, so the determinant is the
     product of the four partials.
     """
-    from gpselect import TransformedState, from_unconstrained
+    from gpselect import from_unconstrained
 
-    def pack(mu, zeta, psi_r, psi_c):
-        s = from_unconstrained(
-            TransformedState(
-                beta0=t.beta0, beta=t.beta, rho=t.rho,
-                mu=mu, zeta=zeta, psi_r=psi_r, psi_c=psi_c,
-            )
-        )
-        return np.array([s.sigma2_z, s.lam, s.omega_r, s.omega_c])
-
-    base = np.array([t.mu, t.zeta, t.psi_r, t.psi_c])
+    base = np.array(t, dtype=float)
     logdet = 0.0
     for i in range(4):
         up = base.copy()
         dn = base.copy()
         up[i] += h
         dn[i] -= h
-        deriv = (pack(*up)[i] - pack(*dn)[i]) / (2 * h)
+        deriv = (from_unconstrained(*up)[i] - from_unconstrained(*dn)[i]) / (2 * h)
         logdet += np.log(abs(deriv))
     return logdet
 
@@ -252,6 +244,24 @@ def _ref_log_prior(ind, state, cfg):
     return lp
 
 
+class TransformError(ValueError):
+    """A state outside the domain of the reference log/logit transforms."""
+
+
+@dataclass
+class TransformedState:
+    """A state with sigma2_z, lambda and the weights mapped to the real line:
+    mu = log sigma2_z, zeta = log lambda, psi = logit omega."""
+
+    beta0: float
+    beta: np.ndarray
+    rho: np.ndarray
+    mu: float
+    zeta: float
+    psi_r: float
+    psi_c: float
+
+
 def _ref_to_unconstrained(state):
     if state.sigma2_z <= 0.0:
         raise TransformError(f"sigma2_z must be positive, got {state.sigma2_z}")
@@ -360,15 +370,14 @@ def _ref_propose(current, cfg, prior, rng):
                     gamma_c[j] = 0
                     rho[j] = 1.0
 
-    if k > 0 or cfg.jitter_when_no_flip:
-        jit_r = (gamma_r == 1) & ~flipped_r
-        if jit_r.any():
-            beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=int(jit_r.sum()))
-        jit_c = (gamma_c == 1) & ~flipped_c
-        if jit_c.any():
-            rho[jit_c] = _ref_reflect_unit(
-                rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=int(jit_c.sum()))
-            )
+    jit_r = (gamma_r == 1) & ~flipped_r
+    if jit_r.any():
+        beta[jit_r] += rng.normal(0.0, cfg.jitter_sd_beta, size=int(jit_r.sum()))
+    jit_c = (gamma_c == 1) & ~flipped_c
+    if jit_c.any():
+        rho[jit_c] = _ref_reflect_unit(
+            rho[jit_c] + rng.normal(0.0, cfg.jitter_sd_rho, size=int(jit_c.sum()))
+        )
 
     steps = rng.normal(0.0, 1.0, size=5) * np.asarray(cfg.rw_sd, dtype=float)
     t = _ref_to_unconstrained(state)
@@ -423,7 +432,8 @@ def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
     if init is None:
         ind, state = initial_state(data, prior, cfg, rng)
     else:
-        ind, state = init[0].copy(), init[1].copy()
+        ind = init[0].copy()
+        state = dataclasses.replace(init[1], beta=init[1].beta.copy(), rho=init[1].rho.copy())
         _ref_validate_consistent(ind, state)
 
     cur_target = _ref_log_target(ind, state, like, prior, flat_likelihood)

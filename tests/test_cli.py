@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,29 +133,44 @@ def test_run_config_rejects_bad_values(tmp_path):
             RunConfig.from_json(path)
 
 
-@pytest.mark.parametrize("config, key", [
-    ({"select": {"v_folds": "8"}}, "select.v_folds"),
-    ({"sampler": {"n_iter": "100"}}, "sampler.n_iter"),
-    ({"simulate": {"noise_sd": "0.1"}}, "simulate.noise_sd"),
-    ({"simulate": {"noise_sd": -0.5}}, "simulate.noise_sd"),
-    ({"simulate": {"box": [-0.75, 0.0, 0.75]}}, "simulate.box"),
-    ({"simulate": {"n_train": 1}}, "simulate.n_train"),
-    ({"prior": {"tau": True}}, "prior.tau"),
-    ({"io": {"data": 5}}, "io.data"),
+@pytest.mark.parametrize("config, flags, key", [
+    ({"select": {"v_folds": "8"}}, [], "select.v_folds"),
+    ({"sampler": {"n_iter": "100"}}, [], "sampler.n_iter"),
+    ({"simulate": {"noise_sd": "0.1"}}, [], "simulate.noise_sd"),
+    ({"simulate": {"noise_sd": -0.5}}, [], "simulate.noise_sd"),
+    ({"simulate": {"box": [-0.75, 0.0, 0.75]}}, [], "simulate.box"),
+    ({"simulate": {"n_train": 1}}, [], "simulate.n_train"),
+    ({"prior": {"tau": True}}, [], "prior.tau"),
+    ({"io": {"data": 5}}, [], "io.data"),
+    ({"priors": {"tau": 1}}, [], "priors"),
+    ({"predict": {"denoise": 0.1}}, [], "predict.denoise"),
+    ({"io": {"dta": "x.csv"}}, [], "io.dta"),
+    ({"simulate": {"nope": 1}}, [], "simulate.nope"),
+    ({"prior": {"tau": math.nan}}, [], "prior.tau"),
+    ({"prior": {"sigma2_scale": math.inf}}, [], "prior.sigma2_scale"),
+    ({"sampler": {"rw_sd": [0.2, 0.2, math.nan, 0.3, 0.3]}}, [], "sampler.rw_sd"),
+    ({"sampler": {"seed": -1}}, [], "sampler.seed"),
+    ({"sampler": {"thin": 0}}, [], "sampler.thin"),
+    ({}, ["--seed", "-1"], "--seed"),
 ], ids=["v_folds_a_string", "n_iter_a_string", "noise_sd_a_string", "noise_sd_negative",
-        "box_of_three", "n_train_1", "tau_a_flag", "io_data_a_number"])
-def test_cli_malformed_config_is_one_line_validation_error(tmp_path, capsys, config, key):
+        "box_of_three", "n_train_1", "tau_a_flag", "io_data_a_number", "unknown_section",
+        "unknown_predict_key", "unknown_io_key", "unknown_simulate_key", "tau_nan",
+        "sigma2_scale_infinite", "rw_sd_with_nan", "seed_negative", "thin_0",
+        "seed_flag_negative"])
+def test_cli_malformed_config_is_one_line_validation_error(tmp_path, capsys, config, flags, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["--config", str(path), "--output-dir", str(out), "simulate"]) == 1
+    assert main(["--config", str(path), *flags, "--output-dir", str(out), "simulate"]) == 1
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and not out.exists()
     err = stderr.splitlines()
     assert len(err) == 1
     error = json.loads(err[0])
     assert error["error"] == "ValidationError"
-    assert str(path) in error["message"] and key in error["message"]
+    assert key in error["message"]
+    if not flags:  # a bad config value is named with its file
+        assert str(path) in error["message"]
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from gpselect import (
     ParameterState,
     PriorConfig,
     SamplerConfig,
+    log_jacobian,
     load_chain,
     run_chain,
     save_chain,
     to_unconstrained,
 )
+from gpselect import sampler
 from gpselect.kernel import LikelihoodCache
 from gpselect.model import _expit_clipped, flat_state
 from gpselect.sampler import (
@@ -55,11 +58,14 @@ def _current(p, rng):
     return ind, state
 
 
+def _unconstrained(state):
+    return to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c)
+
+
 def propose_pair(current, cfg, prior, rng):
     """One `propose` step from an (indicator, state) pair, as a pair."""
-    t = to_unconstrained(current[1])
     gamma_r, gamma_c, beta, rho, scalars, _, _ = propose(
-        *flat_state(*current), (t.mu, t.zeta, t.psi_r, t.psi_c), cfg, prior.tau, rng)
+        *flat_state(*current), _unconstrained(current[1]), cfg, prior.tau, rng)
     return ModelIndicator(gamma_r, gamma_c), ParameterState(scalars[0], beta, rho, *scalars[1:])
 
 
@@ -170,7 +176,7 @@ def test_propose_activation_draws_fresh_values(rng):
 
 def test_propose_zero_flips_only_walks(rng):
     # nu tiny: flips essentially never happen, indicators stay put
-    cfg = SamplerConfig(nu=1e-12, jitter_when_no_flip=True)
+    cfg = SamplerConfig(nu=1e-12)
     prior = PriorConfig()
     cur_ind, cur_state = _current(3, rng)
     ind, state = propose_pair((cur_ind, cur_state), cfg, prior, rng)
@@ -180,15 +186,6 @@ def test_propose_zero_flips_only_walks(rng):
     assert state.beta0 != cur_state.beta0
 
 
-def test_propose_no_flip_jitter_flag(rng):
-    cfg = SamplerConfig(nu=1e-12, jitter_when_no_flip=False)
-    prior = PriorConfig()
-    cur_ind, cur_state = _current(3, rng)
-    ind, state = propose_pair((cur_ind, cur_state), cfg, prior, rng)
-    assert np.array_equal(state.beta, cur_state.beta)
-    assert np.array_equal(state.rho, cur_state.rho)
-
-
 def test_accept_probability_identity_is_one(rng, small_data):
     prior = PriorConfig()
     cur = random_state(rng, 2)
@@ -196,7 +193,6 @@ def test_accept_probability_identity_is_one(rng, small_data):
 
 
 def test_accept_probability_matches_oracle(rng, small_data):
-    from gpselect import log_jacobian, to_unconstrained
     from scipy.stats import norm
 
     prior = PriorConfig()
@@ -208,7 +204,7 @@ def test_accept_probability_matches_oracle(rng, small_data):
         return (
             loglik_oracle(small_data, state)
             + log_prior_oracle(ind, state, prior)
-            + log_jacobian(to_unconstrained(state))
+            + log_jacobian(*_unconstrained(state))
         )
 
     # fresh-slab flips exchange their proposal density against the slab prior
@@ -228,19 +224,16 @@ def test_accept_probability_matches_oracle(rng, small_data):
 
 def test_accept_probability_plain_ratio_without_flips(rng, small_data):
     # identical indicators: the ratio is the bare posterior + Jacobian delta
-    from gpselect import log_jacobian, to_unconstrained
-
     prior = PriorConfig()
     ind, state = random_state(rng, 2)
-    prop_state = state.copy()
-    prop_state.sigma2_z *= 1.3
-    prop_state.beta0 += 0.2
+    prop_state = dataclasses.replace(state, sigma2_z=state.sigma2_z * 1.3,
+                                     beta0=state.beta0 + 0.2)
 
     def target(s):
         return (
             loglik_oracle(small_data, s)
             + log_prior_oracle(ind, s, prior)
-            + log_jacobian(to_unconstrained(s))
+            + log_jacobian(*_unconstrained(s))
         )
 
     delta = target(prop_state) - target(state)
@@ -255,8 +248,7 @@ def test_accept_probability_capped_at_one(rng, small_data):
     cur = random_state(rng, 2)
     # make the proposal identical except for a much better-supported lambda;
     # either direction the probability must stay within [0, 1]
-    prop_ind, prop_state = cur[0].copy(), cur[1].copy()
-    prop_state.lam = 0.08
+    prop_ind, prop_state = cur[0].copy(), dataclasses.replace(cur[1], lam=0.08)
     a = accept_probability(cur, (prop_ind, prop_state), small_data, prior)
     b = accept_probability((prop_ind, prop_state), cur, small_data, prior)
     assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
@@ -479,6 +471,23 @@ def test_load_chain_matches_reference_in_any_layout(chain, styles, tmp_path_fact
     _assert_same_chain(load_chain(tmp / "relaid.jsonl"), load_chain_reference(tmp / "relaid.jsonl"))
 
 
+def test_traced_chain_counts_its_prior_likelihood_and_transforms(small_data, monkeypatch):
+    # the benchmark's tracer times the functions the loop calls: one prior,
+    # one likelihood and the transforms per iteration, plus the start's
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer, layer_metrics
+
+    n_iter = 60
+    cfg = SamplerConfig(n_iter=n_iter, burn_in=10, seed=3)
+    with Tracer() as tracer:
+        sampler.run_chain(small_data, PriorConfig(), cfg)
+    run_s = tracer.end[0] - tracer.start[0]
+    metrics, _ = layer_metrics(tracer, run_s, run_s)
+    assert metrics["model.log_prior.calls"] == n_iter + 1
+    assert metrics["kernel.log_likelihood.calls"] == n_iter + 1
+    assert metrics["model.transforms.s"] > 0.0
+
+
 def test_load_chain_rejects_an_empty_file(tmp_path):
     (tmp_path / "chain.jsonl").write_text("\n  \n", encoding="utf-8")
     with pytest.raises(ValueError, match="no draws"):
@@ -501,15 +510,15 @@ def test_config_validation():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@example(n=8, p=3, n_iter=400, seed=1, slab_correction=True, thin=1, jitter_when_no_flip=True,
+@example(n=8, p=3, n_iter=400, seed=1, slab_correction=True, thin=1,
          init="spatial", nu=0.3, flat_likelihood=False)
-@example(n=6, p=2, n_iter=300, seed=2, slab_correction=False, thin=3, jitter_when_no_flip=False,
+@example(n=6, p=2, n_iter=300, seed=2, slab_correction=False, thin=3,
          init="spatial", nu=None, flat_likelihood=True)
 # the replication benchmark's sampler settings, and a p = 8 chain like large_n's
 @example(n=35, p=5, n_iter=400, seed=11, slab_correction=False, thin=1,
-         jitter_when_no_flip=True, init="empty", nu=None, flat_likelihood=False)
+         init="empty", nu=None, flat_likelihood=False)
 @example(n=40, p=8, n_iter=300, seed=3, slab_correction=True, thin=1,
-         jitter_when_no_flip=True, init="spatial", nu=None, flat_likelihood=False)
+         init="spatial", nu=None, flat_likelihood=False)
 @given(
     n=st.integers(2, 40),
     p=st.integers(1, 9),
@@ -517,14 +526,12 @@ def test_config_validation():
     seed=st.integers(0, 2**32 - 1),
     slab_correction=st.booleans(),
     thin=st.sampled_from([1, 3]),
-    jitter_when_no_flip=st.booleans(),
     init=st.sampled_from(["prior", "empty", "spatial", "explicit"]),
     nu=st.sampled_from([None, 0.3]),
     flat_likelihood=st.booleans(),
 )
 def test_run_chain_matches_reference_bit_for_bit(
-    n, p, n_iter, seed, slab_correction, thin, jitter_when_no_flip, init, nu,
-    flat_likelihood,
+    n, p, n_iter, seed, slab_correction, thin, init, nu, flat_likelihood,
 ):
     rng = np.random.default_rng(seed)
     data = random_dataset(rng, n=n, p=p)
@@ -532,7 +539,6 @@ def test_run_chain_matches_reference_bit_for_bit(
     cfg = SamplerConfig(
         n_iter=n_iter, burn_in=n_iter // 4, thin=min(thin, n_iter - n_iter // 4),
         seed=seed, nu=nu, slab_correction=slab_correction,
-        jitter_when_no_flip=jitter_when_no_flip,
         init="empty" if init == "explicit" else init,
     )
     prior = PriorConfig()

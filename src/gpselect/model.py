@@ -81,6 +81,11 @@ class ParameterState:
         self.rho = np.asarray(self.rho, dtype=float).ravel()
 
 
+def check_positive(key: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value}")
+
+
 @dataclass
 class PriorConfig:
     """Hyperparameters of the prior.
@@ -99,8 +104,7 @@ class PriorConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value <= 0.0:
-                raise ValueError(f"prior.{name} must be positive, got {value}")
+            check_positive(f"prior.{name}", value)
 
 
 def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:

@@ -34,6 +34,7 @@ from .model import (
     ParameterState,
     PriorConfig,
     _norm_logpdf,
+    check_positive,
     draw_from_prior,
     flat_state,
     from_unconstrained,
@@ -80,10 +81,11 @@ class SamplerConfig:
                              "so that the chain stores at least one draw")
         if self.nu is not None and not (0.0 < self.nu <= 1.0):
             raise ValueError("sampler.nu must lie in (0, 1]")
-        if self.jitter_sd_beta <= 0.0 or self.jitter_sd_rho <= 0.0:
-            raise ValueError("sampler.jitter_sd_beta and sampler.jitter_sd_rho must be positive")
-        if len(self.rw_sd) != 5 or any(s <= 0.0 for s in self.rw_sd):
+        if len(self.rw_sd) != 5:
             raise ValueError("sampler.rw_sd must be 5 positive values")
+        for key in ("jitter_sd_beta", "jitter_sd_rho", "rw_sd"):
+            for value in np.atleast_1d(getattr(self, key)):
+                check_positive(f"sampler.{key}", value)
         if self.seed < 0:
             raise ValueError(f"sampler.seed must be at least 0, got {self.seed}")
         if self.init not in ("prior", "empty", "spatial"):

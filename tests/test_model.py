@@ -55,6 +55,14 @@ def _unconstrained(state):
     return to_unconstrained(state.sigma2_z, state.lam, state.omega_r, state.omega_c)
 
 
+@pytest.mark.parametrize("key, value", [("tau", math.nan), ("tau", math.inf),
+                                        ("sigma2_scale", math.nan), ("lambda_shape", 0.0)])
+def test_prior_config_needs_finite_positive_values(key, value):
+    # NaN compares false with everything, and a chain under it would auto-reject every proposal
+    with pytest.raises(ValueError, match=f"prior.{key} must be finite and positive"):
+        PriorConfig(**{key: value})
+
+
 def test_prior_all_inactive_is_pure_bernoulli():
     p = 3
     ind = ModelIndicator(np.zeros(p, int), np.zeros(p, int))

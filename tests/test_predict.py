@@ -334,6 +334,19 @@ def test_mle_fit_counts_evaluations_and_reports_the_box_ends_it_stops_on(monkeyp
     assert fit.n_evals == len(calls)
 
 
+def test_mle_fit_at_p8_keeps_enough_correction_pairs(p8_data):
+    # universal kriging over 8 columns: 9 free parameters, and flat valleys
+    # toward rho = 1 that L-BFGS-B crosses slowly with its default 10 pairs.
+    # With 10 pairs this fit computed 688 evaluations (1 BLAS thread) or 851
+    # (2 threads), and with MLE_MAXCOR = 20 it computed 351 or 375.
+    fit = fit_mle(p8_data, ModelIndicator(np.ones(8, dtype=int), np.ones(8, dtype=int)))
+
+    assert fit.n_evals <= 450
+    # ... and it reaches the optimum that the 10-pair search found
+    ten_pairs = -584.085780291741
+    assert fit.neg_log_lik <= ten_pairs + 1e-6 * abs(ten_pairs)
+
+
 def test_mle_fit_reports_how_each_start_ended():
     # a universal-kriging fit at the paper's design size, from 5 starts
     X = maximin_lhd(35, 5, seed=11, n_restarts=1).points

@@ -509,6 +509,15 @@ def test_config_validation():
     SamplerConfig(n_iter=12, burn_in=5, thin=7).validate()
 
 
+@pytest.mark.parametrize("key, value", [("rw_sd", (0.2, 0.2, math.nan, 0.3, 0.3)),
+                                        ("rw_sd", (0.2, 0.2, 0.2, -0.3, 0.3)),
+                                        ("jitter_sd_rho", math.nan),
+                                        ("jitter_sd_beta", math.inf)])
+def test_sampler_config_needs_finite_positive_step_sizes(key, value):
+    with pytest.raises(ValueError, match=f"sampler.{key} must be finite and positive"):
+        SamplerConfig(**{key: value}).validate()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(n=8, p=3, n_iter=400, seed=1, slab_correction=True, thin=1,
          init="spatial", nu=0.3, flat_likelihood=False)

@@ -303,7 +303,6 @@ def cmd_sample(args, cfg: RunConfig, data: Dataset) -> tuple:
         "acceptance_rate": rate,
         "acceptance_by_flips": chain.acceptance_by_flips,
         "singular_rejects": chain.n_singular,
-        "jittered_factors": chain.n_jittered,
     }
     return ({"chain": "chain.jsonl", "acceptance_rate": rate},
             {"chain.jsonl": partial(sampler.save_chain, chain)}, meta)

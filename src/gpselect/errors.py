@@ -20,14 +20,7 @@ class InvalidStateError(GpSelectError, ValueError):
 
 
 class NumericalSingularityError(GpSelectError, RuntimeError):
-    """Correlation matrix could not be factorized even after diagonal jitter.
-
-    Carries the jitter levels that were attempted so callers can report them.
-    """
-
-    def __init__(self, message, jitters=()):
-        super().__init__(message)
-        self.jitters = tuple(jitters)
+    """R + lambda*I could not be factorized by Cholesky."""
 
 
 class OptimizationFailureError(GpSelectError, RuntimeError):

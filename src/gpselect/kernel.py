@@ -2,15 +2,14 @@
 
 The correlation between two points is prod_j rho_j ** (u_j - v_j)^2 with each
 rho_j in [0, 1]; rho_j = 1 makes direction j inert. All matrix work goes
-through `GpFactor`, a Cholesky factorization of R + lambda*I with an
-escalating diagonal jitter fallback for nearly singular cases.
+through `GpFactor`, one Cholesky factorization of R + lambda*I; a matrix it
+cannot factor raises NumericalSingularityError, with no fallback.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
-import logging
 import threading
 import time
 
@@ -18,15 +17,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalSingularityError
 
-logger = logging.getLogger(__name__)
-
 # Active rho values are clamped below to keep 0**0 well defined (:= 1) and
 # log(rho) finite; rho = 5e-6 style inputs are legitimate, exact zero is not
 # distinguishable from this floor at any realistic distance.
 RHO_FLOOR = 1e-12
 
-# Diagonal jitter escalation when Cholesky fails on R + lambda*I.
-JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
+# kept only for perfbench's tracer, which reads it; goes with ROADMAP item 1
+JITTER_LADDER = (0.0,)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -90,25 +87,16 @@ def corr_from_sqdiffs(d2: np.ndarray, rho) -> np.ndarray:
 
 
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of A, escalating diagonal jitter on failure.
+    """Lower Cholesky factor of A, by one np.linalg.cholesky call, and 0.0.
 
-    Returns (L, jitter_used). Raises NumericalSingularityError carrying the
-    attempted jitter levels when the whole ladder fails.
+    Raises NumericalSingularityError where A does not factor.
     """
-    n = A.shape[0]
-    for jitter in JITTER_LADDER:
-        try:
-            M = A if jitter == 0.0 else A + jitter * np.eye(n)
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            continue
-        if jitter > 0.0:
-            logger.debug("cholesky required diagonal jitter %.0e", jitter)
-        return L, jitter
-    raise NumericalSingularityError(
-        f"correlation matrix not positive definite after jitter {JITTER_LADDER}",
-        jitters=JITTER_LADDER,
-    )
+    # the (L, 0.0) pair and the name stay for perfbench's tracer (ROADMAP item 1)
+    try:
+        return np.linalg.cholesky(A), 0.0
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSingularityError(
+            f"Cholesky factorization of R + lambda*I failed: {exc}") from exc
 
 
 class GpFactor:
@@ -118,18 +106,17 @@ class GpFactor:
     the factor: the sampler's likelihood, the MLE objective, GLS, kriging
     and model averaging all go through it. R is exp(d2 @ log rho) as
     computed, not symmetrised, since the factorization reads only its lower
-    triangle. `A` is R + lam * I as built, before any jitter, so its
-    off-diagonal is R. `jitter` is the diagonal jitter the factor needed
-    (0.0 if none).
+    triangle. `A` is R + lam * I as built, so its off-diagonal is R. Where
+    R + lam * I does not factor, NumericalSingularityError is raised.
     """
 
-    __slots__ = ("A", "L", "jitter")
+    __slots__ = ("A", "L")
 
     def __init__(self, d2: np.ndarray, rho, lam: float):
         A = corr_from_sqdiffs(d2, rho)
         A.ravel()[:: A.shape[0] + 1] = 1.0 + lam  # a view: A is C-ordered
         self.A = A
-        self.L, self.jitter = cholesky_with_jitter(A)
+        self.L, _ = cholesky_with_jitter(A)
 
     @classmethod
     def stack(cls, d2: np.ndarray, rho, lam) -> list["GpFactor"]:
@@ -137,8 +124,8 @@ class GpFactor:
         GpFactor(d2, rho_k, lam_k) bit for bit: the b matrices are built as
         __init__ builds one, into one (b, n, n) stack, and factored by one
         np.linalg.cholesky, which factors each as a single call would; the
-        factors are views into the stacks. That call is rung 0 of the jitter
-        ladder for all b draws: if any fails it, each is factored on its own.
+        factors are views into the stacks. Where any of the b matrices does
+        not factor, NumericalSingularityError is raised, as its GpFactor would.
         """
         rho = np.atleast_2d(np.asarray(rho, dtype=float))
         if d2.shape[-1] != rho.shape[1]:
@@ -151,16 +138,17 @@ class GpFactor:
         A.reshape(b, n * n)[:, :: n + 1] = 1.0 + np.asarray(lam, dtype=float)[:, None]
         try:
             L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            return [cls(d2, rho_k, lam_k) for rho_k, lam_k in zip(rho, lam)]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalSingularityError(
+                f"Cholesky factorization of a stack of R + lambda*I failed: {exc}") from exc
         factors = [cls.__new__(cls) for _ in range(b)]
         for f, A_k, L_k in zip(factors, A, L):
-            f.A, f.L, f.jitter = A_k, L_k, 0.0
+            f.A, f.L = A_k, L_k
         return factors
 
     @property
     def logdet(self) -> float:
-        """log|R + lam * I| (jitter included) from the factor diagonal."""
+        """log|R + lam * I| from the factor diagonal."""
         return float(2.0 * np.log(self.L.diagonal()).sum())
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
@@ -178,7 +166,7 @@ class GpFactor:
         return self.back_substitute(self.whiten(b))
 
     def inverse(self) -> np.ndarray:
-        """(R + lam * I)^{-1} (jitter included) from the factor, by LAPACK dpotri."""
+        """(R + lam * I)^{-1} from the factor, by LAPACK dpotri."""
         # L.T is the upper factor U with U^T U = A; dpotri overwrites a copy of
         # its upper triangle and leaves the zero strict lower triangle as is
         U, info = _scipy("linalg.lapack").dpotri(self.L.T, lower=0)
@@ -202,7 +190,7 @@ def log_likelihood(data, state) -> float:
     if state.sigma2_z <= 0.0:
         raise ValueError(f"sigma2_z must be positive, got {state.sigma2_z}")
     return LikelihoodCache(data).log_likelihood(state.rho, state.lam, state.beta0, state.beta,
-                                                state.sigma2_z)[0]
+                                                state.sigma2_z)
 
 
 class LikelihoodCache:
@@ -218,9 +206,9 @@ class LikelihoodCache:
         self.n = self.X.shape[0]
         self.d2 = pairwise_sqdiffs(self.X)
 
-    def log_likelihood(self, rho, lam, beta0, beta, sigma2) -> tuple[float, float]:
+    def log_likelihood(self, rho, lam, beta0, beta, sigma2) -> float:
         """log N(y; beta0 + X beta, sigma2 (R + lam I)) at plain values (rho and
-        beta as lists or arrays), and the jitter its factor needed.
+        beta as lists or arrays).
 
         The log-determinant comes from the factor diagonal and the quadratic
         form from one triangular solve. The logs are numpy's, whose last bits
@@ -230,4 +218,4 @@ class LikelihoodCache:
         z = f.whiten(self.y - beta0 - self.X @ np.asarray(beta, dtype=float))
         logdet = self.n * np.log(sigma2) + f.logdet
         quad = float(z @ z) / sigma2
-        return float(-0.5 * (self.n * LOG_2PI + logdet + quad)), f.jitter
+        return float(-0.5 * (self.n * LOG_2PI + logdet + quad))

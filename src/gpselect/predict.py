@@ -63,9 +63,8 @@ class MleFit:
     inactive positions; rho_hat holds exact ones at inactive positions.
     neg_log_lik is the concentrated objective n*log(sigma2_hat) + log|R + lam*I|;
     from a search, it and the estimates are those computed at best_start's end.
-    lambda_hat = 0.0 from a zero-nugget fit means R itself was factored
-    without diagonal jitter at rho_hat, so predict_mle interpolates the
-    training data; a jittered factor would act as an undeclared nugget.
+    lambda_hat = 0.0 from a zero-nugget fit means R itself factored at
+    rho_hat, so predict_mle interpolates the training data.
     n_evals counts the objective evaluations computed over all starts (a
     point the search requests again is not computed again), and at_bound
     names each searched coordinate that ended on an end of its box, e.g.
@@ -137,7 +136,7 @@ def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.
     if not _has_sites(data, req):
         return np.zeros(0)
     return _kriging_means(data, req.X_new, [state.beta0], [state.beta], [state.rho],
-                          [state.lam], [1.0])[0]
+                          [state.lam], [1.0])
 
 
 def _has_sites(data, req: PredictionRequest) -> bool:
@@ -152,8 +151,7 @@ def _has_sites(data, req: PredictionRequest) -> bool:
 
 
 def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
-    """Weighted sum of the kriging means of a stack of draws at the sites,
-    and the diagonal jitter each draw's factor needed.
+    """Weighted sum of the kriging means of a stack of draws at the sites.
 
     Draw k's mean is beta0_k + X_new beta_k + R_k,new,old alpha_k, alpha_k =
     (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k), from GpFactor.stack over
@@ -168,7 +166,8 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
     order. A block of one draw runs the matrix-vector routines of
     corr_from_sqdiffs and a per-draw sum, so a single draw keeps its
     per-draw bits where BLAS rounds a row alike in both (p <= 7 with
-    OpenBLAS 0.3.31).
+    OpenBLAS 0.3.31). A draw whose R + lam I does not factor raises
+    NumericalSingularityError.
     """
     beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
                                       for a in (beta0, beta, rho, lam, weights))
@@ -177,7 +176,6 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
     d2_train = kernel.pairwise_sqdiffs(data.X)
     total = weights @ beta0 + X_new @ (weights @ beta)
     n_draws = weights.shape[0]
-    jitters = np.empty(n_draws)
     block, sites = _cross_blocks(n, p)
     chunk = max(1, CROSS_BLOCK_ELEMS // (n * block)) * block
     for first in range(0, n_draws, chunk):
@@ -191,7 +189,7 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
             # read as (S, n*b), meet the raveled weighted alphas in one product
             alphas = np.empty((n, stop - start))
             for i, (f, r) in enumerate(zip(factors, resid)):
-                alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
+                alphas[:, i] = f.solve(r)
             # C-ordered rho columns: a faster tile product
             blocks.append((rho[start:stop].T.copy(), (alphas * weights[start:stop]).ravel()))
         for s in range(0, m, sites):
@@ -199,7 +197,7 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
             for rho_cols, alphas in blocks:  # one expression: one tile alive at a time
                 total[s:s + sites] += kernel.corr_from_sqdiffs(
                     d2_cross, rho_cols).reshape(-1, alphas.size) @ alphas
-    return total, jitters
+    return total
 
 
 def _cross_blocks(n: int, p: int) -> tuple[int, int]:
@@ -223,12 +221,11 @@ def model_average(
     chain falls below it are dropped and the average renormalizes over the
     remainder. Each run of consecutive identical kept draws (rejected
     proposals) is one distinct draw weighted by the run's length. Distinct
-    draws are factored in stacks, one Cholesky call each, and per draw
-    through the jitter ladder when a draw of the stack needs it; their
+    draws are factored in stacks, one Cholesky call each, and their
     cross-correlations are built in cache-sized tiles of sites. A distinct
     draw costs an n x n factor, two triangular solves, n*m*(p + 1)
-    multiply-adds and n*m exp calls; a repeat costs nothing. One warning
-    counts the distinct draws whose factor needed diagonal jitter. Against
+    multiply-adds and n*m exp calls; a repeat costs nothing. A draw whose
+    R + lambda*I does not factor raises NumericalSingularityError. Against
     a draw-by-draw loop the average differs at rounding level (the tile
     product, the order of the sum); each alpha is the same bit for bit, and
     a single draw's mean too for p <= 7 (see _kriging_means).
@@ -255,14 +252,8 @@ def model_average(
     first = np.flatnonzero(starts)
     runs = np.diff(first, append=kept.size)
     draws = kept[first]
-    total, jitters = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
-                                    chain.rho[draws], chain.lam[draws], runs)
-    n_jittered = int(np.count_nonzero(jitters))
-    if n_jittered:
-        logger.warning(
-            "model averaging: %d distinct draws needed diagonal jitter on R + lambda*I, "
-            "which acts as extra nugget in their predictions", n_jittered,
-        )
+    total = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
+                           chain.rho[draws], chain.lam[draws], runs)
     return total / kept.size
 
 
@@ -371,9 +362,9 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     sigma2 at z = (active rho, log lambda if free).
 
     d2 holds the active columns' squared differences. g is inf at an
-    infeasible point (R + lam I singular, or jittered with lam = 0), where
-    no coefficients are computed (None). The gradient is None wherever g is
-    not finite. See fit_mle for the gradient.
+    infeasible point, where R + lam I does not factor and no coefficients
+    are computed (None). The gradient is None wherever g is not finite. See
+    fit_mle for the gradient.
     """
     n_rho = d2.shape[2]
     rho = z[:n_rho]
@@ -381,8 +372,6 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     try:
         f = kernel.GpFactor(d2, rho, lam)
     except NumericalSingularityError:
-        return math.inf, None, None, None
-    if f.jitter > 0.0 and not lambda_allowed:
         return math.inf, None, None, None
     coef, sigma2, val, resid_t = _concentrated_gls(y, F, f)
     if not np.isfinite(val):
@@ -423,12 +412,11 @@ def fit_mle(
     cross such valleys at p = 8 in about half the evaluations. The gradient and the
     pairs change only how a start moves: the feasible set, box and starts stay as stated.
 
-    With lambda_allowed=False the nugget is fixed at 0 and the feasible set
-    is the rho at which R factors without diagonal jitter: a point that
-    needs the jitter fallback scores like a singular one, since the jitter
-    would be a nugget the fit does not report. Such points, and singular
-    ones, score 1e20 with a zero gradient. OptimizationFailureError is
-    raised when no start reaches a feasible point, e.g. for duplicate rows.
+    The feasible set is the (rho, lambda) at which R + lambda*I factors by
+    one Cholesky call; with lambda_allowed=False the nugget is fixed at 0.
+    An infeasible point scores 1e20 with a zero gradient.
+    OptimizationFailureError is raised when no start reaches a feasible
+    point, e.g. for duplicate rows at lambda = 0.
     """
     p = data.X.shape[1]
     if model.gamma_r.shape[0] != p:
@@ -496,17 +484,15 @@ def fit_mle(
 
 
 def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
-    """Kriging prediction with the plug-in estimates of a fitted model."""
+    """Kriging prediction with the plug-in estimates of a fitted model.
+
+    Raises NumericalSingularityError where R + lambda_hat*I does not factor
+    at rho_hat, e.g. a zero-nugget fit on data with a repeated row.
+    """
     if not _has_sites(data, req):
         return np.zeros(0)
     if fit.model.gamma_c.sum() == 0 and fit.lambda_hat == 0.0:
         # no spatial component and no nugget: the fit is plain regression
         return fit.beta0_hat + req.X_new @ fit.beta_hat
-    pred, (jitter,) = _kriging_means(data, req.X_new, [fit.beta0_hat], [fit.beta_hat],
-                                     [fit.rho_hat], [fit.lambda_hat], [1.0])
-    if fit.lambda_hat == 0.0 and jitter > 0.0:
-        logger.warning(
-            "zero-nugget fit: R needed diagonal jitter %.0e at rho_hat, which acts "
-            "as an undeclared nugget; predictions will not interpolate the data", jitter,
-        )
-    return pred
+    return _kriging_means(data, req.X_new, [fit.beta0_hat], [fit.beta_hat], [fit.rho_hat],
+                          [fit.lambda_hat], [1.0])

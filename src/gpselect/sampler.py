@@ -99,10 +99,9 @@ class Chain:
     accepted holds one flag per sampler iteration when the chain was produced
     in-process; a chain loaded from disk only has flags for the stored draws.
     n_singular counts the proposals auto-rejected because R + lambda*I could
-    not be factored, n_jittered the likelihood factors that needed diagonal
-    jitter, and acceptance_by_flips the proposals and acceptances of every
-    iteration by the number k of indicators flipped ("0", "1", "2", "3+");
-    chain files do not store them, so a loaded chain has None.
+    not be factored, and acceptance_by_flips the proposals and acceptances of
+    every iteration by the number k of indicators flipped ("0", "1", "2",
+    "3+"); chain files do not store them, so a loaded chain has None.
     """
 
     gamma_r: np.ndarray
@@ -119,7 +118,6 @@ class Chain:
     accepted: np.ndarray
     draw_accepted: np.ndarray = field(default=None)
     n_singular: int | None = None
-    n_jittered: int | None = None
     acceptance_by_flips: dict | None = None
 
     def __post_init__(self):
@@ -224,18 +222,16 @@ def _log_target(gamma_r, gamma_c, beta, rho, scalars, like, prior) -> tuple:
     """log posterior + log Jacobian of a `flat_state`, the quantity the
     acceptance ratio compares; like None stands for a flat likelihood. Also
     returns the log Jacobian and unconstrained scalars (None outside the
-    support) and the jitter the likelihood's factor needed.
+    support).
     """
     lp = log_prior(gamma_r, gamma_c, beta, rho, scalars, prior)
     if lp == -math.inf:
-        return -math.inf, None, None, 0.0
+        return -math.inf, None, None
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
-    ll, jitter = (0.0, 0.0) if like is None else like.log_likelihood(
-        rho, lam, beta0, beta, sigma2_z
-    )
+    ll = 0.0 if like is None else like.log_likelihood(rho, lam, beta0, beta, sigma2_z)
     t = to_unconstrained(sigma2_z, lam, omega_r, omega_c)
     log_jac = log_jacobian(*t)
-    return ll + lp + log_jac, log_jac, t, jitter
+    return ll + lp + log_jac, log_jac, t
 
 
 def proposal_log_correction(beta_cur, beta_prop, gamma_r_cur, flips_r, tau) -> float:
@@ -309,11 +305,9 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
     ind, state = init if init is not None else initial_state(data, prior, cfg, rng)
     cur = flat_state(ind, state)
     try:
-        cur_target, cur_log_jac, t, jitter = _log_target(*cur, like, prior)
+        cur_target, cur_log_jac, t = _log_target(*cur, like, prior)
     except NumericalSingularityError as exc:
-        raise NumericalSingularityError(
-            f"initial state is numerically singular: {exc}", jitters=exc.jitters
-        ) from exc
+        raise NumericalSingularityError(f"initial state is numerically singular: {exc}") from exc
     if not math.isfinite(cur_target):
         raise InvalidStateError(
             f"initial state has log target {cur_target}, outside the prior's support or "
@@ -329,19 +323,17 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
     accepted = bytearray(cfg.n_iter)
     # proposals and acceptances by flip count k = 0, 1, 2, >= 3
     moves = [[0, 0] for _ in range(4)]
-    n_singular, n_jittered = 0, int(jitter > 0.0)
+    n_singular = 0
 
     for it in range(cfg.n_iter):
         *prop, flips_r, k = propose(*cur, t, cfg, prior.tau, rng)
         move = moves[min(k, 3)]
         move[0] += 1
         try:
-            prop_target, prop_log_jac, prop_t, jitter = _log_target(*prop, like, prior)
+            prop_target, prop_log_jac, prop_t = _log_target(*prop, like, prior)
         except NumericalSingularityError:
             n_singular += 1
             prop_target = -math.inf
-        else:
-            n_jittered += jitter > 0.0
         corr = 0.0
         if cfg.slab_correction:
             corr = proposal_log_correction(cur[2], prop[2], cur[0], flips_r, prior.tau)
@@ -371,9 +363,9 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
              for key, (n, a) in zip(("0", "1", "2", "3+"), moves)}
     chain = Chain(**_row_fields(gammas, values, n_runs, len(cur[0]), run_of),
                   iters=iters, accepted=accepted, draw_accepted=accepted[iters],
-                  n_singular=n_singular, n_jittered=int(n_jittered), acceptance_by_flips=table)
-    logger.info("chain finished: %d stored draws, acceptance rate %.3f over all iterations, "
-                "%d jittered factors", len(chain), accepted.mean(), chain.n_jittered)
+                  n_singular=n_singular, acceptance_by_flips=table)
+    logger.info("chain finished: %d stored draws, acceptance rate %.3f over all iterations",
+                len(chain), accepted.mean())
     return chain
 
 

@@ -5,7 +5,7 @@ inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
 swap search, the per-row simulation recipe, chain file I/O, model counting,
-the separate R + lambda*I factorizations of the prediction and MLE code,
+the separate R + lambda*I factorizations of the prediction code,
 the kriging means over all sites' squared differences at once) that the
 new ones must match exactly.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.optimize import minimize
 from scipy.special import expit, gammaln
 from scipy.stats import invgamma, norm
 
@@ -29,25 +28,25 @@ from gpselect import (
     InvalidStateError,
     ModelIndicator,
     NumericalSingularityError,
-    OptimizationFailureError,
     ParameterState,
     PredictionRequest,
     kernel,
     maximin_lhd,
     predict,
 )
-from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
+from gpselect.kernel import corr_from_sqdiffs, pairwise_sqdiffs
 from gpselect.model import LAMBDA_FLOOR
-from gpselect.predict import (
-    LOG_LAMBDA_BOUNDS,
-    RHO_BOUNDS,
-    SIGMA2_DEGENERATE,
-    MleFit,
-    _ols_fit,
-    _trend_matrix,
-    denoise_mask,
-)
+from gpselect.predict import MleFit, _trend_matrix, denoise_mask
 from gpselect.sampler import Chain, initial_state
+
+
+def cholesky_reference(A):
+    """Lower Cholesky factor of A by one np.linalg.cholesky call; a matrix
+    that does not factor raises NumericalSingularityError."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSingularityError(str(exc)) from exc
 
 
 def dense_corr(X, rho):
@@ -181,8 +180,8 @@ def random_state(rng, p, rho_range=(0.05, 0.95)):
 # Reference sampler: a Metropolis-Hastings loop that builds dataclass states
 # every iteration, with its own copy of the prior, transforms, reflection and
 # likelihood written the direct way. It takes only the start state
-# (`initial_state`), the jitter ladder (`cholesky_with_jitter`), the
-# squared-difference tensor and the dataclasses from the package.
+# (`initial_state`), the squared-difference tensor and the dataclasses from
+# the package.
 # `run_chain` must reproduce its chains bit for bit.
 # ---------------------------------------------------------------------------
 
@@ -316,8 +315,7 @@ class _RefLikelihoodCache:
         A = self.corr(rho)
         idx = np.arange(self.n)
         A[idx, idx] += lam
-        L, _ = cholesky_with_jitter(A)
-        return L
+        return cholesky_reference(A)
 
     def log_likelihood(self, state):
         L = self.factor(state.rho, state.lam)
@@ -649,13 +647,11 @@ def model_counts_reference(chain):
 
 # ---------------------------------------------------------------------------
 # Reference GP paths: the correlation-matrix class with its per-lambda factor
-# cache, and the kriging mean, model averaging, GLS, MLE fit and kriging
-# prediction that built and factored R + lambda*I each their own way before
-# they shared `kernel.GpFactor`. The package must match them exactly
-# wherever R came out exactly symmetric.
+# cache, and the kriging mean, model averaging, GLS and kriging prediction
+# that built and factored R + lambda*I each their own way before they shared
+# `kernel.GpFactor`. The package must match them exactly wherever R came out
+# exactly symmetric.
 # ---------------------------------------------------------------------------
-
-_gp_ref_logger = logging.getLogger("oracles.gp_reference")
 
 
 def _rho_array_reference(params) -> np.ndarray:
@@ -670,20 +666,13 @@ class KernelMatrixReference:
     values: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def _factorize(self, lam: float) -> tuple[np.ndarray, float]:
+    def factor(self, lam: float) -> np.ndarray:
+        """Lower Cholesky factor of values + lam * I (cached per lam)."""
         key = float(lam)
         if key not in self._cache:
             n = self.values.shape[0]
-            self._cache[key] = cholesky_with_jitter(self.values + key * np.eye(n))
+            self._cache[key] = cholesky_reference(self.values + key * np.eye(n))
         return self._cache[key]
-
-    def factor(self, lam: float) -> np.ndarray:
-        """Lower Cholesky factor of values + lam * I (cached per lam)."""
-        return self._factorize(lam)[0]
-
-    def jitter(self, lam: float) -> float:
-        """Diagonal jitter the factor of values + lam * I needed (0.0 if none)."""
-        return self._factorize(lam)[1]
 
     def solve(self, lam: float, b: np.ndarray) -> np.ndarray:
         """(values + lam*I)^{-1} b via two triangular solves."""
@@ -772,7 +761,7 @@ def model_average_reference(
             beta0, beta, rho, lam = chain.beta0[i], chain.beta[i], chain.rho[i], chain.lam[i]
             A = kernel.corr_from_sqdiffs(d2_train, rho)
             A[diag, diag] = 1.0 + lam
-            L, _ = kernel.cholesky_with_jitter(A)
+            L = cholesky_reference(A)
             resid = data.y - beta0 - data.X @ beta
             z = solve_triangular(L, resid, lower=True, check_finite=False)
             alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
@@ -832,113 +821,6 @@ def gls_fit_reference(data, model: ModelIndicator, rho, lam: float):
     return float(coef[0]), beta_full, sigma2, objective
 
 
-def fit_mle_reference(
-    data,
-    model: ModelIndicator,
-    lambda_allowed: bool = True,
-    n_starts: int = 5,
-    seed: int = 0,
-) -> MleFit:
-    """Maximize the concentrated likelihood over the model's free (rho, lambda).
-
-    At every candidate point the trend coefficients are the GLS solution and
-    sigma2 its plug-in; the search is bounded L-BFGS-B from several starts
-    (rho_j in [1e-6, 1-1e-6], log lambda in [-12, 3]). Deterministic for a
-    fixed seed.
-
-    With lambda_allowed=False the nugget is fixed at 0 and the feasible set
-    is the rho at which R factors without diagonal jitter: a point that
-    needs the jitter fallback scores like a singular one, since the jitter
-    would be a nugget the fit does not report. OptimizationFailureError is
-    raised when no start reaches such a point, e.g. for duplicate rows.
-    """
-    p = data.X.shape[1]
-    if model.gamma_r.shape[0] != p:
-        raise DimensionMismatchError(
-            f"model has {model.gamma_r.shape[0]} indicators, data has {p} columns"
-        )
-    active_c = np.where(model.gamma_c == 1)[0]
-    if active_c.size == 0 and not lambda_allowed:
-        return _ols_fit(data, model)
-
-    n = data.X.shape[0]
-    F = _trend_matrix(data.X, model.gamma_r)
-    d2 = kernel.pairwise_sqdiffs(data.X)[:, :, active_c] if active_c.size else None
-    diag = np.arange(n)
-    n_rho = active_c.size
-    dim = n_rho + (1 if lambda_allowed else 0)
-    trace: list = []
-
-    def objective(z: np.ndarray) -> float:
-        lam = math.exp(z[n_rho]) if lambda_allowed else 0.0
-        if n_rho:
-            A = np.exp(d2 @ np.log(np.clip(z[:n_rho], kernel.RHO_FLOOR, 1.0)))
-        else:
-            A = np.ones((n, n))
-        A[diag, diag] = 1.0 + lam
-        try:
-            L, jitter = kernel.cholesky_with_jitter(A)
-        except NumericalSingularityError:
-            L = None
-        if L is None or (jitter > 0.0 and not lambda_allowed):
-            trace.append((z.copy(), np.inf))
-            return 1e20
-        _, sigma2 = gls_from_factor_reference(data.y, F, L)
-        val = n * math.log(max(sigma2, 1e-300)) + 2.0 * float(
-            np.sum(np.log(np.diag(L)))
-        )
-        trace.append((z.copy(), val))
-        return val if np.isfinite(val) else 1e20
-
-    bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
-    rng = np.random.default_rng(seed)
-    starts = [np.concatenate([np.full(n_rho, 0.5), [math.log(0.1)] if lambda_allowed else []])]
-    for _ in range(max(0, n_starts - 1)):
-        z0 = np.empty(dim)
-        z0[:n_rho] = rng.uniform(0.05, 0.95, size=n_rho)
-        if lambda_allowed:
-            z0[n_rho] = rng.uniform(*LOG_LAMBDA_BOUNDS)
-        starts.append(z0)
-
-    best_z = None
-    best_val = np.inf
-    for z0 in starts:
-        res = minimize(
-            objective,
-            z0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 200},
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_z = res.x.copy()
-
-    if best_z is None or best_val >= 1e20:
-        raise OptimizationFailureError(
-            "no finite concentrated likelihood found", trace=trace[-50:]
-        )
-
-    rho_hat = np.ones(p)
-    if n_rho:
-        rho_hat[active_c] = best_z[:n_rho]
-    lambda_hat = math.exp(best_z[n_rho]) if lambda_allowed else 0.0
-    beta0_hat, beta_full, sigma2, objective_val = gls_fit_reference(data, model, rho_hat, lambda_hat)
-    degenerate = sigma2 < SIGMA2_DEGENERATE
-    if degenerate:
-        _gp_ref_logger.warning("near-exact fit: sigma2 floored at %.1e", SIGMA2_DEGENERATE)
-    return MleFit(
-        model=model.copy(),
-        beta0_hat=beta0_hat,
-        beta_hat=beta_full,
-        rho_hat=rho_hat,
-        lambda_hat=lambda_hat,
-        sigma2_hat=max(sigma2, SIGMA2_DEGENERATE),
-        neg_log_lik=objective_val,
-        degenerate=degenerate,
-    )
-
-
 def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
     """Kriging prediction with the plug-in estimates of a fitted model."""
     X_new = req.X_new
@@ -955,12 +837,6 @@ def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarr
     km = correlation_matrix_reference(data.X, fit.rho_hat)
     resid = data.y - fit.beta0_hat - data.X @ fit.beta_hat
     alpha = km.solve(fit.lambda_hat, resid)
-    if fit.lambda_hat == 0.0 and km.jitter(0.0) > 0.0:
-        _gp_ref_logger.warning(
-            "zero-nugget fit: R needed diagonal jitter %.0e at rho_hat, which acts "
-            "as an undeclared nugget; predictions will not interpolate the data",
-            km.jitter(0.0),
-        )
     r_cross = corr_from_sqdiffs(pairwise_sqdiffs(X_new, data.X), fit.rho_hat)
     return trend + r_cross @ alpha
 
@@ -986,7 +862,6 @@ def kriging_means_reference(data, X_new, beta0, beta, rho, lam, weights):
     d2_cross = kernel.pairwise_sqdiffs(X_new, data.X).reshape(m * n, p)
     total = weights @ beta0 + X_new @ (weights @ beta)
     n_draws = weights.shape[0]
-    jitters = np.empty(n_draws)
     block, sites = _cross_blocks_reference(n)
     for start in range(0, n_draws, block):
         stop = min(start + block, n_draws)
@@ -997,10 +872,10 @@ def kriging_means_reference(data, X_new, beta0, beta, rho, lam, weights):
         # read as (S, n*b), meet the raveled weighted alphas in one product
         alphas = np.empty((n, stop - start))
         for i, (f, r) in enumerate(zip(factors, resid)):
-            alphas[:, i], jitters[start + i] = f.solve(r), f.jitter
+            alphas[:, i] = f.solve(r)
         alphas = (alphas * weights[start:stop]).ravel()
         rho_cols = rho[start:stop].T.copy()  # C order: a faster tile product
         for s in range(0, m, sites):  # one expression: one tile alive at a time
             total[s:s + sites] += kernel.corr_from_sqdiffs(
                 d2_cross[s * n:(s + sites) * n], rho_cols).reshape(-1, alphas.size) @ alphas
-    return total, jitters
+    return total

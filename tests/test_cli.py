@@ -296,24 +296,20 @@ def test_cli_loads_scipy_only_in_the_commands_that_need_it(tiny_pipeline):
     assert 0.0 < meta["fit"]["import_s"] < meta["fit"]["wall_s"]
 
 
-def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeypatch):
-    # every 5th factorization reports jitter and every 7th fails outright, so
-    # run_meta.json must carry exactly the tallies kept here
+def test_cli_sample_reports_singular_rejects(tiny_pipeline, monkeypatch):
+    # every 7th factorization fails, so run_meta.json must carry exactly the
+    # tally kept here
     from gpselect import NumericalSingularityError, kernel
 
     factor = kernel.cholesky_with_jitter
-    tally = {"calls": 0, "jittered": 0, "singular": 0}
+    tally = {"calls": 0, "singular": 0}
 
     def flaky_factor(A):
         tally["calls"] += 1
         if tally["calls"] % 7 == 0:
             tally["singular"] += 1
-            raise NumericalSingularityError("forced", jitters=kernel.JITTER_LADDER)
-        L, jitter = factor(A)
-        if tally["calls"] % 5 == 0:
-            tally["jittered"] += 1
-            jitter = 1e-10
-        return L, jitter
+            raise NumericalSingularityError("forced")
+        return factor(A)
 
     monkeypatch.setattr(kernel, "cholesky_with_jitter", flaky_factor)
     out = tiny_pipeline["dir"] / "run"
@@ -323,9 +319,9 @@ def test_cli_sample_reports_singular_and_jittered_factors(tiny_pipeline, monkeyp
     ])
     assert rc == 0
     meta = json.loads((out / "run_meta.json").read_text())
-    assert tally["singular"] > 0 and tally["jittered"] > 0
+    assert tally["singular"] > 0
     assert meta["singular_rejects"] == tally["singular"]
-    assert meta["jittered_factors"] == tally["jittered"]
+    assert "jittered_factors" not in meta
     # the per-move table covers all 800 iterations, burn-in included
     moves = meta["acceptance_by_flips"]
     assert list(moves) == ["0", "1", "2", "3+"]
@@ -538,6 +534,40 @@ def _chain_line_without(key: str) -> str:
 
 _FIT = {"gamma_r": [1, 0], "gamma_c": [1, 1], "beta0_hat": 0.0, "beta_hat": [1.0, 0.0],
         "rho_hat": [0.5, 0.5], "lambda_hat": 0.0, "sigma2_hat": 1.0, "neg_log_lik": 0.0}
+
+
+def _repeated_row_data(tmp_path) -> str:
+    """A data CSV whose rows 0 and 1 coincide, so R is singular at lambda = 0."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(8, 2))
+    X[1] = X[0]
+    path = tmp_path / "repeated.csv"
+    export_csv(Dataset(X=X, y=rng.normal(size=8), column_names=["x1", "x2"]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode, name, text", [
+    ("mle", "fit.json", _json_line(_FIT)),
+    ("average", "chain.jsonl", _json_line({**_CHAIN_LINE, "gamma_c": [1, 1], "rho": [0.5, 0.5]})
+     + "\n" + _json_line({**_CHAIN_LINE, "iter": 1, "gamma_c": [1, 1], "rho": [0.5, 0.5],
+                          "lambda": 0.0})),
+], ids=["zero_nugget_fit", "chain_draw_with_zero_nugget"])
+def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, capsys,
+                                                                   mode, name, text):
+    # one Cholesky and no diagonal jitter: a zero nugget on data with a
+    # repeated row is a numerical failure, not a prediction with a nugget
+    # nobody declared; one such draw of a chain fails the whole average
+    data = _repeated_row_data(tmp_path)
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    out = tmp_path / "out"
+    rc = main(["--output-dir", str(out), "predict", "--mode", mode, "--data", data,
+               "--response", "y", "--sites", data,
+               "--fit" if mode == "mle" else "--chain", str(path)])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "NumericalSingularityError"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, mode, text", [

@@ -12,6 +12,7 @@ from gpselect import (
     log_likelihood,
 )
 from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
+from gpselect.model import LAMBDA_FLOOR
 
 from oracles import loglik_oracle, random_dataset, random_state
 
@@ -55,7 +56,7 @@ def test_dimension_mismatch():
 
 
 def _factored(f: GpFactor) -> np.ndarray:
-    """R + lam * I (plus any jitter) back from the factor."""
+    """R + lam * I back from the factor."""
     return f.L @ f.L.T
 
 
@@ -63,7 +64,7 @@ def test_matrix_single_point():
     f = GpFactor(pairwise_sqdiffs(np.array([[0.4, 0.6]])), [0.3, 0.9], 0.0)
     assert f.L.shape == (1, 1)
     assert f.L[0, 0] == 1.0
-    assert f.jitter == 0.0 and f.logdet == 0.0
+    assert f.logdet == 0.0
 
 
 def test_matrix_all_inert():
@@ -167,19 +168,19 @@ def test_sigma2_must_be_positive(small_data):
         log_likelihood(small_data, state)
 
 
-def test_jitter_ladder_rescues_duplicates():
-    # duplicate rows make R singular at lam = 0; the ladder must step in
+def test_one_cholesky_raises_where_the_matrix_does_not_factor():
+    # duplicate rows make R singular at lam = 0, and no diagonal is added
+    # behind the caller's back; the smallest nugget the sampler proposes
+    # (LAMBDA_FLOOR) factors the same R
     X = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.8]])
-    f = GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], 0.0)
-    assert f.jitter > 0.0
-    assert np.all(np.isfinite(f.L))
-
-
-def test_jitter_ladder_exhaustion_reports_levels():
-    A = -np.eye(3)  # negative definite, no jitter level can fix it
-    with pytest.raises(NumericalSingularityError) as err:
-        cholesky_with_jitter(A)
-    assert err.value.jitters == (0.0, 1e-10, 1e-8, 1e-6)
+    with pytest.raises(NumericalSingularityError):
+        GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], 0.0)
+    assert np.all(np.isfinite(GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], LAMBDA_FLOOR).L))
+    with pytest.raises(NumericalSingularityError):
+        cholesky_with_jitter(-np.eye(3))
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    L, jitter = cholesky_with_jitter(A)
+    assert jitter == 0.0 and np.array_equal(L, np.linalg.cholesky(A))
 
 
 def _stacked_draws(rng, p, b, zero_nugget):
@@ -191,13 +192,12 @@ def _stacked_draws(rng, p, b, zero_nugget):
 
 
 def _assert_factors_match(factors, d2, rho, lam, y):
-    """Each stacked factor equals its own GpFactor bit for bit: A, L, jitter
-    and the alpha of a solve."""
+    """Each stacked factor equals its own GpFactor bit for bit: A, L and the
+    alpha of a solve."""
     assert len(factors) == len(lam)
     for f, rho_k, lam_k in zip(factors, rho, lam):
         want = GpFactor(d2, rho_k, lam_k)
         assert np.array_equal(f.A, want.A) and np.array_equal(f.L, want.L)
-        assert f.jitter == want.jitter
         assert np.array_equal(f.solve(y), want.solve(y))
 
 
@@ -213,28 +213,39 @@ def _assert_factors_match(factors, d2, rho, lam, y):
     n_zero=st.integers(0, 2),
 )
 def test_stacked_factors_match_per_draw_factors(seed, n, p, b, duplicate, n_zero):
-    # duplicate rows with a zero nugget fail rung 0 of the ladder, which
-    # sends the whole stack through per-draw factors
+    # duplicate rows with a zero nugget do not factor: then the stack raises
+    # as one of its draws' own GpFactor does
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, p))
     if duplicate and n > 1:
         X[1] = X[0]
     d2 = pairwise_sqdiffs(X)
     rho, lam = _stacked_draws(rng, p, b, np.arange(b) < n_zero)
+    try:
+        for rho_k, lam_k in zip(rho, lam):
+            GpFactor(d2, rho_k, lam_k)
+    except NumericalSingularityError:
+        with pytest.raises(NumericalSingularityError):
+            GpFactor.stack(d2, rho, lam)
+        return
     _assert_factors_match(GpFactor.stack(d2, rho, lam), d2, rho, lam, rng.normal(size=n))
 
 
-def test_stack_falls_back_per_draw_when_one_draw_fails_rung_0():
+def test_stack_raises_when_one_draw_does_not_factor():
     # rows 0 and 1 coincide, so R is singular and only the zero-nugget draw
-    # needs the ladder; the other three keep their factors' bits
+    # does not factor; without it the other three keep their factors' bits
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(12, 3))
     X[1] = X[0]
     d2 = pairwise_sqdiffs(X)
     rho, lam = _stacked_draws(rng, 3, 4, np.arange(4) == 2)
-    factors = GpFactor.stack(d2, rho, lam)
-    assert [f.jitter > 0.0 for f in factors] == [False, False, True, False]
-    _assert_factors_match(factors, d2, rho, lam, rng.normal(size=12))
+    with pytest.raises(NumericalSingularityError):
+        GpFactor(d2, rho[2], lam[2])
+    with pytest.raises(NumericalSingularityError):
+        GpFactor.stack(d2, rho, lam)
+    keep = np.arange(4) != 2
+    _assert_factors_match(GpFactor.stack(d2, rho[keep], lam[keep]), d2, rho[keep], lam[keep],
+                          rng.normal(size=12))
 
 
 def test_stack_rejects_mismatched_rho():

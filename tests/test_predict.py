@@ -13,6 +13,7 @@ from gpselect import (
     EmptyEnsembleError,
     GpFactor,
     ModelIndicator,
+    NumericalSingularityError,
     OptimizationFailureError,
     ParameterState,
     PredictionRequest,
@@ -210,10 +211,8 @@ def _duplicate_row_data(rng):
 
 
 def test_fit_mle_zero_nugget_refuses_jittered_factor(rng):
-    # R is singular at every rho, so at lambda = 0 only the jitter fallback
-    # factors it; that jitter would be a nugget the fit does not report
-    from gpselect import OptimizationFailureError
-
+    # R is singular at every rho, so at lambda = 0 no point is feasible: no
+    # diagonal jitter stands in for a nugget the fit would not report
     data = _duplicate_row_data(rng)
     with pytest.raises(OptimizationFailureError) as err:
         fit_mle(data, ModelIndicator([0, 0], [1, 1]), lambda_allowed=False)
@@ -221,18 +220,15 @@ def test_fit_mle_zero_nugget_refuses_jittered_factor(rng):
     assert all(val == np.inf for _, val in err.value.trace)
 
 
-def test_predict_mle_warns_when_zero_nugget_fit_needs_jitter(rng, caplog):
-    # e.g. a zero-nugget fit saved before the feasibility rule existed
-    from gpselect.predict import MleFit
-
+def test_predict_mle_raises_where_a_zero_nugget_fit_does_not_factor(rng):
+    # e.g. a zero-nugget fit made on other data: R is singular on these rows
     data = _duplicate_row_data(rng)
     fit = MleFit(
         model=ModelIndicator([0, 0], [1, 1]), beta0_hat=1.0, beta_hat=np.zeros(2),
         rho_hat=np.array([0.5, 0.5]), lambda_hat=0.0, sigma2_hat=1.0, neg_log_lik=0.0,
     )
-    with caplog.at_level("WARNING", logger="gpselect.predict"):
+    with pytest.raises(NumericalSingularityError):
         predict_mle(fit, data, PredictionRequest(data.X))
-    assert "jitter 1e-10" in caplog.text
 
 
 def test_predict_mle_no_spatial_reduces_to_regression(rng):
@@ -413,7 +409,8 @@ def test_mle_objective_gradient_matches_finite_differences():
         log_lam = [rng.uniform(-8.0, 2.0)] if lambda_allowed else []
         z = np.concatenate([rho, log_lam])
         lam = math.exp(log_lam[0]) if lambda_allowed else 0.0
-        if np.linalg.cond(GpFactor(d2, rho, lam).A) > 1e6:
+        # R + lam I as GpFactor builds it, unfactored: it may not factor
+        if np.linalg.cond(kernel.corr_from_sqdiffs(d2, rho) + lam * np.eye(n)) > 1e6:
             continue
         val, grad, _, _ = _concentrated_objective(z, y, F, d2, lambda_allowed)
         steps = [0.01 * min(0.1, r, 1.0 - r) for r in rho] + [1e-3] * lambda_allowed
@@ -510,7 +507,8 @@ def _r_symmetric(X, rho) -> bool:
     m=st.sampled_from([0, 1, 3]),
 )
 def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_rho, m):
-    """GpFactor and its callers against the copies of the code they replaced.
+    """GpFactor and its callers against the copies of the code they replaced,
+    and what fit_mle promises of the fit it returns.
 
     The old correlation_matrix symmetrised R as 0.5 * (R + R.T); GpFactor
     factors exp(d2 @ log rho) as computed, reading its lower triangle only.
@@ -524,11 +522,19 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
     to 1e-12 relative, widened in proportion to cond(R + lam I) since a
     last-bit change of R moves a solve by about cond * eps. Model averaging
     never symmetrised R, so its bound holds everywhere.
+
+    Where R + lam I does not factor (a repeated row at lam = 0, or an R too
+    near singular at lam = 0), every path that factors it raises
+    NumericalSingularityError, as the reference's one Cholesky does. Of a
+    fit, the test asks only what fit_mle promises: its neg_log_lik is the
+    best start's objective, the point it returns factors, and its estimates
+    are that point's GLS values; it raises OptimizationFailureError only
+    where no start reached a factorable point.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, p))
     if duplicate:
-        X[1] = X[0]  # singular R at lam = 0: the jitter ladder steps in
+        X[1] = X[0]  # singular R: at lam = 0, R + lam I does not factor
     y = rng.normal() + X @ rng.normal(scale=2.0, size=p) + rng.normal(scale=0.3, size=n)
     data = Dataset(X=X, y=y, column_names=[f"x{j + 1}" for j in range(p)])
     gamma_c = np.zeros(p, dtype=int) if no_active_rho else rng.integers(0, 2, size=p)
@@ -539,62 +545,81 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
     lam = 0.0 if zero_nugget else float(np.exp(rng.uniform(-8.0, 0.0)))
     beta0, beta = float(rng.normal()), np.where(gamma_r == 1, rng.normal(size=p), 0.0)
     req = PredictionRequest(rng.uniform(size=(m, p)))
-
-    f = GpFactor(kernel.pairwise_sqdiffs(X), rho, lam)
-    exact = _r_symmetric(X, rho)
-    km = oracles.correlation_matrix_reference(X, rho)
-    _assert_agree(f.L, km.factor(lam), exact, f)
-    if exact:
-        assert f.jitter == km.jitter(lam)
     state = ParameterState(beta0=beta0, beta=beta, rho=rho, sigma2_z=1.0, lam=lam,
                            omega_r=0.5, omega_c=0.5)
-    _assert_agree(conditional_mean(data, state, req),
-                  oracles.conditional_mean_reference(data, state, req), exact, f,
-                  _reordered_sum_bound(data, req, [(beta0, beta, rho, lam)]))
-    _assert_agree(np.hstack(gls_fit(data, model, rho, lam)),
-                  np.hstack(oracles.gls_fit_reference(data, model, rho, lam)), exact, f)
-
     other = (beta0 + 1.0, beta, np.where(gamma_c == 1, rng.uniform(0.05, 0.95, size=p), 1.0),
              lam + 0.5)
     draws = [(beta0, beta, rho, lam)] * 2 + [other, (beta0, beta, rho, lam)]
-    got = model_average(chain := _chain_of(draws), data, req)
-    want = oracles.model_average_reference(chain, data, req)
-    assert np.all(np.abs(got - want) <= _reordered_sum_bound(data, req, draws))
+    chain = _chain_of(draws)
+
+    km = oracles.correlation_matrix_reference(X, rho)
+    try:
+        km.factor(lam)
+    except NumericalSingularityError:
+        assert zero_nugget
+        paths = [lambda: GpFactor(kernel.pairwise_sqdiffs(X), rho, lam),
+                 lambda: gls_fit(data, model, rho, lam)]
+        if m:  # an empty request factors nothing
+            paths += [lambda: conditional_mean(data, state, req),
+                      lambda: model_average(chain, data, req)]
+        for path in paths:
+            with pytest.raises(NumericalSingularityError):
+                path()
+    else:
+        assert not (zero_nugget and duplicate)
+        f = GpFactor(kernel.pairwise_sqdiffs(X), rho, lam)
+        exact = _r_symmetric(X, rho)
+        _assert_agree(f.L, km.factor(lam), exact, f)
+        _assert_agree(conditional_mean(data, state, req),
+                      oracles.conditional_mean_reference(data, state, req), exact, f,
+                      _reordered_sum_bound(data, req, [(beta0, beta, rho, lam)]))
+        _assert_agree(np.hstack(gls_fit(data, model, rho, lam)),
+                      np.hstack(oracles.gls_fit_reference(data, model, rho, lam)), exact, f)
+        got = model_average(chain, data, req)
+        want = oracles.model_average_reference(chain, data, req)
+        assert np.all(np.abs(got - want) <= _reordered_sum_bound(data, req, draws))
 
     try:
-        want = oracles.fit_mle_reference(data, model, lambda_allowed=not zero_nugget, n_starts=2)
-    except OptimizationFailureError:
-        with pytest.raises(OptimizationFailureError):
-            fit_mle(data, model, lambda_allowed=not zero_nugget, n_starts=2)
+        got = fit_mle(data, model, lambda_allowed=not zero_nugget, n_starts=2)
+    except OptimizationFailureError as err:
+        # with a nugget every point factors; at lam = 0 every point the
+        # search computed last did not
+        assert zero_nugget and gamma_c.any()
+        assert all(val == np.inf for _, val in err.trace)
         return
-    got = fit_mle(data, model, lambda_allowed=not zero_nugget, n_starts=2)
-    # the search runs on the exact gradient, the reference on finite
-    # differences, so the two need not stop at the same point: the value
-    # path must match the reference at got's own point, and got's optimum
-    # must be at least as good as the reference's
-    assert got.model == want.model and got.degenerate == want.degenerate
-    if zero_nugget and not gamma_c.any():
-        # plain least squares with no search: the reference's fit is the value
-        b0, b, s2, obj = want.beta0_hat, want.beta_hat, want.sigma2_hat, want.neg_log_lik
+    # a repeated row makes R singular at every rho
+    assert not (zero_nugget and duplicate and gamma_c.any())
+    if got.starts:
+        assert got.neg_log_lik == got.best_start["objective"]
+    b = np.zeros(p)
+    ols = zero_nugget and not gamma_c.any()
+    if ols:
+        # plain least squares with no search
+        F = predict._trend_matrix(X, gamma_r)
+        coef = np.linalg.lstsq(F, y, rcond=None)[0]
+        resid = y - F @ coef
+        s2 = float(resid @ resid) / n
+        obj = n * math.log(max(s2, SIGMA2_DEGENERATE))
     else:
-        # the GLS on the search's own tensor, the active columns' squared
-        # differences, at the reported point
+        # the point factors: the GLS on the search's own tensor, the active
+        # columns' squared differences, at the reported point
         active_c = np.flatnonzero(gamma_c)
         f_got = GpFactor(kernel.pairwise_sqdiffs(X[:, active_c]), got.rho_hat[active_c],
                          got.lambda_hat)
         coef, s2, obj, _ = oracles.concentrated_gls_reference(
             y, predict._trend_matrix(X, gamma_r), f_got)
-        b0, b = coef[0], np.zeros(p)
-        b[gamma_r == 1] = coef[1:]
+    b0, b[gamma_r == 1] = coef[0], coef[1:]
+    assert got.model == model and got.degenerate == (s2 < SIGMA2_DEGENERATE)
     assert np.array_equal([got.beta0_hat, *got.beta_hat, got.sigma2_hat, got.neg_log_lik],
                           [b0, *b, max(s2, SIGMA2_DEGENERATE), obj])
-    assert got.neg_log_lik <= want.neg_log_lik + 1e-6 * max(1.0, abs(want.neg_log_lik))
-    f_hat = GpFactor(kernel.pairwise_sqdiffs(X), want.rho_hat, want.lambda_hat)
-    exact_hat = _r_symmetric(X, want.rho_hat)
-    _assert_agree(predict_mle(want, data, req),
-                  oracles.predict_mle_reference(want, data, req), exact_hat, f_hat,
-                  _reordered_sum_bound(data, req, [(want.beta0_hat, want.beta_hat,
-                                                    want.rho_hat, want.lambda_hat)]))
+    pred, want = predict_mle(got, data, req), oracles.predict_mle_reference(got, data, req)
+    if ols:  # the trend alone, factoring nothing
+        assert np.array_equal(pred, want)
+        return
+    f_hat = GpFactor(kernel.pairwise_sqdiffs(X), got.rho_hat, got.lambda_hat)
+    _assert_agree(pred, want, _r_symmetric(X, got.rho_hat), f_hat,
+                  _reordered_sum_bound(data, req, [(got.beta0_hat, got.beta_hat,
+                                                    got.rho_hat, got.lambda_hat)]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -629,31 +654,28 @@ def test_concentrated_gls_keeps_the_wrapper_errors():
             gls(y, np.ones((6, 7)), f)
 
 
-def test_model_average_warns_once_with_the_jittered_draw_count(monkeypatch, caplog):
-    # rows 0 and 1 coincide, so R is singular: a zero-nugget draw fails rung 0
-    # of the ladder and needs jitter, a nugget draw does not. Blocks of two
-    # draws mix stacks that factor at once with stacks that fall back per
-    # draw; the warning must count exactly the distinct draws whose own
-    # GpFactor needs jitter, once each however often they repeat
+def test_model_average_raises_when_a_distinct_draw_does_not_factor(monkeypatch):
+    # rows 0 and 1 coincide, so R is singular: a zero-nugget draw does not
+    # factor, a nugget draw does. In blocks of two draws, one such draw in
+    # the first, a middle or the last block fails the whole average; without
+    # it the same draws average as the reference does
     monkeypatch.setattr(predict, "CROSS_BLOCK_ELEMS", 800)
     assert predict._cross_blocks(10, 2)[0] == 2
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(10, 2))
     X[1] = X[0]
     data = Dataset(X=X, y=rng.normal(size=10), column_names=["x1", "x2"])
-    distinct = [(b0, b, r, 0.0 if i in (1, 4, 5) else lam)
-                for i, (b0, b, r, lam) in enumerate(_random_draws(rng, 2, 9))]
-    d2 = kernel.pairwise_sqdiffs(X)
-    jittered = sum(GpFactor(d2, r, lam).jitter > 0.0 for _, _, r, lam in distinct)
+    distinct = _random_draws(rng, 2, 9)
+    req = PredictionRequest(X[:3])
+    for bad in (0, 4, 8):
+        draws = [(b0, b, r, 0.0 if i == bad else lam)
+                 for i, (b0, b, r, lam) in enumerate(distinct) for _ in range(1 + i % 3)]
+        with pytest.raises(NumericalSingularityError):
+            model_average(_chain_of(draws), data, req)
     draws = [d for i, d in enumerate(distinct) for _ in range(1 + i % 3)]
-    with caplog.at_level("WARNING", logger="gpselect.predict"):
-        model_average(_chain_of(draws), data, PredictionRequest(X[:3]))
-    warnings = [r.getMessage() for r in caplog.records if "jitter" in r.getMessage()]
-    assert jittered == 3
-    assert warnings == [
-        f"model averaging: {jittered} distinct draws needed diagonal jitter on "
-        "R + lambda*I, which acts as extra nugget in their predictions"
-    ]
+    got = model_average(chain := _chain_of(draws), data, req)
+    want = oracles.model_average_reference(chain, data, req)
+    assert np.all(np.abs(got - want) <= _reordered_sum_bound(data, req, draws))
 
 
 def _random_draws(rng, p, k):
@@ -751,9 +773,8 @@ def test_kriging_means_match_the_all_sites_reference(seed, n, p, m, n_distinct, 
     args = (data, X_new, *(list(field) for field in zip(*draws)), weights)
     with mock.patch.object(predict, "CROSS_BLOCK_ELEMS", elems):
         block = predict._cross_blocks(n, p)[0]
-        got, got_jitters = predict._kriging_means(*args)
-        want, want_jitters = oracles.kriging_means_reference(*args)
-    assert got_jitters.tobytes() == want_jitters.tobytes()
+        got = predict._kriging_means(*args)
+        want = oracles.kriging_means_reference(*args)
     if p <= block:
         assert got.tobytes() == want.tobytes()
         return

@@ -168,7 +168,7 @@ def test_sigma2_must_be_positive(small_data):
         log_likelihood(small_data, state)
 
 
-def test_one_cholesky_raises_where_the_matrix_does_not_factor():
+def test_duplicate_rows_at_zero_nugget_raise_and_factor_at_the_floor():
     # duplicate rows make R singular at lam = 0, and no diagonal is added
     # behind the caller's back; the smallest nugget the sampler proposes
     # (LAMBDA_FLOOR) factors the same R
@@ -176,6 +176,11 @@ def test_one_cholesky_raises_where_the_matrix_does_not_factor():
     with pytest.raises(NumericalSingularityError):
         GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], 0.0)
     assert np.all(np.isfinite(GpFactor(pairwise_sqdiffs(X), [0.5, 0.5], LAMBDA_FLOOR).L))
+
+
+def test_one_cholesky_raises_where_the_matrix_does_not_factor():
+    # one np.linalg.cholesky call: a negative definite matrix raises, and a
+    # positive definite one returns its plain factor with a zero jitter
     with pytest.raises(NumericalSingularityError):
         cholesky_with_jitter(-np.eye(3))
     A = np.array([[2.0, 0.5], [0.5, 1.0]])

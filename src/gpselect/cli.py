@@ -293,7 +293,7 @@ def cmd_sample(args, cfg: RunConfig, data: Dataset) -> tuple:
     """Run the sampler and keep the chain."""
     samp = cfg.sampler
     chain = sampler.run_chain(data, cfg.prior, samp)
-    rate = _iteration_acceptance_rate(chain)
+    rate = float(chain.accepted.mean())
     meta = {
         "seed": samp.seed,
         "n_iter": samp.n_iter,
@@ -306,12 +306,6 @@ def cmd_sample(args, cfg: RunConfig, data: Dataset) -> tuple:
     }
     return ({"chain": "chain.jsonl", "acceptance_rate": rate},
             {"chain.jsonl": partial(sampler.save_chain, chain)}, meta)
-
-
-def _iteration_acceptance_rate(chain) -> float:
-    """Accepted share of all iterations, burn-in included, from the per-move table."""
-    moves = chain.acceptance_by_flips.values()
-    return sum(m["accepted"] for m in moves) / sum(m["proposed"] for m in moves)
 
 
 def cmd_inclusion(args, cfg: RunConfig, data: None) -> tuple:
@@ -341,9 +335,7 @@ def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
     chain = sampler.load_chain(args.chain)
     report = select.inclusion_probabilities(chain)
     ladder = select.candidate_ladder(report, cfg.select.low, cfg.select.high)
-    cv = select.cross_validate(
-        data, ladder, cfg.select.v_folds, seed=cfg.sampler.seed, n_threads=args.threads
-    )
+    cv = select.cross_validate(data, ladder, cfg.select.v_folds, seed=cfg.sampler.seed)
     cv.implied_cutoffs = select.implied_cutoffs(report, ladder, cfg.select.high)
     header = ["candidate", "n_active", "implied_cutoff", "cv_rmspe", "cv_se",
               "rmspe_minus_se", "rmspe_plus_se", "chosen", "chosen_1se"]
@@ -432,7 +424,7 @@ def benchmark_methods(
         "rmspe": rows,
         "models": {k: v.key() for k, v in models.items()},
         "inclusion": {"p_r": report.p_r.tolist(), "p_c": report.p_c.tolist()},
-        "acceptance_rate": _iteration_acceptance_rate(chain),
+        "acceptance_rate": float(chain.accepted.mean()),
     }
 
 
@@ -481,7 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for CV")
+    # kept only for perfbench's argv, which passes --threads 1; goes with ROADMAP item 1
+    parser.add_argument("--threads", type=int, default=1, help="must be 1: CV is serial")
     parser.add_argument(
         "--output-dir", default="gpselect_out", help="directory for output files"
     )
@@ -532,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_args(args, cfg: RunConfig) -> None:
     """Fill missing input flags from the config's io section; reject what is
-    still missing, a --threads below 1 and a negative --seed."""
+    still missing, a --threads other than 1 and a negative --seed."""
     for flag, key in (("data", "data"), ("response", "response"), ("sites", "sites")):
         if hasattr(args, flag) and getattr(args, flag) is None:
             setattr(args, flag, cfg.io.get(key))
@@ -546,8 +539,9 @@ def _resolve_args(args, cfg: RunConfig) -> None:
     if args.command == "benchmark" and not args.simulate and (
             args.data is None or args.response is None):
         raise ValidationError("benchmark needs either --simulate or --data/--response")
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    if args.threads != 1:
+        raise ValidationError(f"--threads must be 1 (cross-validation is serial), "
+                              f"got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be at least 0, got {args.seed}")
 

@@ -135,8 +135,6 @@ def _invgamma_norm(shape: float, scale: float) -> float:
 
 
 def _invgamma_logpdf(x: float, shape: float, scale: float) -> float:
-    if x <= 0.0:
-        return -math.inf
     return _invgamma_norm(shape, scale) - (shape + 1.0) * math.log(x) - scale / x
 
 
@@ -149,6 +147,25 @@ def flat_state(ind: ModelIndicator, state: ParameterState) -> tuple:
             tuple(map(float, scalars)))
 
 
+def support_violation(gamma_r, gamma_c, beta, rho, scalars) -> str | None:
+    """The rule of the prior's support that a `flat_state` breaks, or None.
+
+    Raises InvalidStateError where an inactive coordinate is off its point
+    mass. lambda need only be positive: LAMBDA_FLOOR clamps the sampler's
+    proposals and bounds no support. A NaN sigma2_z, lambda or active rho
+    passes, so `log_prior` stays NaN there, which the sampler auto-rejects.
+    """
+    _check_consistent(gamma_r, gamma_c, beta, rho)
+    _, sigma2_z, lam, omega_r, omega_c = scalars
+    if not (0.0 < omega_r < 1.0 and 0.0 < omega_c < 1.0):
+        return "omega_r and omega_c must lie in (0, 1)"
+    if any(r <= 0.0 or r >= 1.0 for g, r in zip(gamma_c, rho) if g == 1):
+        return "active rho must lie in (0, 1)"
+    if sigma2_z <= 0.0 or lam <= 0.0:
+        return "sigma2_z and lambda must be positive"
+    return None
+
+
 def log_prior(gamma_r, gamma_c, beta, rho, scalars, cfg: PriorConfig) -> float:
     """Joint log-prior over indicators and parameters of a `flat_state`.
 
@@ -157,18 +174,14 @@ def log_prior(gamma_r, gamma_c, beta, rho, scalars, cfg: PriorConfig) -> float:
     Gaussian for the intercept, inverse-gamma for sigma2_z and lambda, and a
     uniform (zero) term for the weights. Returns -inf outside the support.
     """
+    if support_violation(gamma_r, gamma_c, beta, rho, scalars) is not None:
+        return -math.inf
     beta0, sigma2_z, lam, omega_r, omega_c = scalars
-    _check_consistent(gamma_r, gamma_c, beta, rho)
-    if not (0.0 < omega_r < 1.0 and 0.0 < omega_c < 1.0):
-        return -math.inf
-    active_rho = [r for g, r in zip(gamma_c, rho) if g == 1]
-    if any(r <= 0.0 or r >= 1.0 for r in active_rho):
-        return -math.inf
 
     p = len(gamma_r)
     active_beta = [b for g, b in zip(gamma_r, beta) if g == 1]
     nr = len(active_beta)
-    nc = len(active_rho)
+    nc = sum(gamma_c)
     lp = nr * math.log(omega_r) + (p - nr) * math.log1p(-omega_r)
     lp += nc * math.log(omega_c) + (p - nc) * math.log1p(-omega_c)
 

@@ -40,6 +40,7 @@ from .model import (
     from_unconstrained,
     log_jacobian,
     log_prior,
+    support_violation,
     to_unconstrained,
 )
 
@@ -482,8 +483,9 @@ _NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
 def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> int:
     """Append a chain file state to the typed rows of _row_fields and return
     p. Raises ValueError unless every vector holds p values (the first
-    vector's count when p is None), each indicator is 0 or 1 and every other
-    value is a number (not a boolean)."""
+    vector's count when p is None), each indicator is 0 or 1, every other
+    value is a finite number (not a boolean) and the state lies in the
+    prior's support (`support_violation`)."""
     vectors = [record[key] for key in _VECTOR_KEYS]
     for key, vector in zip(_VECTOR_KEYS, vectors):
         if type(vector) is not list:
@@ -503,5 +505,11 @@ def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> in
         values.extend(row)
     except OverflowError:
         raise ValueError("a number is too large for a double") from None
+    # after the extend, which turned away the ints too large for isfinite
+    if not all(map(math.isfinite, row)):
+        raise ValueError("every value must be finite")
+    rule = support_violation(*vectors, row[2 * p:2 * p + 5])
+    if rule is not None:
+        raise ValueError(rule)
     gammas.extend(map(int, indicators))
     return p

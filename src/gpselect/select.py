@@ -179,8 +179,9 @@ def implied_cutoffs(
     """Threshold each ladder candidate corresponds to.
 
     For a candidate, this is the smallest inclusion probability among its
-    active indicators (thresholding there reproduces it); the bare automatic
-    model maps to `high`.
+    active indicators (thresholding there reproduces it), so the bare
+    automatic model maps to its lowest active probability, at or above
+    `high`. Only a candidate with no active indicator maps to `high`.
     """
     cutoffs = np.empty(len(candidates))
     for i, cand in enumerate(candidates):
@@ -196,21 +197,11 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
     return [np.sort(f) for f in np.array_split(rng.permutation(n), v)]
 
 
-def _fit_and_score(data, cand, train_rows, test_rows):
-    """A fold's RMSPE and its fit."""
-    train = data.subset(train_rows)
-    test = data.subset(test_rows)
-    fit = fit_mle(train, cand)
-    pred = predict_mle(fit, train, PredictionRequest(test.X))
-    return rmspe(test.y, pred), fit
-
-
 def cross_validate(
     data,
     candidates: list[ModelIndicator],
     v: int,
     seed: int = 0,
-    n_threads: int = 1,
 ) -> CvReport:
     """v-fold cross-validation of the candidates by per-fold RMSPE.
 
@@ -231,33 +222,21 @@ def cross_validate(
     folds = _cv_folds(n, v, seed)
     all_rows = np.arange(n)
     scores = np.full((len(candidates), v), np.nan)
-
-    jobs = []
-    for ci, cand in enumerate(candidates):
-        for fi, fold in enumerate(folds):
-            jobs.append((ci, fi, cand, np.setdiff1d(all_rows, fold), fold))
-
-    def run(job):
-        ci, fi, cand, train_rows, test_rows = job
-        try:
-            return ci, fi, *_fit_and_score(data, cand, train_rows, test_rows)
-        except (NumericalSingularityError, OptimizationFailureError, np.linalg.LinAlgError) as exc:
-            logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
-            return ci, fi, np.nan, None
-
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
     fold_evals = np.zeros(len(candidates), dtype=int)
     fold_at_bound = [Counter() for _ in candidates]
     fold_status = [Counter() for _ in candidates]
-    for ci, fi, val, fit in results:
-        scores[ci, fi] = val
-        if fit is not None:
+    for ci, cand in enumerate(candidates):
+        for fi, fold in enumerate(folds):
+            train = data.subset(np.setdiff1d(all_rows, fold))
+            test = data.subset(fold)
+            try:
+                fit = fit_mle(train, cand)
+                pred = predict_mle(fit, train, PredictionRequest(test.X))
+            except (NumericalSingularityError, OptimizationFailureError,
+                    np.linalg.LinAlgError) as exc:
+                logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
+                continue
+            scores[ci, fi] = rmspe(test.y, pred)
             fold_evals[ci] += fit.n_evals
             fold_at_bound[ci].update(fit.at_bound)
             fold_status[ci][str(fit.best_start["status"])] += 1

@@ -548,15 +548,17 @@ def _repeated_row_data(tmp_path) -> str:
 
 @pytest.mark.parametrize("mode, name, text", [
     ("mle", "fit.json", _json_line(_FIT)),
+    # lambda = 1e-20 lies in the prior's support, but 1 + 1e-20 == 1: the
+    # diagonal is that of a zero nugget
     ("average", "chain.jsonl", _json_line({**_CHAIN_LINE, "gamma_c": [1, 1], "rho": [0.5, 0.5]})
      + "\n" + _json_line({**_CHAIN_LINE, "iter": 1, "gamma_c": [1, 1], "rho": [0.5, 0.5],
-                          "lambda": 0.0})),
-], ids=["zero_nugget_fit", "chain_draw_with_zero_nugget"])
+                          "lambda": 1e-20})),
+], ids=["zero_nugget_fit", "chain_draw_with_zero_effective_nugget"])
 def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, capsys,
                                                                    mode, name, text):
-    # one Cholesky and no diagonal jitter: a zero nugget on data with a
-    # repeated row is a numerical failure, not a prediction with a nugget
-    # nobody declared; one such draw of a chain fails the whole average
+    # one Cholesky and no diagonal jitter: a zero (or negligible) nugget on
+    # data with a repeated row is a numerical failure, not a prediction with
+    # a nugget nobody declared; one such draw of a chain fails the whole average
     data = _repeated_row_data(tmp_path)
     path = tmp_path / name
     path.write_text(text + "\n")
@@ -589,12 +591,23 @@ def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, cap
     ("fit.json", "mle", _json_line({**_FIT, "gamma_r": [0, 0], "beta_hat": [3.0, 0.0]})),
     ("fit.json", "mle", _json_line({**_FIT, "lambda_hat": -5.0})),
     ("fit.json", "mle", _json_line({**_FIT, "beta_hat": [1.0, 0.0, 0.0]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "beta": [0.5, 0.0]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "rho": [1.0, 0.5]})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "sigma2_z": -1.0})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "omega_r": 1.5})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "gamma_c": [1, 0], "rho": [0.0, 1.0]})),
+    ("chain.jsonl", "average", _json_line(_CHAIN_LINE) + "\n"
+     + _json_line({**_CHAIN_LINE, "iter": 1, "lambda": 0.0})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "beta0": float("nan")})),
 ], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
         "chain_line_not_an_object", "fit_not_json", "chain_not_json",
         "chain_indicator_not_0_or_1", "chain_indicator_out_of_int8", "chain_beta_not_a_number",
         "chain_beta0_null", "chain_vector_length_differs_between_lines",
         "chain_iter_not_an_integer", "fit_rho_above_1", "fit_beta0_nan",
-        "fit_inactive_beta_not_0", "fit_lambda_negative", "fit_beta_hat_longer_than_the_data"])
+        "fit_inactive_beta_not_0", "fit_lambda_negative", "fit_beta_hat_longer_than_the_data",
+        "chain_inactive_beta_not_0", "chain_inactive_rho_not_1", "chain_sigma2_z_negative",
+        "chain_omega_above_1", "chain_active_rho_0", "chain_lambda_0_on_line_2",
+        "chain_beta0_nan"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
                                                                name, mode, text):
     path = tiny_pipeline["dir"] / name
@@ -621,9 +634,11 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     (["fit", "--model", "MISSING", "--data", "DATA", "--response", "y"], "MISSING"),
     (["inclusion", "--chain", "MISSING"], "MISSING"),
     (["--threads", "0", "sample", "--data", "DATA", "--response", "y"],
-     "--threads must be at least 1, got 0"),
+     "--threads must be 1 (cross-validation is serial), got 0"),
+    (["--threads", "2", "select", "--chain", "MISSING", "--data", "DATA", "--response", "y"],
+     "--threads must be 1 (cross-validation is serial), got 2"),
 ], ids=["predict_mle_without_fit", "predict_average_without_chain", "benchmark_without_input",
-        "fit_model_missing", "inclusion_chain_missing", "threads_zero"])
+        "fit_model_missing", "inclusion_chain_missing", "threads_zero", "threads_two"])
 def test_cli_failure_after_the_config_loads_writes_nothing(tiny_pipeline, capsys, argv,
                                                           message):
     paths = {"DATA": tiny_pipeline["data"], "SITES": tiny_pipeline["sites"],

@@ -32,8 +32,11 @@ def _chain(n_draws, p=5, accept=0.08, seed=0):
         gamma_r=gamma_r[state], gamma_c=gamma_c[state],
         beta=np.where(gamma_r, rng.normal(size=(n_states, p)), 0.0)[state],
         rho=np.where(gamma_c, rng.uniform(size=(n_states, p)), 1.0)[state],
-        **{k: rng.normal(size=n_states)[state]
-           for k in ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")},
+        # states inside the prior's support, the only ones load_chain reads
+        **{k: draw(size=n_states)[state]
+           for k, draw in (("beta0", rng.normal), ("sigma2_z", rng.lognormal),
+                           ("lam", rng.lognormal), ("omega_r", rng.uniform),
+                           ("omega_c", rng.uniform), ("log_posts", rng.normal))},
         iters=np.arange(20_000, 20_000 + n_draws, dtype=np.int64),
         accepted=flags, draw_accepted=flags,
     )

@@ -318,12 +318,17 @@ def test_acceptance_by_flips_partitions_every_iteration(small_data, tmp_path):
     assert list(table) == ["0", "1", "2", "3+"]
     assert sum(m["proposed"] for m in table.values()) == cfg.n_iter
     assert sum(m["accepted"] for m in table.values()) == chain.accepted.sum()
+    # the CLI reports chain.accepted.mean(): an exact count over n_iter, as is
+    # the table's accepted share, so the two floats agree to the bit
+    share = sum(m["accepted"] for m in table.values()) / cfg.n_iter
+    assert float(chain.accepted.mean()) == share
     assert all(0 < m["proposed"] and 0 <= m["accepted"] <= m["proposed"] for m in table.values())
     # nu = 1 flips all 2p = 4 indicators every iteration; a tiny nu flips none
     for nu, bucket in ((1.0, "3+"), (1e-12, "0")):
         chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=200, burn_in=20, nu=nu))
         assert chain.acceptance_by_flips[bucket]["proposed"] == 200
         assert chain.acceptance_by_flips[bucket]["accepted"] == chain.accepted.sum()
+        assert float(chain.accepted.mean()) == chain.accepted.sum() / 200
     save_chain(chain, tmp_path / "chain.jsonl")
     assert load_chain(tmp_path / "chain.jsonl").acceptance_by_flips is None
 
@@ -372,19 +377,27 @@ SPECIAL_FLOATS = (0.0, -0.0, 1.0, 0.1, 5e-324, 1e-300, 1e300)
 
 
 def _draw_state(rng, p):
-    """One chain state with zeros of either sign and awkward magnitudes."""
+    """One chain state inside the prior's support (load_chain reads no other),
+    with zeros of either sign and awkward magnitudes."""
     def value():
         if rng.random() < 0.3:
             return SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
         return float(rng.normal() * 10.0 ** rng.integers(-8, 8))
+
+    def positive():
+        return abs(value()) or 0.5
+
+    def unit():
+        return min(positive(), 1.0 - 2.0 ** -53) if rng.random() < 0.5 else rng.uniform(0.01, 1.0)
 
     gamma_r, gamma_c = rng.integers(0, 2, size=(2, p))
     zero = (0.0, -0.0)
     return {
         "gamma_r": gamma_r, "gamma_c": gamma_c,
         "beta": [value() if g else zero[rng.integers(2)] for g in gamma_r],
-        "rho": [rng.uniform() if g else 1.0 for g in gamma_c],
-        **{k: value() for k in ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")},
+        "rho": [unit() if g else 1.0 for g in gamma_c],
+        "beta0": value(), "sigma2_z": positive(), "lam": positive(),
+        "omega_r": unit(), "omega_c": unit(), "log_posts": value(),
     }
 
 

@@ -198,13 +198,6 @@ def test_cross_validate_deterministic_and_order_invariant(small_data):
         assert rep3.cv_rmspe[i] == pytest.approx(rep1.cv_rmspe[pi], rel=1e-12)
 
 
-def test_cross_validate_threads_match_serial(small_data):
-    cands = [ModelIndicator([1, 0], [0, 1]), ModelIndicator([0, 0], [1, 1])]
-    rep1 = cross_validate(small_data, cands, v=3, seed=3, n_threads=1)
-    rep2 = cross_validate(small_data, cands, v=3, seed=3, n_threads=4)
-    assert np.array_equal(rep1.cv_rmspe, rep2.cv_rmspe)
-
-
 def test_cross_validate_reports_the_fold_fits_evaluations_and_box_ends():
     # a smooth noiseless response: every ordinary-kriging fold fit puts the
     # nugget on the lower end of its box, lambda = e^-12

@@ -335,7 +335,9 @@ def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
     chain = sampler.load_chain(args.chain)
     report = select.inclusion_probabilities(chain)
     ladder = select.candidate_ladder(report, cfg.select.low, cfg.select.high)
+    t0 = time.perf_counter()
     cv = select.cross_validate(data, ladder, cfg.select.v_folds, seed=cfg.sampler.seed)
+    cv_s = time.perf_counter() - t0
     cv.implied_cutoffs = select.implied_cutoffs(report, ladder, cfg.select.high)
     header = ["candidate", "n_active", "implied_cutoff", "cv_rmspe", "cv_se",
               "rmspe_minus_se", "rmspe_plus_se", "chosen", "chosen_1se"]
@@ -348,7 +350,8 @@ def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
         "cv_report.json": partial(_write_json, cv.to_dict()),
         "cv_curve.csv": partial(_write_csv, header, rows),
     }
-    meta = {"seed": cfg.sampler.seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds}
+    meta = {"seed": cfg.sampler.seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds,
+            "cv_workers": cv.workers, "cv_s": cv_s}
     return ({"report": "cv_report.json", "curve_csv": "cv_curve.csv", "chosen": cv.chosen},
             files, meta)
 
@@ -474,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     # kept only for perfbench's argv, which passes --threads 1; goes with ROADMAP item 1
-    parser.add_argument("--threads", type=int, default=1, help="must be 1: CV is serial")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="must be 1: CV sets its own worker processes")
     parser.add_argument(
         "--output-dir", default="gpselect_out", help="directory for output files"
     )
@@ -540,8 +544,8 @@ def _resolve_args(args, cfg: RunConfig) -> None:
             args.data is None or args.response is None):
         raise ValidationError("benchmark needs either --simulate or --data/--response")
     if args.threads != 1:
-        raise ValidationError(f"--threads must be 1 (cross-validation is serial), "
-                              f"got {args.threads}")
+        raise ValidationError(f"--threads must be 1 (cross-validation sets its own "
+                              f"worker processes), got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be at least 0, got {args.seed}")
 

@@ -6,6 +6,7 @@ one-standard-error alternative.
 from __future__ import annotations
 
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .errors import (
     OptimizationFailureError,
     ValidationError,
 )
+from .kernel import _scipy
 from .model import ModelIndicator
 from .predict import PredictionRequest, fit_mle, predict_mle
 
@@ -59,6 +61,8 @@ class CvReport:
     counts per candidate how many fold fits ended on each box end, keyed like
     MleFit.at_bound (e.g. {"lambda:lower": 8}), and fold_status by the status
     of their best start (e.g. {"0": 7, "2": 1}). A failed fold adds to none.
+    workers counts the processes that ran the fold fits; to_dict leaves it
+    out, so the report's file does not depend on the machine.
     """
 
     candidates: list
@@ -72,6 +76,7 @@ class CvReport:
     fold_at_bound: list
     fold_status: list
     implied_cutoffs: np.ndarray | None = None
+    workers: int = 1
 
     def to_dict(self) -> dict:
         out = {"candidates": [], "chosen": int(self.chosen), "chosen_1se": int(self.chosen_1se)}
@@ -197,6 +202,52 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
     return [np.sort(f) for f in np.array_split(rng.permutation(n), v)]
 
 
+def _cv_workers(environ, cpus: int, n_jobs: int) -> int:
+    """Processes for n_jobs fold fits on cpus CPUs: as many as fit beside
+    each other's BLAS threads. OpenBLAS runs the first positive integer of
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, or one thread per CPU, so a
+    default-BLAS run stays in one process."""
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, min(n_jobs, cpus // blas_threads))
+
+
+# the job of a forked worker, set by _start_worker
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_job(index: int):
+    return _worker_job(index)
+
+
+def _map_jobs(job, n_jobs: int, workers: int) -> list:
+    """[job(i) for i in range(n_jobs)], in `workers` processes forked from
+    this one when there is more than one. A worker receives only job
+    indices: job and the data it reads reach it through the fork."""
+    if workers == 1:
+        return [job(i) for i in range(n_jobs)]
+    import multiprocessing  # here, so that importing gpselect does not load it
+
+    # imported before the fork, or every worker imports them again
+    for name in ("optimize", "linalg.lapack"):
+        _scipy(name)
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
+    try:
+        return pool.map(_run_job, range(n_jobs), chunksize=1)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def cross_validate(
     data,
     candidates: list[ModelIndicator],
@@ -210,7 +261,10 @@ def cross_validate(
     reported standard error is taken across folds. Each fold fit estimates
     the nugget (`fit_mle` with lambda free). Fold failures are skipped
     with a warning; a candidate failing more than 25% of folds is
-    disqualified.
+    disqualified. The (candidate, fold) fits run in forked worker processes
+    when the CPUs have room beside the BLAS threads (see _cv_workers); the
+    report and the failure warnings, logged in job order, are those of the
+    serial run.
     """
     n = data.X.shape[0]
     if v < 2:
@@ -221,25 +275,38 @@ def cross_validate(
         raise ValidationError("no candidate models supplied")
     folds = _cv_folds(n, v, seed)
     all_rows = np.arange(n)
+
+    def fit_fold(job: int):
+        """Score candidate job // v on fold job % v: (rmspe, n_evals,
+        at_bound, status) of its fit, or the text of the error it raised."""
+        cand, fold = candidates[job // v], folds[job % v]
+        train = data.subset(np.setdiff1d(all_rows, fold))
+        test = data.subset(fold)
+        try:
+            fit = fit_mle(train, cand)
+            pred = predict_mle(fit, train, PredictionRequest(test.X))
+        except (NumericalSingularityError, OptimizationFailureError,
+                np.linalg.LinAlgError) as exc:
+            return str(exc)
+        return rmspe(test.y, pred), fit.n_evals, fit.at_bound, str(fit.best_start["status"])
+
+    n_jobs = len(candidates) * v
+    # without an affinity call (macOS, Windows) the fits stay in this process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _cv_workers(os.environ, cpus, n_jobs)
     scores = np.full((len(candidates), v), np.nan)
     fold_evals = np.zeros(len(candidates), dtype=int)
     fold_at_bound = [Counter() for _ in candidates]
     fold_status = [Counter() for _ in candidates]
-    for ci, cand in enumerate(candidates):
-        for fi, fold in enumerate(folds):
-            train = data.subset(np.setdiff1d(all_rows, fold))
-            test = data.subset(fold)
-            try:
-                fit = fit_mle(train, cand)
-                pred = predict_mle(fit, train, PredictionRequest(test.X))
-            except (NumericalSingularityError, OptimizationFailureError,
-                    np.linalg.LinAlgError) as exc:
-                logger.warning("candidate %d fold %d failed: %s", ci, fi, exc)
-                continue
-            scores[ci, fi] = rmspe(test.y, pred)
-            fold_evals[ci] += fit.n_evals
-            fold_at_bound[ci].update(fit.at_bound)
-            fold_status[ci][str(fit.best_start["status"])] += 1
+    for job, result in enumerate(_map_jobs(fit_fold, n_jobs, workers)):
+        ci, fi = divmod(job, v)
+        if isinstance(result, str):
+            logger.warning("candidate %d fold %d failed: %s", ci, fi, result)
+            continue
+        scores[ci, fi], n_evals, at_bound, status = result
+        fold_evals[ci] += n_evals
+        fold_at_bound[ci].update(at_bound)
+        fold_status[ci][status] += 1
 
     n_fail = np.sum(np.isnan(scores), axis=1)
     disqualified = n_fail > 0.25 * v
@@ -275,4 +342,5 @@ def cross_validate(
         fold_evals=fold_evals,
         fold_at_bound=fold_at_bound,
         fold_status=fold_status,
+        workers=workers,
     )

@@ -13,6 +13,7 @@ import gpselect
 from gpselect import Dataset, ValidationError, export_csv, ingest
 from gpselect.cli import RunConfig, main
 from gpselect.data import read_sites_csv, split_rows
+from gpselect.select import _cv_workers
 
 
 def _write(path, text):
@@ -239,6 +240,10 @@ def test_cli_sample_inclusion_select(tiny_pipeline, capsys):
     assert 0 <= cv["chosen"] < len(cv["candidates"])
     assert len(cv["candidates"]) <= 2 * 2
     assert (out3 / "cv_curve.csv").exists()
+    meta = json.loads((out3 / "run_meta.json").read_text())
+    fold_fits = len(cv["candidates"]) * meta["v_folds"]
+    assert meta["cv_workers"] == _cv_workers(os.environ, len(os.sched_getaffinity(0)), fold_fits)
+    assert 0.0 < meta["cv_s"] < meta["wall_s"]
 
 
 def test_cli_run_meta_records_each_stage_wall_time(tiny_pipeline):
@@ -634,9 +639,9 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     (["fit", "--model", "MISSING", "--data", "DATA", "--response", "y"], "MISSING"),
     (["inclusion", "--chain", "MISSING"], "MISSING"),
     (["--threads", "0", "sample", "--data", "DATA", "--response", "y"],
-     "--threads must be 1 (cross-validation is serial), got 0"),
+     "--threads must be 1 (cross-validation sets its own worker processes), got 0"),
     (["--threads", "2", "select", "--chain", "MISSING", "--data", "DATA", "--response", "y"],
-     "--threads must be 1 (cross-validation is serial), got 2"),
+     "--threads must be 1 (cross-validation sets its own worker processes), got 2"),
 ], ids=["predict_mle_without_fit", "predict_average_without_chain", "benchmark_without_input",
         "fit_model_missing", "inclusion_chain_missing", "threads_zero", "threads_two"])
 def test_cli_failure_after_the_config_loads_writes_nothing(tiny_pipeline, capsys, argv,

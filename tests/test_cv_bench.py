@@ -5,11 +5,15 @@ the trend, x1, x2, x3 in the correlation) over 8 folds at n=35, p=5 on a
 maximin LHD, the paper's design size. Each fold fit is a
 `fit_mle` with the nugget free on 30 or 31 rows, then a `predict_mle` on
 the held-out rows. The benchmark's extra_info records the fold fits, the
-objective evaluations they computed and how their best starts ended. For a
-reading, pin BLAS to one thread:
+objective evaluations they computed, how their best starts ended and the
+worker processes that ran them. For a reading, pin BLAS to one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         tests/test_cv_bench.py --benchmark-columns=median,iqr
+
+One BLAS thread leaves room for a worker process per CPU, so on more than
+one CPU that reading times the fold fits in forked workers (cv_workers > 1);
+with BLAS threads unset it times them in one process.
 """
 
 import numpy as np
@@ -33,4 +37,5 @@ def test_cv_time(benchmark):
     benchmark.extra_info["fold_fits"] = V_FOLDS - entry["failed_folds"]
     benchmark.extra_info["fold_evals"] = entry["fold_evals"]
     benchmark.extra_info["fold_status"] = entry["fold_status"]
+    benchmark.extra_info["cv_workers"] = report.workers
     assert np.isfinite(entry["cv_rmspe"])

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gpselect
 
 from gpselect import (
     Dataset,
@@ -19,7 +26,7 @@ from gpselect import (
     threshold_model,
 )
 from gpselect.predict import LOG_LAMBDA_BOUNDS
-from gpselect.select import InclusionReport, _cv_folds, implied_cutoffs
+from gpselect.select import InclusionReport, _cv_folds, _cv_workers, implied_cutoffs
 
 
 def _chain_from_keys(keys):
@@ -169,6 +176,16 @@ def test_cross_validate_single_candidate(small_data):
     assert np.isfinite(rep.cv_rmspe[0])
 
 
+def test_cross_validate_runs_in_one_process_without_an_affinity_call(small_data,
+                                                                     monkeypatch):
+    cands = [ModelIndicator([1, 0], [0, 1]), ModelIndicator([1, 1], [1, 1])]
+    expected = cross_validate(small_data, cands, v=3, seed=1).to_dict()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    rep = cross_validate(small_data, cands, v=3, seed=1)
+    assert rep.workers == 1
+    assert rep.to_dict() == expected
+
+
 def test_cross_validate_generator_wins(rng):
     # noiseless linear truth: the generating model should dominate
     X = rng.uniform(size=(24, 2))
@@ -238,6 +255,96 @@ def test_cross_validate_validation_errors(small_data):
         cross_validate(small_data, [ModelIndicator([1, 0], [0, 0])], v=99)
     with pytest.raises(ValidationError):
         cross_validate(small_data, [], v=3)
+
+
+@pytest.mark.parametrize("environ, cpus, n_jobs, workers", [
+    ({}, 2, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 48, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 48, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 48, 2),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 48, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 48, 4),
+], ids=["unset", "openblas_1", "openblas_2", "omp_1", "openblas_before_omp", "zero_is_unset",
+        "zero_then_omp", "non_numeric_is_unset", "one_job", "one_cpu", "more_threads_than_cpus",
+        "two_threads_on_8_cpus"])
+def test_cv_workers_leave_one_cpu_per_blas_thread(environ, cpus, n_jobs, workers):
+    assert _cv_workers(environ, cpus, n_jobs) == workers
+
+
+# run in a fresh interpreter whose OpenBLAS starts with one thread: CV of
+# three candidates on one CPU and then on every CPU, with two fold fits
+# singular, then a CV whose fold fit raises an error CV does not catch.
+# Prints one JSON line per CPU set.
+CV_WORKERS_PROBE = """
+import json, logging, multiprocessing, os
+import numpy as np
+import gpselect.select as select
+from gpselect import Dataset, ModelIndicator, NumericalSingularityError
+
+rng = np.random.default_rng(3)
+X = rng.uniform(size=(12, 2))
+data = Dataset(X=X, y=1.0 + 2.0 * X[:, 0] + np.sin(3.0 * X[:, 1]), column_names=["a", "b"])
+cands = [ModelIndicator([1, 0], [0, 1]), ModelIndicator([0, 0], [1, 1]),
+         ModelIndicator([1, 1], [1, 1])]
+folds = select._cv_folds(12, 3, seed=4)
+fit_mle = select.fit_mle
+
+def failing(jobs, error):
+    # fit_mle, raising error on each (candidate, fold) of jobs
+    def fit(train, model):
+        for ci, fi in jobs:
+            if model == cands[ci] and np.array_equal(
+                    train.X, X[np.setdiff1d(np.arange(12), folds[fi])]):
+                raise error
+        return fit_mle(train, model)
+    return fit
+
+warnings = []
+handler = logging.Handler()
+handler.emit = lambda record: warnings.append(record.getMessage())
+logging.getLogger("gpselect.select").addHandler(handler)
+for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))] if os.environ["ALL_CPUS"] == "1" else []):
+    os.sched_setaffinity(0, cpus)
+    warnings.clear()
+    select.fit_mle = failing([(2, 0), (1, 2)], NumericalSingularityError("not factorable"))
+    report = select.cross_validate(data, cands, 3, seed=4)
+    after_return = multiprocessing.active_children()
+    select.fit_mle = failing([(2, 1)], RuntimeError("unexpected"))
+    try:
+        select.cross_validate(data, cands, 3, seed=4)
+        raised = None
+    except RuntimeError as exc:
+        raised = str(exc)
+    print(json.dumps({"workers": report.workers, "report": json.dumps(report.to_dict()),
+                      "warnings": warnings, "raised": raised,
+                      "children": [len(after_return), len(multiprocessing.active_children())]}))
+"""
+
+
+def test_cross_validate_in_worker_processes_matches_one_process():
+    all_cpus = len(os.sched_getaffinity(0)) >= 2
+    env = dict(os.environ, PYTHONPATH=str(Path(gpselect.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", ALL_CPUS=str(int(all_cpus)))
+    proc = subprocess.run([sys.executable, "-c", CV_WORKERS_PROBE], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [run["workers"] for run in runs] == [1, 2][:len(runs)]
+    for run in runs:
+        assert run["warnings"] == ["candidate 1 fold 2 failed: not factorable",
+                                   "candidate 2 fold 0 failed: not factorable"]
+        failed = [c["failed_folds"] for c in json.loads(run["report"])["candidates"]]
+        assert failed == [0, 1, 1]
+        assert run["raised"] == "unexpected"
+        assert run["children"] == [0, 0]
+    if not all_cpus:
+        pytest.skip("one CPU: the run in two worker processes needs two")
+    assert runs[0]["report"] == runs[1]["report"]
 
 
 def test_fold_sizes_differ_by_at_most_one(small_data):

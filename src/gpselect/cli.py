@@ -6,8 +6,9 @@ a chosen model by maximum likelihood, predict at new sites, and benchmark
 the prediction strategies against each other on a holdout set.
 
 `main` is the one command runner. It takes the start clock, loads the
-config, applies `--seed` to `sampler.seed`, ingests `--data` for the
-commands that read it, and runs the command that `COMMANDS` names. A
+config, applies `--seed` to `sampler.seed`, fills each input flag from the
+config's io section, ingests the inputs and runs the command; `COMMANDS`
+names each command's function, help line and input flags. A
 command is a function of (args, cfg, data) that computes and returns three
 things: its stdout record, whose strings name its files; its files as
 name -> writer; and its run_meta.json extras. Only once the command has
@@ -466,6 +467,19 @@ def simulated_data(cfg: RunConfig,
     return train, train.transform_sites(val_design.points), y_val
 
 
+# subcommand -> (its function, its help line, the input flags it reads, each
+# of which falls back to io.<flag> in the config)
+COMMANDS = {
+    "simulate": (cmd_simulate, "generate synthetic train/validation CSVs", ()),
+    "sample": (cmd_sample, "run the posterior sampler", ("data", "response")),
+    "inclusion": (cmd_inclusion, "inclusion probabilities from a chain", ()),
+    "select": (cmd_select, "candidate ladder + cross-validation", ("data", "response")),
+    "fit": (cmd_fit, "maximum-likelihood fit of a fixed model", ("data", "response")),
+    "predict": (cmd_predict, "predict at new sites", ("data", "response", "sites")),
+    "benchmark": (cmd_benchmark, "five-method RMSPE comparison table", ("data", "response")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpselect",
@@ -486,60 +500,38 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="skip [0,1] column standardization at ingest")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="generate synthetic train/validation CSVs")
-
-    sp = sub.add_parser("sample", help="run the posterior sampler")
-    sp.add_argument("--data", default=None, help="training CSV (or io.data in the config)")
-    sp.add_argument("--response", default=None)
-
-    sp = sub.add_parser("inclusion", help="inclusion probabilities from a chain")
-    sp.add_argument("--chain", required=True)
-
-    sp = sub.add_parser("select", help="candidate ladder + cross-validation")
-    sp.add_argument("--chain", required=True)
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--response", default=None)
-
-    sp = sub.add_parser("fit", help="maximum-likelihood fit of a fixed model")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--response", default=None)
-    sp.add_argument("--model", required=True, help="JSON file with gamma_r/gamma_c")
-    sp.add_argument("--no-nugget", action="store_true",
-                    help="force lambda = 0 (deterministic interpolation)")
-
-    sp = sub.add_parser("predict", help="predict at new sites")
-    sp.add_argument("--mode", choices=("mle", "average"), required=True)
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--response", default=None)
-    sp.add_argument("--sites", default=None)
-    sp.add_argument("--fit", default=None)
-    sp.add_argument("--chain", default=None)
-    sp.add_argument("--denoise-threshold", type=float, default=None)
-
-    sp = sub.add_parser("benchmark", help="five-method RMSPE comparison table")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--response", default=None)
-    sp.add_argument("--simulate", action="store_true",
-                    help="benchmark on a fresh synthetic train/validation pair")
-    sp.add_argument("--holdout-fraction", type=float, default=0.25)
-    sp.add_argument("--split-seed", type=int, default=0)
+    sp = {}
+    for name, (_, help_line, inputs) in COMMANDS.items():
+        sp[name] = sub.add_parser(name, help=help_line)
+        for flag in inputs:
+            sp[name].add_argument(f"--{flag}", default=None,
+                                  help=f"falls back to io.{flag} in the config")
+    sp["inclusion"].add_argument("--chain", required=True)
+    sp["select"].add_argument("--chain", required=True)
+    sp["fit"].add_argument("--model", required=True, help="JSON file with gamma_r/gamma_c")
+    sp["fit"].add_argument("--no-nugget", action="store_true",
+                           help="force lambda = 0 (deterministic interpolation)")
+    sp["predict"].add_argument("--mode", choices=("mle", "average"), required=True)
+    sp["predict"].add_argument("--fit", default=None)
+    sp["predict"].add_argument("--chain", default=None)
+    sp["predict"].add_argument("--denoise-threshold", type=float, default=None)
+    sp["benchmark"].add_argument("--simulate", action="store_true",
+                                 help="benchmark on a fresh synthetic train/validation pair")
+    sp["benchmark"].add_argument("--holdout-fraction", type=float, default=0.25)
+    sp["benchmark"].add_argument("--split-seed", type=int, default=0)
     return parser
 
 
 def _resolve_args(args, cfg: RunConfig) -> None:
-    """Fill missing input flags from the config's io section; reject what is
-    still missing, a --threads other than 1 and a negative --seed."""
-    for flag, key in (("data", "data"), ("response", "response"), ("sites", "sites")):
-        if hasattr(args, flag) and getattr(args, flag) is None:
-            setattr(args, flag, cfg.io.get(key))
-    needed = {"sample": ("data", "response"), "select": ("data", "response"),
-              "fit": ("data", "response"), "predict": ("data", "response", "sites")}
-    for flag in needed.get(args.command, ()):
+    """Fill the command's missing input flags from the config's io section;
+    reject what is still missing, a --threads other than 1 and a negative --seed."""
+    for flag in COMMANDS[args.command][2]:
         if getattr(args, flag) is None:
-            raise ValidationError(
-                f"'{args.command}' needs --{flag} (or io.{flag} in the config)"
-            )
+            setattr(args, flag, cfg.io.get(flag))
+            if getattr(args, flag) is None and args.command != "benchmark":
+                raise ValidationError(
+                    f"'{args.command}' needs --{flag} (or io.{flag} in the config)"
+                )
     if args.command == "benchmark" and not args.simulate and (
             args.data is None or args.response is None):
         raise ValidationError("benchmark needs either --simulate or --data/--response")
@@ -548,17 +540,6 @@ def _resolve_args(args, cfg: RunConfig) -> None:
                               f"worker processes), got {args.threads}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be at least 0, got {args.seed}")
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "sample": cmd_sample,
-    "inclusion": cmd_inclusion,
-    "select": cmd_select,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "benchmark": cmd_benchmark,
-}
 
 
 def main(argv=None) -> int:
@@ -574,11 +555,12 @@ def main(argv=None) -> int:
         _resolve_args(args, cfg)
         if args.seed is not None:
             cfg.sampler.seed = args.seed
+        command, _, inputs = COMMANDS[args.command]
         data = None
-        # every command with a --data flag reads it, except benchmark --simulate
-        if hasattr(args, "data") and not getattr(args, "simulate", False):
+        # every command with inputs reads them, except benchmark --simulate
+        if inputs and not getattr(args, "simulate", False):
             data = ingest(args.data, args.response, standardize=not args.no_standardize)
-        record, files, extra = COMMANDS[args.command](args, cfg, data)
+        record, files, extra = command(args, cfg, data)
         output_dir = Path(args.output_dir)
         with output_lock(output_dir):
             for name, write in files.items():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import threading
 import time
 
 import numpy as np
@@ -29,20 +28,17 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # seconds this process has spent importing scipy modules through _scipy
 _import_s = 0.0
-_import_lock = threading.Lock()
 
 
 @functools.cache
 def _scipy(name: str):
     """The module scipy.<name>, imported on its first use, so that a command
     which factors no matrix and runs no optimizer starts without scipy. The
-    seconds each first import takes add to _import_s; the lock keeps a
-    thread that waits for another's import from counting its wait."""
+    seconds each first import takes add to _import_s."""
     global _import_s
-    with _import_lock:
-        t0 = time.perf_counter()
-        module = importlib.import_module(f"scipy.{name}")
-        _import_s += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    module = importlib.import_module(f"scipy.{name}")
+    _import_s += time.perf_counter() - t0
     return module
 
 

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import kernel
 from .errors import InvalidStateError
+from .kernel import LOG_2PI
 
 # Smallest nugget ratio the sampler will represent; log(lambda) must stay
 # defined. Exact lambda = 0 is reserved for deterministic interpolation.
 LAMBDA_FLOOR = 1e-10
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2 = math.log(2.0)
 
 
@@ -126,7 +126,7 @@ def _check_consistent(gamma_r, gamma_c, beta, rho) -> None:
 
 
 def _norm_logpdf(x: float, sd: float) -> float:
-    return -0.5 * (_LOG_2PI + 2.0 * math.log(sd)) - 0.5 * (x / sd) ** 2
+    return -0.5 * (LOG_2PI + 2.0 * math.log(sd)) - 0.5 * (x / sd) ** 2
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,7 +188,7 @@ def log_prior(gamma_r, gamma_c, beta, rho, scalars, cfg: PriorConfig) -> float:
     if nr:
         # numpy's dot, whose summation the chain's bits depend on
         active_beta = np.array(active_beta)
-        lp += -0.5 * nr * (_LOG_2PI + 2.0 * math.log(cfg.tau))
+        lp += -0.5 * nr * (LOG_2PI + 2.0 * math.log(cfg.tau))
         lp += -0.5 * float(active_beta @ active_beta) / cfg.tau**2
 
     lp += _norm_logpdf(beta0, cfg.beta0_sd)

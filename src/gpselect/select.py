@@ -134,13 +134,6 @@ def threshold_model(report: InclusionReport, q: float) -> ModelIndicator:
     )
 
 
-def _band_items(report: InclusionReport):
-    """All 2p indicators as (part, index, probability) triples."""
-    items = [("r", j, float(report.p_r[j])) for j in range(report.p)]
-    items += [("c", j, float(report.p_c[j])) for j in range(report.p)]
-    return items
-
-
 def candidate_ladder(
     report: InclusionReport, low: float = 0.30, high: float = 0.90
 ) -> list[ModelIndicator]:
@@ -156,11 +149,9 @@ def candidate_ladder(
     p = report.p
     auto_r = report.p_r >= high
     auto_c = report.p_c >= high
-    band = [
-        (part, j, prob)
-        for part, j, prob in _band_items(report)
-        if low <= prob < high
-    ]
+    # every linear indicator, then every spatial one, as (part, index, probability)
+    band = [(part, j, prob) for part, probs in (("r", report.p_r), ("c", report.p_c))
+            for j, prob in enumerate(map(float, probs)) if low <= prob < high]
     band.sort(key=lambda t: (-t[2], t[0], t[1]))
 
     candidates = []

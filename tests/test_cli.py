@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import gpselect
 from gpselect import Dataset, ValidationError, export_csv, ingest
-from gpselect.cli import RunConfig, main
+from gpselect.cli import COMMANDS, RunConfig, _build_parser, _resolve_args, main
 from gpselect.data import read_sites_csv, split_rows
 from gpselect.select import _cv_workers
 
@@ -265,12 +266,13 @@ def test_cli_run_meta_records_each_stage_wall_time(tiny_pipeline):
 
 SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.special")
 
-# run in a fresh interpreter: the scipy parts loaded after importing the CLI,
-# after `inclusion` and after `fit`, as one JSON line
+# run in a fresh interpreter: the scipy parts and multiprocessing (which only
+# select's pooled CV loads) loaded after importing the CLI, after `inclusion`
+# and after `fit`, as one JSON line
 IMPORT_PROBE = f"""
 import json, sys
 from gpselect.cli import main
-loaded = lambda: [m for m in {SCIPY_PARTS!r} if m in sys.modules]
+loaded = lambda: [m for m in {SCIPY_PARTS + ("multiprocessing",)!r} if m in sys.modules]
 stages = {{"import": loaded()}}
 for name, argv in json.loads(sys.argv[1]).items():
     assert main(argv) == 0, name
@@ -513,6 +515,56 @@ def test_cli_missing_input_is_validation_error(tmp_path, capsys):
     assert rc == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "needs --data" in record["message"]
+
+
+# each command's required flags besides its inputs; the input checks come first
+OTHER_FLAGS = {"select": ["--chain", "CHAIN"], "fit": ["--model", "MODEL"],
+               "predict": ["--mode", "mle"]}
+INPUTS = [(command, flag) for command, (_, _, inputs) in COMMANDS.items() for flag in inputs]
+
+
+@pytest.mark.parametrize("command, flag", INPUTS, ids=[f"{c}-{f}" for c, f in INPUTS])
+def test_cli_each_input_flag_falls_back_to_io_or_is_required(tiny_pipeline, capsys, command,
+                                                             flag):
+    values = {"data": tiny_pipeline["data"], "response": "y", "sites": tiny_pipeline["sites"]}
+    argv = [command, *OTHER_FLAGS.get(command, ()),
+            *(a for f in COMMANDS[command][2] if f != flag for a in (f"--{f}", values[f]))]
+    out = tiny_pipeline["dir"] / "out"
+    assert main(["--output-dir", str(out)] + argv) == 1
+    stdout, stderr = capsys.readouterr()
+    message = ("benchmark needs either --simulate or --data/--response" if command == "benchmark"
+               else f"'{command}' needs --{flag} (or io.{flag} in the config)")
+    assert stdout == "" and json.loads(stderr) == {"error": "ValidationError", "message": message}
+    assert not out.exists()
+    cfg_path = tiny_pipeline["dir"] / "io.json"
+    cfg_path.write_text(json.dumps({"io": {flag: values[flag]}}))
+    args = _build_parser().parse_args(argv)
+    _resolve_args(args, RunConfig.from_json(cfg_path))
+    assert getattr(args, flag) == values[flag]
+
+
+def test_cli_subcommands_keep_their_option_strings_and_help_lines():
+    expected = {
+        "simulate": ("generate synthetic train/validation CSVs", set()),
+        "sample": ("run the posterior sampler", {"--data", "--response"}),
+        "inclusion": ("inclusion probabilities from a chain", {"--chain"}),
+        "select": ("candidate ladder + cross-validation", {"--chain", "--data", "--response"}),
+        "fit": ("maximum-likelihood fit of a fixed model",
+                {"--data", "--response", "--model", "--no-nugget"}),
+        "predict": ("predict at new sites", {"--mode", "--data", "--response", "--sites",
+                                             "--fit", "--chain", "--denoise-threshold"}),
+        "benchmark": ("five-method RMSPE comparison table",
+                      {"--data", "--response", "--simulate", "--holdout-fraction",
+                       "--split-seed"}),
+    }
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(COMMANDS) == set(sub.choices)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    options = lambda p: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+    assert {name: (helps[name], options(sp)) for name, sp in sub.choices.items()} == expected
+    assert options(parser) == {"--config", "--seed", "--threads", "--output-dir",
+                               "--no-standardize", "-v", "--verbose"}
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

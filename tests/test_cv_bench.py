@@ -13,7 +13,10 @@ worker processes that ran them. For a reading, pin BLAS to one thread:
 
 One BLAS thread leaves room for a worker process per CPU, so on more than
 one CPU that reading times the fold fits in forked workers (cv_workers > 1);
-with BLAS threads unset it times them in one process.
+with BLAS threads unset it times them in one process. Its 8 fold fits are
+below the pool's break-even of about 16, and the reading includes the
+pool's start-up and teardown: on 2 CPUs a pooled run of this CV measured
+0.187 s against 0.130 s in one process.
 """
 
 import numpy as np

@@ -362,7 +362,7 @@ def cmd_fit(args, cfg: RunConfig, data: Dataset) -> tuple:
     model = _load_model_file(args.model, data.p)
     fit = predict.fit_mle(data, model, lambda_allowed=not args.no_nugget)
     return ({"fit": "mle_fit.json"}, {"mle_fit.json": partial(_write_json, fit.to_dict())},
-            {"neg_log_lik": fit.neg_log_lik})
+            {"neg_log_lik": fit.neg_log_lik, "fit_workers": fit.workers})
 
 
 def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:

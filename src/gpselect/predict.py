@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ MLE_MAXITER = 1000
 MLE_MAXCOR = 20
 # sizes the kriging means' stacks and tiles (_cross_blocks): 2**17 doubles = 1 MB
 CROSS_BLOCK_ELEMS = 2**17
+# _map_jobs forks workers for jobs training on this many rows in all (README)
+POOL_MIN_ROWS = 400
 
 
 @dataclass
@@ -65,12 +68,13 @@ class MleFit:
     from a search, it and the estimates are those computed at best_start's end.
     lambda_hat = 0.0 from a zero-nugget fit means R itself factored at
     rho_hat, so predict_mle interpolates the training data.
-    n_evals counts the objective evaluations computed over all starts (a
-    point the search requests again is not computed again), and at_bound
+    n_evals counts the distinct points the starts requested (a start does not
+    compute a point twice, but two starts, or two workers, may), and at_bound
     names each searched coordinate that ended on an end of its box, e.g.
     "rho[x4]:upper" or "lambda:lower". starts records each L-BFGS-B start's
     status (0 converged, 1 iteration limit, 2 other), message, nit, nfev
-    (objective requests) and final objective.
+    (objective requests) and final objective. to_dict leaves out workers, the
+    processes that ran the starts, so the fit's file is the same on any machine.
     """
 
     model: ModelIndicator
@@ -84,6 +88,7 @@ class MleFit:
     n_evals: int = 0
     at_bound: list = field(default_factory=list)
     starts: list = field(default_factory=list)
+    workers: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -386,6 +391,60 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     return val, grad, coef, sigma2
 
 
+def _workers(environ, cpus: int, n_jobs: int, rows: int) -> int:
+    """Processes for n_jobs fits that train on `rows` rows in all, on cpus
+    CPUs: one below POOL_MIN_ROWS rows, else as many as fit beside each
+    other's BLAS threads. OpenBLAS runs the first positive integer in ASCII
+    digits (what its atoi reads) of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS,
+    or one thread per CPU, so a default-BLAS run stays in one process."""
+    if rows < POOL_MIN_ROWS:
+        return 1
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isascii() and value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, min(n_jobs, cpus // blas_threads))
+
+
+# the job of a forked worker, set by _start_worker
+_worker_job = None
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_job(index: int):
+    return _worker_job(index)
+
+
+def _map_jobs(job, n_jobs: int, rows: int) -> tuple[list, int]:
+    """([job(i) for i in range(n_jobs)], the processes that ran them) for
+    jobs training on `rows` rows in all: in the workers _workers gives on
+    this process's CPUs, forked from it, or here inside a worker (pools do
+    not nest) or without an affinity call (macOS, Windows). A worker gets
+    only job indices: job and its data reach it through the fork."""
+    workers = 1
+    if _worker_job is None and hasattr(os, "sched_getaffinity"):
+        workers = _workers(os.environ, len(os.sched_getaffinity(0)), n_jobs, rows)
+    if workers == 1:
+        return [job(i) for i in range(n_jobs)], 1
+    import multiprocessing  # here, so that importing gpselect does not load it
+
+    # imported before the fork, or every worker imports them again
+    for name in ("optimize", "linalg.lapack"):
+        kernel._scipy(name)
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
+    try:
+        return pool.map(_run_job, range(n_jobs), chunksize=1), workers
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def fit_mle(
     data,
     model: ModelIndicator,
@@ -417,6 +476,11 @@ def fit_mle(
     An infeasible point scores 1e20 with a zero gradient.
     OptimizationFailureError is raised when no start reaches a feasible
     point, e.g. for duplicate rows at lambda = 0.
+
+    Each start keeps its own memo and the starts run in forked workers where
+    _map_jobs allows (n_starts * n rows in all). The memos merge in start
+    order, so the fit, n_evals (distinct points, which two starts may each
+    compute) and the failure's trace are those of one process.
     """
     p = data.X.shape[1]
     if model.gamma_r.shape[0] != p:
@@ -433,13 +497,12 @@ def fit_mle(
     d2 = kernel.pairwise_sqdiffs(data.X[:, active_c])
     n_rho = active_c.size
     dim = n_rho + (1 if lambda_allowed else 0)
-    computed: dict = {}  # z.tobytes() -> _concentrated_objective(z): each point computed once
 
-    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(z: np.ndarray, memo: dict) -> tuple[float, np.ndarray]:
         key = z.tobytes()
-        if key not in computed:
-            computed[key] = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
-        val, grad, _, _ = computed[key]
+        if key not in memo:
+            memo[key] = _concentrated_objective(z, data.y, F, d2, lambda_allowed)
+        val, grad, _, _ = memo[key]
         return (1e20, np.zeros(dim)) if grad is None else (val, grad)
 
     bounds = [RHO_BOUNDS] * n_rho + ([LOG_LAMBDA_BOUNDS] if lambda_allowed else [])
@@ -452,21 +515,33 @@ def fit_mle(
             z0[n_rho] = rng.uniform(*LOG_LAMBDA_BOUNDS)
         starts.append(z0)
 
-    # the value and the gradient as two callables on one memo: jac=True would
-    # add scipy's own memo layer on top of it
     minimize = kernel._scipy("optimize").minimize
-    runs = [minimize(lambda z: evaluate(z)[0], z0, jac=lambda z: evaluate(z)[1].copy(),
-                     method="L-BFGS-B", bounds=bounds, options={"maxiter": MLE_MAXITER,
-                     "ftol": MLE_FTOL, "maxcor": MLE_MAXCOR}) for z0 in starts]
+
+    def run_start(i: int):
+        """Start i's end point, run record and memo, in first-request order."""
+        memo: dict = {}
+        # the value and the gradient as two callables on one memo: jac=True
+        # would add scipy's own memo layer on top of it
+        res = minimize(lambda z: evaluate(z, memo)[0], starts[i],
+                       jac=lambda z: evaluate(z, memo)[1].copy(), method="L-BFGS-B",
+                       bounds=bounds, options={"maxiter": MLE_MAXITER, "ftol": MLE_FTOL,
+                                               "maxcor": MLE_MAXCOR})
+        return res.x, {"status": int(res.status), "message": str(res.message),
+                       "nit": int(res.nit), "nfev": int(res.nfev)}, list(memo.items())
+
+    runs, workers = _map_jobs(run_start, len(starts), len(starts) * data.X.shape[0])
+    computed: dict = {}  # z.tobytes() -> _concentrated_objective(z), in first-request order
+    for _, _, pairs in runs:
+        for key, entry in pairs:
+            computed.setdefault(key, entry)
     # a start's objective is the memo's at its final point res.x: after an
     # abnormal line-search stop, res.fun can be the value at another point
-    records = [{"status": int(res.status), "message": str(res.message), "nit": int(res.nit),
-                "nfev": int(res.nfev), "objective": float(evaluate(res.x)[0])} for res in runs]
+    records = [{**run, "objective": float(evaluate(x, computed)[0])} for x, run, _ in runs]
     best = _best_of(records)
     if not best["objective"] < 1e20:
         raise OptimizationFailureError("no finite concentrated likelihood found", trace=[
             (np.frombuffer(key), entry[0]) for key, entry in list(computed.items())[-50:]])
-    best_z = runs[records.index(best)].x
+    best_z = runs[records.index(best)][0]
     objective, _, coef, sigma2 = computed[best_z.tobytes()]
 
     rho_hat = np.ones(p)
@@ -480,7 +555,7 @@ def fit_mle(
                 for end, edge in (("lower", lo), ("upper", hi)) if z == edge]
     return _plug_in_fit(data, model, coef, sigma2, rho_hat=rho_hat, lambda_hat=lambda_hat,
                         neg_log_lik=objective, n_evals=len(computed), at_bound=at_bound,
-                        starts=records)
+                        starts=records, workers=workers)
 
 
 def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:

@@ -6,7 +6,6 @@ one-standard-error alternative.
 from __future__ import annotations
 
 import logging
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,9 +18,8 @@ from .errors import (
     OptimizationFailureError,
     ValidationError,
 )
-from .kernel import _scipy
 from .model import ModelIndicator
-from .predict import PredictionRequest, fit_mle, predict_mle
+from .predict import PredictionRequest, _map_jobs, fit_mle, predict_mle
 
 logger = logging.getLogger(__name__)
 
@@ -193,52 +191,6 @@ def _cv_folds(n: int, v: int, seed: int) -> list[np.ndarray]:
     return [np.sort(f) for f in np.array_split(rng.permutation(n), v)]
 
 
-def _cv_workers(environ, cpus: int, n_jobs: int) -> int:
-    """Processes for n_jobs fold fits on cpus CPUs: as many as fit beside
-    each other's BLAS threads. OpenBLAS runs the first positive integer of
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, or one thread per CPU, so a
-    default-BLAS run stays in one process."""
-    blas_threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return max(1, min(n_jobs, cpus // blas_threads))
-
-
-# the job of a forked worker, set by _start_worker
-_worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_job(index: int):
-    return _worker_job(index)
-
-
-def _map_jobs(job, n_jobs: int, workers: int) -> list:
-    """[job(i) for i in range(n_jobs)], in `workers` processes forked from
-    this one when there is more than one. A worker receives only job
-    indices: job and the data it reads reach it through the fork."""
-    if workers == 1:
-        return [job(i) for i in range(n_jobs)]
-    import multiprocessing  # here, so that importing gpselect does not load it
-
-    # imported before the fork, or every worker imports them again
-    for name in ("optimize", "linalg.lapack"):
-        _scipy(name)
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
-    try:
-        return pool.map(_run_job, range(n_jobs), chunksize=1)
-    finally:
-        pool.terminate()
-        pool.join()
-
-
 def cross_validate(
     data,
     candidates: list[ModelIndicator],
@@ -253,9 +205,9 @@ def cross_validate(
     the nugget (`fit_mle` with lambda free). Fold failures are skipped
     with a warning; a candidate failing more than 25% of folds is
     disqualified. The (candidate, fold) fits run in forked worker processes
-    when the CPUs have room beside the BLAS threads (see _cv_workers); the
-    report and the failure warnings, logged in job order, are those of the
-    serial run.
+    when they train on enough rows and the CPUs have room beside the BLAS
+    threads (see predict._workers); the report and the failure warnings,
+    logged in job order, are those of the serial run.
     """
     n = data.X.shape[0]
     if v < 2:
@@ -281,15 +233,13 @@ def cross_validate(
             return str(exc)
         return rmspe(test.y, pred), fit.n_evals, fit.at_bound, str(fit.best_start["status"])
 
-    n_jobs = len(candidates) * v
-    # without an affinity call (macOS, Windows) the fits stay in this process
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = _cv_workers(os.environ, cpus, n_jobs)
+    # each candidate's v fold fits train on (v - 1) * n rows in all
+    results, workers = _map_jobs(fit_fold, len(candidates) * v, len(candidates) * (v - 1) * n)
     scores = np.full((len(candidates), v), np.nan)
     fold_evals = np.zeros(len(candidates), dtype=int)
     fold_at_bound = [Counter() for _ in candidates]
     fold_status = [Counter() for _ in candidates]
-    for job, result in enumerate(_map_jobs(fit_fold, n_jobs, workers)):
+    for job, result in enumerate(results):
         ci, fi = divmod(job, v)
         if isinstance(result, str):
             logger.warning("candidate %d fold %d failed: %s", ci, fi, result)

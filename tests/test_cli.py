@@ -14,7 +14,7 @@ import gpselect
 from gpselect import Dataset, ValidationError, export_csv, ingest
 from gpselect.cli import COMMANDS, RunConfig, _build_parser, _resolve_args, main
 from gpselect.data import read_sites_csv, split_rows
-from gpselect.select import _cv_workers
+from gpselect.predict import _workers
 
 
 def _write(path, text):
@@ -243,7 +243,10 @@ def test_cli_sample_inclusion_select(tiny_pipeline, capsys):
     assert (out3 / "cv_curve.csv").exists()
     meta = json.loads((out3 / "run_meta.json").read_text())
     fold_fits = len(cv["candidates"]) * meta["v_folds"]
-    assert meta["cv_workers"] == _cv_workers(os.environ, len(os.sched_getaffinity(0)), fold_fits)
+    # each fold fit trains on the rows outside its fold
+    rows = len(cv["candidates"]) * (meta["v_folds"] - 1) * ingest(tiny_pipeline["data"], "y").n
+    assert meta["cv_workers"] == _workers(os.environ, len(os.sched_getaffinity(0)), fold_fits,
+                                          rows)
     assert 0.0 < meta["cv_s"] < meta["wall_s"]
 
 
@@ -348,6 +351,11 @@ def test_cli_fit_and_predict_interpolates(tiny_pipeline):
     assert rc == 0
     fit = json.loads((fit_dir / "mle_fit.json").read_text())
     assert fit["lambda_hat"] == 0.0
+    # 5 starts on the training rows; the worker count stays out of mle_fit.json
+    n = ingest(tiny_pipeline["data"], "y").n
+    meta = json.loads((fit_dir / "run_meta.json").read_text())
+    assert meta["fit_workers"] == _workers(os.environ, len(os.sched_getaffinity(0)), 5, 5 * n)
+    assert "workers" not in fit
     # the reported values are those the best start's final point scored
     assert fit["neg_log_lik"] == min(start["objective"] for start in fit["starts"])
 

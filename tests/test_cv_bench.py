@@ -11,12 +11,10 @@ worker processes that ran them. For a reading, pin BLAS to one thread:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         tests/test_cv_bench.py --benchmark-columns=median,iqr
 
-One BLAS thread leaves room for a worker process per CPU, so on more than
-one CPU that reading times the fold fits in forked workers (cv_workers > 1);
-with BLAS threads unset it times them in one process. Its 8 fold fits are
-below the pool's break-even of about 16, and the reading includes the
-pool's start-up and teardown: on 2 CPUs a pooled run of this CV measured
-0.187 s against 0.130 s in one process.
+Its 8 fold fits train on 245 rows in all, below the pool's floor
+(predict.POOL_MIN_ROWS), so the reading times them in one process
+(cv_workers = 1) whatever the BLAS threads: on 2 CPUs a pooled run of this
+CV measured 0.187 s against 0.130 s in one process.
 """
 
 import numpy as np

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -218,6 +223,93 @@ def test_fit_mle_zero_nugget_refuses_jittered_factor(rng):
         fit_mle(data, ModelIndicator([0, 0], [1, 1]), lambda_allowed=False)
     assert len(err.value.trace) > 0
     assert all(val == np.inf for _, val in err.value.trace)
+
+
+# run in a fresh interpreter whose OpenBLAS starts with one thread, first
+# on one CPU, then on two: a fit above the pool's row floor, a zero-nugget
+# fit that fails on a duplicate row, and a job that itself maps jobs. Every
+# objective call appends its process id to the file named by argv[1].
+# Prints one JSON line per CPU set, with the processes of each fit.
+FIT_WORKERS_PROBE = """
+import json, multiprocessing, os, sys
+import numpy as np
+from gpselect import Dataset, ModelIndicator, OptimizationFailureError, fit_mle, predict
+
+objective = predict._concentrated_objective
+
+def logged(*args):
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    return objective(*args)
+
+predict._concentrated_objective = logged
+n = predict.POOL_MIN_ROWS // 5 + 10  # 5 starts clear the floor
+rng = np.random.default_rng(4)
+X = rng.uniform(size=(n, 3))
+y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 + rng.normal(scale=0.05, size=n)
+data = Dataset(X=X, y=y, column_names=["a", "b", "c"])
+X_dup = X.copy()
+X_dup[1] = X_dup[0]
+duplicate = Dataset(X=X_dup, y=y, column_names=["a", "b", "c"])
+model = ModelIndicator([1, 0, 0], [1, 1, 1])
+
+def processes():
+    # the processes that computed objectives since the last call
+    with open(sys.argv[1]) as f:
+        pids = sorted({int(line) for line in f})
+    open(sys.argv[1], "w").close()
+    return pids
+
+def outer(i):
+    # a job that maps jobs of its own: (its process, theirs, their workers)
+    inner, workers = predict._map_jobs(lambda j: os.getpid(), 3, predict.POOL_MIN_ROWS)
+    return os.getpid(), inner, workers
+
+for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))[:2]] if os.environ["ALL_CPUS"] == "1" else []):
+    os.sched_setaffinity(0, cpus)
+    open(sys.argv[1], "w").close()
+    fit = fit_mle(data, model)
+    pids = [processes()]
+    children = [len(multiprocessing.active_children())]
+    try:
+        fit_mle(duplicate, model, lambda_allowed=False)
+        trace = None
+    except OptimizationFailureError as exc:
+        trace = [[z.tolist(), val] for z, val in exc.trace]
+    pids.append(processes())
+    children.append(len(multiprocessing.active_children()))
+    nested, nested_workers = predict._map_jobs(outer, 2, predict.POOL_MIN_ROWS)
+    children.append(len(multiprocessing.active_children()))
+    print(json.dumps({"workers": fit.workers, "fit": json.dumps(fit.to_dict()), "trace": trace,
+                      "pids": pids, "parent": os.getpid(), "children": children,
+                      "nested": nested, "nested_workers": nested_workers}))
+"""
+
+
+def test_fit_mle_in_worker_processes_matches_one_process(tmp_path):
+    all_cpus = len(os.sched_getaffinity(0)) >= 2
+    env = dict(os.environ, PYTHONPATH=str(Path(predict.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", ALL_CPUS=str(int(all_cpus)))
+    proc = subprocess.run([sys.executable, "-c", FIT_WORKERS_PROBE, str(tmp_path / "pids")],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [run["workers"] for run in runs] == [1, 2][:len(runs)]
+    for run in runs:
+        assert run["trace"] and all(val == math.inf for _, val in run["trace"])
+        assert run["children"] == [0, 0, 0]
+        # one process per outer job; the jobs it maps run in it, not in a pool of their own
+        assert run["nested_workers"] == run["workers"]
+        for pid, inner, workers in run["nested"]:
+            assert (workers, inner) == (1, [pid] * 3)
+    assert runs[0]["pids"] == [[runs[0]["parent"]]] * 2
+    if not all_cpus:
+        pytest.skip("one CPU: the run in two worker processes needs two")
+    pooled = runs[1]
+    assert pooled["fit"] == runs[0]["fit"]
+    assert pooled["trace"] == runs[0]["trace"]
+    for pids in pooled["pids"]:
+        assert len(pids) <= 2 and pooled["parent"] not in pids
+    assert pooled["parent"] not in [pid for pid, _, _ in pooled["nested"]]
 
 
 def test_predict_mle_raises_where_a_zero_nugget_fit_does_not_factor(rng):

@@ -25,8 +25,8 @@ from gpselect import (
     run_chain,
     threshold_model,
 )
-from gpselect.predict import LOG_LAMBDA_BOUNDS
-from gpselect.select import InclusionReport, _cv_folds, _cv_workers, implied_cutoffs
+from gpselect.predict import LOG_LAMBDA_BOUNDS, POOL_MIN_ROWS, _workers
+from gpselect.select import InclusionReport, _cv_folds, implied_cutoffs
 
 
 def _chain_from_keys(keys):
@@ -257,35 +257,48 @@ def test_cross_validate_validation_errors(small_data):
         cross_validate(small_data, [], v=3)
 
 
-@pytest.mark.parametrize("environ, cpus, n_jobs, workers", [
-    ({}, 2, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 48, 1),
-    ({"OMP_NUM_THREADS": "1"}, 2, 48, 2),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 48, 2),
-    ({"OPENBLAS_NUM_THREADS": "one"}, 2, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 48, 1),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 48, 4),
+# fits over enough training rows in all for a pool
+ROWS = 10 * POOL_MIN_ROWS
+
+
+@pytest.mark.parametrize("environ, cpus, n_jobs, rows, workers", [
+    ({}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 48, ROWS, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 48, ROWS, 4),
+    # "²" is a digit to str.isdigit, but not to int() or OpenBLAS's atoi
+    ({"OPENBLAS_NUM_THREADS": "²"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, POOL_MIN_ROWS - 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, POOL_MIN_ROWS, 2),
 ], ids=["unset", "openblas_1", "openblas_2", "omp_1", "openblas_before_omp", "zero_is_unset",
         "zero_then_omp", "non_numeric_is_unset", "one_job", "one_cpu", "more_threads_than_cpus",
-        "two_threads_on_8_cpus"])
-def test_cv_workers_leave_one_cpu_per_blas_thread(environ, cpus, n_jobs, workers):
-    assert _cv_workers(environ, cpus, n_jobs) == workers
+        "two_threads_on_8_cpus", "non_ascii_digit_is_unset", "non_ascii_digit_then_omp",
+        "below_the_row_floor", "at_the_row_floor"])
+def test_cv_workers_leave_one_cpu_per_blas_thread(environ, cpus, n_jobs, rows, workers):
+    assert _workers(environ, cpus, n_jobs, rows) == workers
 
 
 # run in a fresh interpreter whose OpenBLAS starts with one thread: CV of
 # three candidates on one CPU and then on every CPU, with two fold fits
 # singular, then a CV whose fold fit raises an error CV does not catch.
+# The pool's row floor is set to 0, so that this small CV forks workers.
 # Prints one JSON line per CPU set.
 CV_WORKERS_PROBE = """
 import json, logging, multiprocessing, os
 import numpy as np
 import gpselect.select as select
-from gpselect import Dataset, ModelIndicator, NumericalSingularityError
+from gpselect import Dataset, ModelIndicator, NumericalSingularityError, predict
+
+predict.POOL_MIN_ROWS = 0
 
 rng = np.random.default_rng(3)
 X = rng.uniform(size=(12, 2))

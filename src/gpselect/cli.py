@@ -243,8 +243,7 @@ def _load_json(path, build, expected: str):
 
 
 def _load_model_file(path, p: int) -> ModelIndicator:
-    ind = _load_json(path, lambda d: ModelIndicator(np.array(d["gamma_r"]), np.array(d["gamma_c"])),
-                     "gamma_r/gamma_c arrays")
+    ind = _load_json(path, ModelIndicator.from_dict, "gamma_r/gamma_c arrays")
     if ind.p != p:
         raise ValidationError(f"{path}: model has {ind.p} indicators, data has {p}")
     return ind
@@ -313,12 +312,7 @@ def cmd_inclusion(args, cfg: RunConfig, data: None) -> tuple:
     """Inclusion report and plot CSV of a chain file."""
     chain = sampler.load_chain(args.chain)
     report = select.inclusion_probabilities(chain)
-    map_ind = select.map_model(report)
     payload = report.to_dict()
-    payload["map_model"] = {
-        "gamma_r": [int(g) for g in map_ind.gamma_r],
-        "gamma_c": [int(g) for g in map_ind.gamma_c],
-    }
     # one bar per indicator: every linear one, then every spatial one
     rows = [[part, name, repr(float(prob))]
             for part, probs in (("linear", report.p_r), ("spatial", report.p_c))
@@ -402,7 +396,7 @@ def benchmark_methods(
     model; averaging integrates conditional means over the chain;
     posterior-inclusion thresholds the marginal probabilities at select.q;
     MAP takes the most frequent sampled model. Returns per-method RMSPEs and
-    the models involved.
+    the models involved, in their JSON form.
     """
     p = train.p
     samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
@@ -426,7 +420,7 @@ def benchmark_methods(
         rows[name] = design.rmspe(y_val, preds)
     return {
         "rmspe": rows,
-        "models": {k: v.key() for k, v in models.items()},
+        "models": {k: v.to_dict() for k, v in models.items()},
         "inclusion": {"p_r": report.p_r.tolist(), "p_c": report.p_c.tolist()},
         "acceptance_rate": float(chain.accepted.mean()),
     }
@@ -440,10 +434,7 @@ def cmd_benchmark(args, cfg: RunConfig, data: Dataset | None) -> tuple:
         train_rows, hold_rows = split_rows(data.n, args.holdout_fraction, args.split_seed)
         holdout = data.subset(hold_rows)
         result = benchmark_methods(data.subset(train_rows), holdout.X, holdout.y, cfg)
-    detail = {"rmspe": result["rmspe"],
-              "models": {k: {"gamma_r": list(v[0]), "gamma_c": list(v[1])}
-                         for k, v in result["models"].items()},
-              "inclusion": result["inclusion"]}
+    detail = {key: result[key] for key in ("rmspe", "models", "inclusion")}
     files = {
         "benchmark.csv": partial(_write_csv, ["method", "rmspe"],
                                  [[name, repr(result["rmspe"][name])]

@@ -63,6 +63,14 @@ class ModelIndicator:
     def copy(self) -> "ModelIndicator":
         return ModelIndicator(self.gamma_r.copy(), self.gamma_c.copy())
 
+    def to_dict(self) -> dict:
+        """The model's JSON form, which every report and model file uses."""
+        return {"gamma_r": self.gamma_r.tolist(), "gamma_c": self.gamma_c.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelIndicator":
+        return cls(np.array(d["gamma_r"]), np.array(d["gamma_c"]))
+
 
 @dataclass(eq=False)
 class ParameterState:

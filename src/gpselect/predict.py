@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,7 @@ class MleFit:
 
     def to_dict(self) -> dict:
         return {
-            "gamma_r": [int(g) for g in self.model.gamma_r],
-            "gamma_c": [int(g) for g in self.model.gamma_c],
+            **self.model.to_dict(),
             "beta0_hat": float(self.beta0_hat),
             "beta_hat": [float(b) for b in self.beta_hat],
             "rho_hat": [float(r) for r in self.rho_hat],
@@ -109,7 +109,7 @@ class MleFit:
     @classmethod
     def from_dict(cls, d: dict) -> "MleFit":
         return cls(
-            model=ModelIndicator(np.array(d["gamma_r"]), np.array(d["gamma_c"])),
+            model=ModelIndicator.from_dict(d),
             beta0_hat=float(d["beta0_hat"]),
             beta_hat=np.asarray(d["beta_hat"], dtype=float),
             rho_hat=np.asarray(d["rho_hat"], dtype=float),
@@ -224,10 +224,10 @@ def model_average(
 
     With a positive threshold, draws whose model's empirical frequency in the
     chain falls below it are dropped and the average renormalizes over the
-    remainder. Each run of consecutive identical kept draws (rejected
-    proposals) is one distinct draw weighted by the run's length. Distinct
-    draws are factored in stacks, one Cholesky call each, and their
-    cross-correlations are built in cache-sized tiles of sites. A distinct
+    remainder. A run of the chain (`Chain.run_starts`, as after rejected
+    proposals) is kept or dropped whole, and is one distinct draw weighted by
+    its length. Distinct draws are factored in stacks, one Cholesky call each,
+    and their cross-correlations are built in cache-sized tiles of sites. A distinct
     draw costs an n x n factor, two triangular solves, n*m*(p + 1)
     multiply-adds and n*m exp calls; a repeat costs nothing. A draw whose
     R + lambda*I does not factor raises NumericalSingularityError. Against
@@ -246,15 +246,8 @@ def model_average(
     if not keep.any():
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
-    # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
-    # kept draw before it joins that draw's run
     kept = np.flatnonzero(keep)
-    cur, prev = kept[1:], kept[:-1]
-    starts = np.ones(kept.size, dtype=bool)
-    starts[1:] = ~((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
-                   & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
-                   & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
-    first = np.flatnonzero(starts)
+    first = np.flatnonzero(chain.run_starts()[kept])
     runs = np.diff(first, append=kept.size)
     draws = kept[first]
     total = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
@@ -394,27 +387,22 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
 def _workers(environ, cpus: int, n_jobs: int, rows: int) -> int:
     """Processes for n_jobs fits that train on `rows` rows in all, on cpus
     CPUs: one below POOL_MIN_ROWS rows, else as many as fit beside each
-    other's BLAS threads. OpenBLAS runs the first positive integer in ASCII
-    digits (what its atoi reads) of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS,
-    or one thread per CPU, so a default-BLAS run stays in one process."""
+    other's BLAS threads. OpenBLAS runs the first positive atoi (whitespace, a sign,
+    ASCII digits) of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, or
+    one thread per CPU, so a default-BLAS run stays in one process."""
     if rows < POOL_MIN_ROWS:
         return 1
     blas_threads = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isascii() and value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        m = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", environ.get(var, ""))
+        if m and int(m[1]) > 0:
+            blas_threads = int(m[1])
             break
     return max(1, min(n_jobs, cpus // blas_threads))
 
 
-# the job of a forked worker, set by _start_worker
+# the running pool's job, set by _map_jobs; every worker inherits it through the fork
 _worker_job = None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
 
 
 def _run_job(index: int):
@@ -427,6 +415,7 @@ def _map_jobs(job, n_jobs: int, rows: int) -> tuple[list, int]:
     this process's CPUs, forked from it, or here inside a worker (pools do
     not nest) or without an affinity call (macOS, Windows). A worker gets
     only job indices: job and its data reach it through the fork."""
+    global _worker_job
     workers = 1
     if _worker_job is None and hasattr(os, "sched_getaffinity"):
         workers = _workers(os.environ, len(os.sched_getaffinity(0)), n_jobs, rows)
@@ -437,12 +426,13 @@ def _map_jobs(job, n_jobs: int, rows: int) -> tuple[list, int]:
     # imported before the fork, or every worker imports them again
     for name in ("optimize", "linalg.lapack"):
         kernel._scipy(name)
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
+    _worker_job = job
     try:
-        return pool.map(_run_job, range(n_jobs), chunksize=1), workers
+        # leaving the block terminates the pool, which joins its workers
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(_run_job, range(n_jobs), chunksize=1), workers
     finally:
-        pool.terminate()
-        pool.join()
+        _worker_job = None
 
 
 def fit_mle(

@@ -146,6 +146,18 @@ class Chain:
                               float(self.sigma2_z[i]), float(self.lam[i]),
                               float(self.omega_r[i]), float(self.omega_c[i]))
 
+    def run_starts(self) -> np.ndarray:
+        """Per stored draw, whether it starts a run: it is draw 0, or a field
+        that save_chain writes (log_post too) differs from the draw before's,
+        floats by their bits (-0.0 after 0.0 starts a run). A run is one model."""
+        starts = np.arange(len(self)) == 0
+        for name in _FILE_KEYS:
+            values = np.asarray(getattr(self, name))
+            bits = values.view(np.int64) if values.dtype == np.float64 else values
+            differ = bits[1:] != bits[:-1]
+            starts[1:] |= differ.any(axis=tuple(range(1, differ.ndim)))
+        return starts
+
     def model_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct models in order of first appearance: the first draw
         of each, each draw's model number, and each model's draw count."""
@@ -399,15 +411,13 @@ def save_chain(chain: Chain, path) -> None:
 
     Field order is fixed so identical chains produce byte-identical files.
     The fields between "iter" and "accepted" are encoded once per run of
-    draws with the same bits (so -0.0 after 0.0 starts a new run).
+    the chain (`Chain.run_starts`); a line's text depends on its own draw only.
     """
     gammas = np.column_stack([chain.gamma_r, chain.gamma_c]).astype(np.int8, copy=False)
     floats = np.column_stack([np.asarray(getattr(chain, name), dtype=np.float64)
                               for name in list(_FILE_KEYS)[2:]])
-    # no stacked copy of the bits and no chain-long lists, to keep peak memory low
-    changed = np.ones(len(chain), dtype=bool)
-    changed[1:] = (np.any(gammas[1:] != gammas[:-1], axis=1)
-                   | np.any(floats[1:].view(np.int64) != floats[:-1].view(np.int64), axis=1))
+    # no chain-long lists, to keep peak memory low
+    changed = chain.run_starts()
     p = chain.p
     middles = [
         json.dumps(dict(zip(_FILE_KEYS.values(), (g[:p], g[p:], f[0], f[1:p + 1],

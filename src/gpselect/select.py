@@ -42,9 +42,10 @@ class InclusionReport:
             "p_r": [float(v) for v in self.p_r],
             "p_c": [float(v) for v in self.p_c],
             "model_freqs": [
-                {"gamma_r": list(k[0]), "gamma_c": list(k[1]), "prob": float(v)}
+                {**ModelIndicator(*k).to_dict(), "prob": float(v)}
                 for k, v in sorted(self.model_freqs.items(), key=lambda kv: -kv[1])
             ],
+            "map_model": map_model(self).to_dict(),
         }
 
 
@@ -80,8 +81,7 @@ class CvReport:
         out = {"candidates": [], "chosen": int(self.chosen), "chosen_1se": int(self.chosen_1se)}
         for i, cand in enumerate(self.candidates):
             entry = {
-                "gamma_r": [int(g) for g in cand.gamma_r],
-                "gamma_c": [int(g) for g in cand.gamma_c],
+                **cand.to_dict(),
                 "n_active": cand.n_active(),
                 "cv_rmspe": float(self.cv_rmspe[i]),
                 "cv_se": float(self.cv_se[i]),

@@ -125,6 +125,31 @@ def test_model_average_denoise_filters_rare_models(small_data):
     assert avg == pytest.approx(brute, rel=1e-10)
 
 
+@pytest.mark.parametrize("drop_a_model", [False, True], ids=["all_draws", "denoised"])
+def test_model_average_gives_one_chain_the_same_runs_whoever_built_it(
+        small_data, tmp_path, drop_a_model):
+    """A chain in memory, saved and loaded, and relaid with spaces and its keys
+    reversed: the same runs, and the same average bit for bit."""
+    from gpselect.sampler import load_chain, save_chain
+
+    chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=400, burn_in=50, seed=5))
+    save_chain(chain, saved := tmp_path / "chain.jsonl")
+    with open(saved, encoding="utf-8") as src, open(relaid := tmp_path / "relaid.jsonl", "w",
+                                                     encoding="utf-8") as dst:
+        for line in src:
+            dst.write(json.dumps(dict(reversed(json.loads(line).items()))) + "\n")
+    chains = [chain, load_chain(saved), load_chain(relaid)]
+    _, _, counts = chain.model_counts()
+    threshold = counts.min() / len(chain) + 1e-9 if drop_a_model else 0.0
+    keep = predict.denoise_mask(chain, threshold)
+    assert keep.all() != drop_a_model and keep.any()
+    req = PredictionRequest(np.random.default_rng(7).uniform(size=(6, 2)))
+    averages = [model_average(c, small_data, req, threshold).tobytes() for c in chains]
+    assert averages[1:] == averages[:1] * 2
+    for c in chains[1:]:
+        assert np.array_equal(c.run_starts(), chain.run_starts())
+
+
 def test_model_average_all_filtered_raises(small_data):
     cfg = SamplerConfig(n_iter=40, burn_in=10, seed=6)
     chain = run_chain(small_data, PriorConfig(), cfg)

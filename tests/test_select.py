@@ -279,12 +279,65 @@ ROWS = 10 * POOL_MIN_ROWS
     ({"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, POOL_MIN_ROWS - 1, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 48, POOL_MIN_ROWS, 2),
+    ({"GOTO_NUM_THREADS": "1"}, 2, 48, ROWS, 2),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 48, ROWS, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2, 48, ROWS, 1),
+    # atoi reads the leading digits, after an optional sign
+    ({"OPENBLAS_NUM_THREADS": "1x"}, 2, 48, ROWS, 2),
+    ({"OPENBLAS_NUM_THREADS": "+1"}, 2, 48, ROWS, 2),
 ], ids=["unset", "openblas_1", "openblas_2", "omp_1", "openblas_before_omp", "zero_is_unset",
         "zero_then_omp", "non_numeric_is_unset", "one_job", "one_cpu", "more_threads_than_cpus",
         "two_threads_on_8_cpus", "non_ascii_digit_is_unset", "non_ascii_digit_then_omp",
-        "below_the_row_floor", "at_the_row_floor"])
+        "below_the_row_floor", "at_the_row_floor", "goto_1", "goto_before_omp",
+        "openblas_before_goto", "leading_digits", "plus_sign"])
 def test_cv_workers_leave_one_cpu_per_blas_thread(environ, cpus, n_jobs, rows, workers):
     assert _workers(environ, cpus, n_jobs, rows) == workers
+
+
+BLAS_THREADS_PROBE = """
+import re
+import numpy as np
+a = np.ones((64, 64))
+a @ a
+with open("/proc/self/status") as fh:
+    print(re.search(r"^Threads:\\s*(\\d+)", fh.read(), re.M)[1])
+"""
+
+
+def _numpy_blas_is_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower()
+
+
+# explicit settings only, none of more than 2 threads, so that a probe
+# process stays small on any host
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OMP_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "1x"},
+    {"OPENBLAS_NUM_THREADS": "+1"},
+    {"OPENBLAS_NUM_THREADS": " 2"},
+], ids=lambda setting: ",".join(f"{k.split('_')[0]}={v!r}" for k, v in setting.items()))
+def test_workers_follow_the_blas_library_thread_count(setting):
+    """_workers leaves one CPU per thread that numpy's OpenBLAS really runs
+    under each setting, read from a fresh process after one matmul."""
+    if not os.path.exists("/proc/self/status") or not _numpy_blas_is_openblas():
+        pytest.skip("needs /proc/self/status and numpy built with OpenBLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env={**env, **setting},
+                          capture_output=True, text=True, check=True, timeout=60)
+    threads = int(proc.stdout)
+    cpus = len(os.sched_getaffinity(0))
+    assert _workers(setting, cpus, 10**6, 10**6) == max(1, cpus // threads)
 
 
 # run in a fresh interpreter whose OpenBLAS starts with one thread: CV of

@@ -14,8 +14,10 @@ things: its stdout record, whose strings name its files; its files as
 name -> writer; and its run_meta.json extras. Only once the command has
 succeeded does the runner write those files and run_meta.json, under the
 output-directory lock, so a failed command leaves no output directory.
-This module decides how every output file is written, apart from
-chain.jsonl, whose writer `sampler.save_chain` pairs with `load_chain`.
+Every CSV is written by `data.write_csv`, every JSON file by `_write_json`
+and chain.jsonl by `sampler.save_chain`, which pairs with `load_chain`.
+The JSON inputs (the config, `--model` and `--fit`) are read through
+`_load_json`.
 
 All outputs are plain files (CSV / JSON / JSON-Lines) and every command is
 reproducible given its seed; wall-clock timestamps only ever land in the
@@ -26,21 +28,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import logging
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import design, kernel, predict, sampler, select
-from .data import Dataset, export_csv, ingest, minmax_scale, read_sites_csv, split_rows
+from .data import (Dataset, export_csv, ingest, minmax_scale, read_sites_csv, split_rows,
+                   write_csv)
 from .errors import (
     GpSelectError,
     NumericalSingularityError,
@@ -105,9 +107,14 @@ class SimulateConfig:
 
 
 def _number(value) -> bool:
-    """A finite JSON number: not NaN or an infinity, and not true or false."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
+    """A finite JSON number: not NaN or an infinity, not an integer beyond
+    every double, and not true or false."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # a config default's type -> the test a JSON value for its key must pass, and its wording
@@ -157,15 +164,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        return _load_json(path, cls.from_dict, "a run config")
+
+    @classmethod
+    def from_dict(cls, raw) -> "RunConfig":
+        """The validated config of a parsed JSON document; an unknown section
+        or key, or a value of the wrong type or range, raises a ValueError
+        that names it."""
         if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: the config must be a JSON object")
+            raise TypeError("the config must be a JSON object")
         cfg = cls()
         # per section: the parser into its RunConfig field, and the defaults
         # that name its keys and the types of their values
@@ -178,21 +185,18 @@ class RunConfig:
             "simulate": (lambda d: SimulateConfig(**d), vars(cfg.simulate)),
             "io": (dict, dict.fromkeys(("data", "response", "sites"), "")),
         }
-        try:
-            unknown = sorted(set(raw) - set(sections))
-            if unknown:
-                raise ValidationError(f"{unknown[0]} is not a config section; "
-                                      f"the config takes {sorted(sections)}")
-            # an absent section parses as {}
-            for key, (parse, defaults) in sections.items():
-                section = raw.get(key, {})
-                if not isinstance(section, dict):
-                    raise ValidationError(f"{key} must be a JSON object")
-                _check_types(key, section, defaults)
-                setattr(cfg, "denoise_threshold" if key == "predict" else key, parse(section))
-            cfg.validate()
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        unknown = sorted(set(raw) - set(sections))
+        if unknown:
+            raise ValidationError(f"{unknown[0]} is not a config section; "
+                                  f"the config takes {sorted(sections)}")
+        # an absent section parses as {}
+        for key, (parse, defaults) in sections.items():
+            section = raw.get(key, {})
+            if not isinstance(section, dict):
+                raise ValidationError(f"{key} must be a JSON object")
+            _check_types(key, section, defaults)
+            setattr(cfg, "denoise_threshold" if key == "predict" else key, parse(section))
+        cfg.validate()
         return cfg
 
 
@@ -221,24 +225,17 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _write_csv(header: list, rows: list, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _load_json(path, build, expected: str):
-    """build(the JSON value in path); invalid JSON or a missing or mistyped field
-    is a ValidationError naming the path."""
+    """build(the JSON value in path); invalid JSON, or a missing, mistyped or
+    overflowing field, is a ValidationError naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         return build(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: expected {expected}: {exc}") from None
 
 
@@ -319,7 +316,7 @@ def cmd_inclusion(args, cfg: RunConfig, data: None) -> tuple:
             for name, prob in zip(payload["columns"], probs)]
     files = {
         "inclusion_report.json": partial(_write_json, payload),
-        "inclusion_probs.csv": partial(_write_csv, ["part", "column", "probability"], rows),
+        "inclusion_probs.csv": partial(write_csv, ["part", "column", "probability"], rows),
     }
     return ({"report": "inclusion_report.json", "plot_csv": "inclusion_probs.csv"}, files,
             {"draws": len(chain)})
@@ -343,7 +340,7 @@ def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
             in enumerate(zip(cv.candidates, cv.implied_cutoffs, cv.cv_rmspe, cv.cv_se))]
     files = {
         "cv_report.json": partial(_write_json, cv.to_dict()),
-        "cv_curve.csv": partial(_write_csv, header, rows),
+        "cv_curve.csv": partial(write_csv, header, rows),
     }
     meta = {"seed": cfg.sampler.seed, "candidates": len(ladder), "v_folds": cfg.select.v_folds,
             "cv_workers": cv.workers, "cv_s": cv_s}
@@ -376,7 +373,7 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
         preds = predict.model_average(chain, data, req, denoise)
         extra_columns = {"ensemble_size": int(predict.denoise_mask(chain, denoise).sum())}
     rows = [[i, repr(float(v)), *extra_columns.values()] for i, v in enumerate(preds)]
-    files = {"predictions.csv": partial(_write_csv, ["site", "prediction", *extra_columns], rows)}
+    files = {"predictions.csv": partial(write_csv, ["site", "prediction", *extra_columns], rows)}
     return {"predictions": "predictions.csv"}, files, {"mode": args.mode, "sites": len(preds)}
 
 
@@ -388,7 +385,6 @@ def benchmark_methods(
     X_val: np.ndarray,
     y_val: np.ndarray,
     cfg: RunConfig,
-    seed: int | None = None,
 ) -> dict:
     """Score the five prediction strategies on a common holdout set.
 
@@ -399,8 +395,7 @@ def benchmark_methods(
     the models involved, in their JSON form.
     """
     p = train.p
-    samp = cfg.sampler if seed is None else replace(cfg.sampler, seed=seed)
-    chain = sampler.run_chain(train, cfg.prior, samp)
+    chain = sampler.run_chain(train, cfg.prior, cfg.sampler)
     report = select.inclusion_probabilities(chain)
     req = PredictionRequest(X_val)
 
@@ -436,7 +431,7 @@ def cmd_benchmark(args, cfg: RunConfig, data: Dataset | None) -> tuple:
         result = benchmark_methods(data.subset(train_rows), holdout.X, holdout.y, cfg)
     detail = {key: result[key] for key in ("rmspe", "models", "inclusion")}
     files = {
-        "benchmark.csv": partial(_write_csv, ["method", "rmspe"],
+        "benchmark.csv": partial(write_csv, ["method", "rmspe"],
                                  [[name, repr(result["rmspe"][name])]
                                   for name in BENCHMARK_METHODS]),
         "benchmark_models.json": partial(_write_json, detail),
@@ -445,12 +440,11 @@ def cmd_benchmark(args, cfg: RunConfig, data: Dataset | None) -> tuple:
             {"acceptance_rate": result["acceptance_rate"]})
 
 
-def simulated_data(cfg: RunConfig,
-                   seed: int | None = None) -> tuple[Dataset, np.ndarray, np.ndarray]:
+def simulated_data(cfg: RunConfig) -> tuple[Dataset, np.ndarray, np.ndarray]:
     """The simulated study in memory: the training set on the analysis
     scale, the validation sites on that scale, and the validation responses."""
-    base_seed = seed if seed is not None else cfg.sampler.seed
-    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate, base_seed)
+    train_design, y_train, val_design, y_val = design.simulate_study(cfg.simulate,
+                                                                     cfg.sampler.seed)
     X_raw, names = train_design.points, [f"x{j+1}" for j in range(5)]
     X, standardization = minmax_scale(X_raw, names, "simulated training design")
     train = Dataset(X=X, y=y_train, column_names=names, X_raw=X_raw,

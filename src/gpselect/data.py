@@ -1,4 +1,4 @@
-"""CSV ingestion and the in-memory dataset container.
+"""CSV reading and writing, and the in-memory dataset container.
 
 Columns are min-max standardized to [0, 1] at ingestion (the analysis scale);
 the per-column (min, max) pairs are retained so new prediction sites can be
@@ -167,18 +167,21 @@ def ingest(path, response_column: str, standardize: bool = True) -> Dataset:
     )
 
 
+def write_csv(header, rows, path) -> None:
+    """Write a header row, then rows, as CSV; every CSV output goes through here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_csv(data: Dataset, path) -> None:
     """Write the raw (pre-standardization) table back to CSV.
 
     Floats are written with repr so ingest(export(d)) reproduces d exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(data.column_names) + [data.response_name])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.X_raw[i]] + [repr(float(data.y[i]))]
-            )
+    write_csv([*data.column_names, data.response_name],
+              ([repr(float(v)) for v in (*x, y)] for x, y in zip(data.X_raw, data.y)), path)
 
 
 def read_sites_csv(path, feature_names) -> np.ndarray:

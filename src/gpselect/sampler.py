@@ -413,18 +413,12 @@ def save_chain(chain: Chain, path) -> None:
     The fields between "iter" and "accepted" are encoded once per run of
     the chain (`Chain.run_starts`); a line's text depends on its own draw only.
     """
-    gammas = np.column_stack([chain.gamma_r, chain.gamma_c]).astype(np.int8, copy=False)
-    floats = np.column_stack([np.asarray(getattr(chain, name), dtype=np.float64)
-                              for name in list(_FILE_KEYS)[2:]])
-    # no chain-long lists, to keep peak memory low
     changed = chain.run_starts()
-    p = chain.p
-    middles = [
-        json.dumps(dict(zip(_FILE_KEYS.values(), (g[:p], g[p:], f[0], f[1:p + 1],
-                                                  f[p + 1:2 * p + 1], *f[-5:]))),
-                   separators=(",", ":"))[1:-1]
-        for g, f in zip(map(np.ndarray.tolist, gammas[changed]),
-                        map(np.ndarray.tolist, floats[changed]))]
+    # each field at the run starts only: no chain-long lists, to keep peak memory low
+    fields = [np.asarray(getattr(chain, name), dtype=np.int8 if name.startswith("gamma")
+                         else np.float64)[changed].tolist() for name in _FILE_KEYS]
+    middles = [json.dumps(dict(zip(_FILE_KEYS.values(), run)), separators=(",", ":"))[1:-1]
+               for run in zip(*fields)]
     draws = zip(np.asarray(chain.iters).astype(np.int64).tolist(),
                 (np.cumsum(changed) - 1).tolist(),
                 np.asarray(chain.draw_accepted).astype(bool).tolist())
@@ -443,7 +437,7 @@ def load_chain(path) -> Chain:
     Each parsed state is checked and packed into typed rows, as run_chain
     packs its states; a malformed one is a ValidationError naming its line.
     """
-    gammas, values, runs, iters, flags = array("b"), array("d"), array("q"), [], []
+    gammas, values, runs, iters, flags = array("b"), array("d"), array("q"), array("q"), []
     p, n_rows, middle = None, 0, None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -457,7 +451,7 @@ def load_chain(path) -> Chain:
                     if record is None or "iter" in record or "accepted" in record:
                         # another layout, or repeated keys, of which json keeps the last
                         m, record = None, json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
                     raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
                 if not isinstance(record, dict):
                     raise ValidationError(f"{path}: line {lineno} is not a JSON object")
@@ -475,10 +469,13 @@ def load_chain(path) -> Chain:
                 n_rows += 1
                 middle = m and m[2]
             runs.append(n_rows - 1)
-            iters.append(int(m[1]) if m else record["iter"])
+            try:
+                iters.append(int(m[1]) if m else record["iter"])
+            except (OverflowError, ValueError):
+                raise ValidationError(f'{path}: line {lineno}: "iter" lies outside int64') from None
             flags.append(m[3] == "true" if m else record["accepted"])
     if not runs:
-        raise ValueError(f"{path}: chain file holds no draws")
+        raise ValidationError(f"{path}: chain file holds no draws")
     accepted = np.array(flags, dtype=bool)
     return Chain(**_row_fields(gammas, values, n_rows, p, runs),
                  iters=np.array(iters, dtype=np.int64), accepted=accepted,

@@ -225,7 +225,7 @@ def replications():
             init="empty",
             slab_correction=False,
         )
-        res = benchmark_methods(*simulated_data(cfg, seed), cfg, seed=seed)
+        res = benchmark_methods(*simulated_data(cfg), cfg)
         res["seed"] = seed
         results.append(res)
         r = res["rmspe"]

@@ -154,11 +154,12 @@ def test_run_config_rejects_bad_values(tmp_path):
     ({"sampler": {"seed": -1}}, [], "sampler.seed"),
     ({"sampler": {"thin": 0}}, [], "sampler.thin"),
     ({}, ["--seed", "-1"], "--seed"),
+    ({"prior": {"tau": 10**400}}, [], "prior.tau"),
 ], ids=["v_folds_a_string", "n_iter_a_string", "noise_sd_a_string", "noise_sd_negative",
         "box_of_three", "n_train_1", "tau_a_flag", "io_data_a_number", "unknown_section",
         "unknown_predict_key", "unknown_io_key", "unknown_simulate_key", "tau_nan",
         "sigma2_scale_infinite", "rw_sd_with_nan", "seed_negative", "thin_0",
-        "seed_flag_negative"])
+        "seed_flag_negative", "tau_beyond_every_double"])
 def test_cli_malformed_config_is_one_line_validation_error(tmp_path, capsys, config, flags, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -664,6 +665,12 @@ def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, cap
     ("chain.jsonl", "average", _json_line(_CHAIN_LINE) + "\n"
      + _json_line({**_CHAIN_LINE, "iter": 1, "lambda": 0.0})),
     ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "beta0": float("nan")})),
+    ("fit.json", "mle", _json_line({**_FIT, "beta0_hat": 10**400})),
+    ("chain.jsonl", "average", _json_line({**_CHAIN_LINE, "iter": 10**20})),
+    # more digits than Python converts to an int by default
+    ("fit.json", "mle", _json_line(_FIT).replace('"beta0_hat":0.0', '"beta0_hat":' + "1" * 5000)),
+    ("chain.jsonl", "average",
+     _json_line(_CHAIN_LINE).replace('"beta0":0.0', '"beta0":' + "1" * 5000)),
 ], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
         "chain_line_not_an_object", "fit_not_json", "chain_not_json",
         "chain_indicator_not_0_or_1", "chain_indicator_out_of_int8", "chain_beta_not_a_number",
@@ -672,7 +679,8 @@ def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, cap
         "fit_inactive_beta_not_0", "fit_lambda_negative", "fit_beta_hat_longer_than_the_data",
         "chain_inactive_beta_not_0", "chain_inactive_rho_not_1", "chain_sigma2_z_negative",
         "chain_omega_above_1", "chain_active_rho_0", "chain_lambda_0_on_line_2",
-        "chain_beta0_nan"])
+        "chain_beta0_nan", "fit_beta0_beyond_every_double", "chain_iter_beyond_int64",
+        "fit_integer_of_5000_digits", "chain_integer_of_5000_digits"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
                                                                name, mode, text):
     path = tiny_pipeline["dir"] / name
@@ -688,6 +696,51 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
     assert error["error"] == "ValidationError" and str(path) in error["message"]
     if mode == "average":  # the last line is the malformed one
         assert f"line {len(text.splitlines())}" in error["message"]
+
+
+def test_cli_model_indicator_beyond_every_integer_type_is_a_validation_error(tiny_pipeline,
+                                                                             capsys):
+    path = tiny_pipeline["dir"] / "model.json"
+    path.write_text(json.dumps({"gamma_r": [10**20, 0], "gamma_c": [1, 1]}))
+    out = tiny_pipeline["dir"] / "out"
+    rc = main(["--output-dir", str(out), "fit", "--model", str(path),
+               "--data", tiny_pipeline["data"], "--response", "y"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ValidationError" and str(path) in error["message"]
+    assert not out.exists()
+
+
+def test_cli_chain_file_without_draws_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "chain.jsonl"
+    path.write_text("\n  \n\n")
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "inclusion", "--chain", str(path)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and json.loads(stderr) == {
+        "error": "ValidationError", "message": f"{path}: chain file holds no draws"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model", "--fit"])
+def test_cli_missing_json_input_file_exits_1_naming_it(tiny_pipeline, capsys, flag):
+    missing = str(tiny_pipeline["dir"] / "missing.json")
+    data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    argv = {"--config": ["--config", missing, "simulate"],
+            "--model": ["fit", "--model", missing, *data],
+            "--fit": ["predict", "--mode", "mle", "--fit", missing, *data,
+                      "--sites", tiny_pipeline["sites"]]}[flag]
+    out = tiny_pipeline["dir"] / "out"
+    assert main(["--output-dir", str(out), *argv]) == 1
+    stdout, stderr = capsys.readouterr()
+    err = stderr.splitlines()
+    assert stdout == "" and len(err) == 1
+    error = json.loads(err[0])
+    # the config fails as every other missing input file does
+    assert error["error"] == "FileNotFoundError" and missing in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -30,7 +30,6 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -49,7 +48,7 @@ from .errors import (
     OptimizationFailureError,
     ValidationError,
 )
-from .model import ModelIndicator, PriorConfig
+from .model import ModelIndicator, PriorConfig, are_numbers
 from .predict import MleFit, PredictionRequest
 from .sampler import SamplerConfig
 
@@ -106,25 +105,14 @@ class SimulateConfig:
                                   f"got {self.lhd_restarts}")
 
 
-def _number(value) -> bool:
-    """A finite JSON number: not NaN or an infinity, not an integer beyond
-    every double, and not true or false."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 # a config default's type -> the test a JSON value for its key must pass, and its wording
 _JSON_TYPES = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_number, "a finite number"),
-    type(None): (lambda v: v is None or _number(v), "a finite number or null"),
+    float: (lambda v: are_numbers([v]), "a finite number"),
+    type(None): (lambda v: v is None or are_numbers([v]), "a finite number or null"),
     str: (lambda v: isinstance(v, str), "a string"),
-    tuple: (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of finite numbers"),
+    tuple: (lambda v: isinstance(v, list) and are_numbers(v), "a list of finite numbers"),
 }
 
 
@@ -226,8 +214,9 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _load_json(path, build, expected: str):
-    """build(the JSON value in path); invalid JSON, or a missing, mistyped or
-    overflowing field, is a ValidationError naming the path."""
+    """build(the JSON value in path), which checks numbers by `model.are_numbers`
+    and indicators by `model.are_indicators`; invalid JSON, or a missing,
+    mistyped or out-of-range field, is a ValidationError naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -239,32 +228,12 @@ def _load_json(path, build, expected: str):
         raise ValidationError(f"{path}: expected {expected}: {exc}") from None
 
 
-def _load_model_file(path, p: int) -> ModelIndicator:
-    ind = _load_json(path, ModelIndicator.from_dict, "gamma_r/gamma_c arrays")
-    if ind.p != p:
-        raise ValidationError(f"{path}: model has {ind.p} indicators, data has {p}")
-    return ind
-
-
-def _load_fit_file(path, p: int) -> MleFit:
-    """An mle_fit.json record that predict_mle can honour on data of p columns."""
-    fit = _load_json(path, MleFit.from_dict, "an mle_fit.json record")
-    for name, size in (("gamma_r", fit.model.p), ("beta_hat", fit.beta_hat.size),
-                       ("rho_hat", fit.rho_hat.size)):
-        if size != p:
-            raise ValidationError(f"{path}: {name} has {size} values, data has {p} columns")
-    rho_active = fit.rho_hat[fit.model.gamma_c == 1]
-    for ok, rule in (
-            (np.all(np.isfinite([fit.beta0_hat, *fit.beta_hat, *fit.rho_hat, fit.lambda_hat,
-                                 fit.sigma2_hat, fit.neg_log_lik])), "every value must be finite"),
-            (np.all(fit.beta_hat[fit.model.gamma_r == 0] == 0.0), "inactive beta_hat must be 0"),
-            (np.all(fit.rho_hat[fit.model.gamma_c == 0] == 1.0), "inactive rho_hat must be 1"),
-            (np.all((rho_active > 0.0) & (rho_active <= 1.0)), "active rho_hat must lie in (0, 1]"),
-            (fit.lambda_hat >= 0.0, "lambda_hat must be at least 0"),
-            (fit.sigma2_hat > 0.0, "sigma2_hat must be positive")):
-        if not ok:
-            raise ValidationError(f"{path}: {rule}")
-    return fit
+def _load_model_file(path, build, expected: str, p: int):
+    """_load_json of a --model or --fit file, whose model has p indicators."""
+    loaded = _load_json(path, build, expected)
+    if loaded.p != p:
+        raise ValidationError(f"{path}: model has {loaded.p} indicators, data has {p}")
+    return loaded
 
 
 def cmd_simulate(args, cfg: RunConfig, data: None) -> tuple:
@@ -350,7 +319,8 @@ def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
 
 def cmd_fit(args, cfg: RunConfig, data: Dataset) -> tuple:
     """Fit a fixed model by maximum likelihood."""
-    model = _load_model_file(args.model, data.p)
+    model = _load_model_file(args.model, ModelIndicator.from_dict, "gamma_r/gamma_c arrays",
+                             data.p)
     fit = predict.fit_mle(data, model, lambda_allowed=not args.no_nugget)
     return ({"fit": "mle_fit.json"}, {"mle_fit.json": partial(_write_json, fit.to_dict())},
             {"neg_log_lik": fit.neg_log_lik, "fit_workers": fit.workers})
@@ -362,7 +332,8 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
     if args.mode == "mle":
         if args.fit is None:
             raise ValidationError("mode 'mle' requires a fit file")
-        preds = predict.predict_mle(_load_fit_file(args.fit, data.p), data, req)
+        fit = _load_model_file(args.fit, MleFit.from_dict, "an mle_fit.json record", data.p)
+        preds = predict.predict_mle(fit, data, req)
         extra_columns = {}
     else:
         if args.chain is None:
@@ -370,8 +341,8 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
         denoise = (cfg.denoise_threshold if args.denoise_threshold is None
                    else args.denoise_threshold)
         chain = sampler.load_chain(args.chain)
-        preds = predict.model_average(chain, data, req, denoise)
-        extra_columns = {"ensemble_size": int(predict.denoise_mask(chain, denoise).sum())}
+        preds, keep = predict._average_and_mask(chain, data, req, denoise)
+        extra_columns = {"ensemble_size": int(keep.sum())}
     rows = [[i, repr(float(v)), *extra_columns.values()] for i, v in enumerate(preds)]
     files = {"predictions.csv": partial(write_csv, ["site", "prediction", *extra_columns], rows)}
     return {"predictions": "predictions.csv"}, files, {"mode": args.mode, "sites": len(preds)}

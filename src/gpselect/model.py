@@ -25,6 +25,23 @@ LAMBDA_FLOOR = 1e-10
 
 _LOG_2 = math.log(2.0)
 
+_NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
+
+
+def are_numbers(values) -> bool:
+    """Whether every value is a number as every input file must hold one: an
+    int or a float (not true or false), finite, and held by a double."""
+    try:  # the types first: math.isfinite takes a bool and raises on a string
+        return set(map(type, values)) <= _NUMBER_TYPES and all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond every double
+        return False
+
+
+def are_indicators(values) -> bool:
+    """Whether every value is an indicator: of `are_numbers`' types, and 0 or 1."""
+    # the types first: they make the values hashable
+    return set(map(type, values)) <= _NUMBER_TYPES and set(values) <= {0, 1}
+
 
 @dataclass(eq=False)
 class ModelIndicator:
@@ -38,9 +55,8 @@ class ModelIndicator:
         self.gamma_c = np.asarray(self.gamma_c, dtype=np.int8).ravel()
         if self.gamma_r.shape != self.gamma_c.shape:
             raise InvalidStateError("gamma_r and gamma_c must have equal length")
-        for g in (self.gamma_r, self.gamma_c):
-            if np.any((g != 0) & (g != 1)):
-                raise InvalidStateError("indicators must be 0/1")
+        if not are_indicators(self.gamma_r.tolist() + self.gamma_c.tolist()):
+            raise InvalidStateError("indicators must be 0/1")
 
     @property
     def p(self) -> int:
@@ -69,6 +85,9 @@ class ModelIndicator:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelIndicator":
+        """The model of its JSON form, whose vectors must pass `are_indicators`."""
+        if not (are_indicators(d["gamma_r"]) and are_indicators(d["gamma_c"])):
+            raise ValueError('"gamma_r" and "gamma_c" must hold 0 or 1')
         return cls(np.array(d["gamma_r"]), np.array(d["gamma_c"]))
 
 

@@ -19,7 +19,7 @@ from .errors import (
     NumericalSingularityError,
     OptimizationFailureError,
 )
-from .model import ModelIndicator, ParameterState
+from .model import ModelIndicator, ParameterState, _check_consistent, are_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -108,19 +108,28 @@ class MleFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MleFit":
-        return cls(
-            model=ModelIndicator.from_dict(d),
-            beta0_hat=float(d["beta0_hat"]),
-            beta_hat=np.asarray(d["beta_hat"], dtype=float),
-            rho_hat=np.asarray(d["rho_hat"], dtype=float),
-            lambda_hat=float(d["lambda_hat"]),
-            sigma2_hat=float(d["sigma2_hat"]),
-            neg_log_lik=float(d["neg_log_lik"]),
-            degenerate=bool(d.get("degenerate", False)),
-            n_evals=int(d.get("n_evals", 0)),
-            at_bound=list(d.get("at_bound", [])),
-            starts=[dict(start) for start in d.get("starts", [])],
-        )
+        """The fit of an mle_fit.json record. Raises ValueError unless the model
+        passes `ModelIndicator.from_dict`, every estimate `model.are_numbers`
+        and the point masses `model._check_consistent`, with rho_hat in (0, 1],
+        lambda_hat >= 0 and sigma2_hat > 0. The report-only fields are coerced."""
+        model, beta_hat, rho_hat = ModelIndicator.from_dict(d), d["beta_hat"], d["rho_hat"]
+        scalars = {key: d[key] for key in ("beta0_hat", "lambda_hat", "sigma2_hat", "neg_log_lik")}
+        if not are_numbers([*beta_hat, *rho_hat, *scalars.values()]):
+            raise ValueError("every estimate must be a finite number")
+        _check_consistent(model.gamma_r, model.gamma_c, beta_hat, rho_hat)
+        if not (all(0.0 < r <= 1.0 for r in rho_hat) and scalars["lambda_hat"] >= 0.0
+                and scalars["sigma2_hat"] > 0.0):
+            raise ValueError("need rho_hat in (0, 1], lambda_hat >= 0 and sigma2_hat > 0")
+        return cls(model, beta_hat=np.asarray(beta_hat, dtype=float),
+                   rho_hat=np.asarray(rho_hat, dtype=float),
+                   **{key: float(value) for key, value in scalars.items()},
+                   degenerate=bool(d.get("degenerate", False)), n_evals=int(d.get("n_evals", 0)),
+                   at_bound=list(d.get("at_bound", [])),
+                   starts=[dict(start) for start in d.get("starts", [])])
+
+    @property
+    def p(self) -> int:
+        return self.model.p
 
     @property
     def best_start(self) -> dict | None:
@@ -235,14 +244,18 @@ def model_average(
     product, the order of the sum); each alpha is the same bit for bit, and
     a single draw's mean too for p <= 7 (see _kriging_means).
     """
+    return _average_and_mask(chain, data, req, denoise_threshold)[0]
+
+
+def _average_and_mask(chain, data, req: PredictionRequest, denoise_threshold: float) -> tuple:
+    """model_average's mean, and the denoise_mask of the draws it averages."""
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
     if not 0.0 <= denoise_threshold < 1.0:
         raise ValueError("denoise_threshold must lie in [0, 1)")
-    if not _has_sites(data, req):
-        return np.zeros(0)
-
     keep = denoise_mask(chain, denoise_threshold)
+    if not _has_sites(data, req):
+        return np.zeros(0), keep
     if not keep.any():
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
@@ -252,7 +265,7 @@ def model_average(
     draws = kept[first]
     total = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
                            chain.rho[draws], chain.lam[draws], runs)
-    return total / kept.size
+    return total / kept.size, keep
 
 
 def denoise_mask(chain, denoise_threshold: float) -> np.ndarray:

@@ -34,6 +34,8 @@ from .model import (
     ParameterState,
     PriorConfig,
     _norm_logpdf,
+    are_indicators,
+    are_numbers,
     check_positive,
     draw_from_prior,
     flat_state,
@@ -74,6 +76,8 @@ class SamplerConfig:
         self.rw_sd = tuple(self.rw_sd)
 
     def validate(self) -> None:
+        if self.n_iter > np.iinfo(np.intp).max:  # run_chain holds a flag per iteration
+            raise ValueError(f"sampler.n_iter is too large to index, got {self.n_iter}")
         if self.thin < 1:
             raise ValueError("sampler.thin must be >= 1")
         # the first stored iteration is burn_in + thin - 1
@@ -484,15 +488,14 @@ def load_chain(path) -> Chain:
 
 _VECTOR_KEYS = ("gamma_r", "gamma_c", "beta", "rho")
 _ROW_SCALAR_KEYS = tuple(_FILE_KEYS[name] for name in _ROW_SCALARS)
-_NUMBER_TYPES = frozenset((int, float))  # not bool, which is a type of its own
 
 
 def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> int:
     """Append a chain file state to the typed rows of _row_fields and return
     p. Raises ValueError unless every vector holds p values (the first
-    vector's count when p is None), each indicator is 0 or 1, every other
-    value is a finite number (not a boolean) and the state lies in the
-    prior's support (`support_violation`)."""
+    vector's count when p is None), the indicators pass `are_indicators`,
+    every other value `are_numbers`, and the state lies in the prior's
+    support (`support_violation`)."""
     vectors = [record[key] for key in _VECTOR_KEYS]
     for key, vector in zip(_VECTOR_KEYS, vectors):
         if type(vector) is not list:
@@ -501,22 +504,15 @@ def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> in
         if len(vector) != p:
             raise ValueError(f'"{key}" holds {len(vector)} values, not {p}')
     indicators = vectors[0] + vectors[1]
-    # the types first: they make the values hashable
-    if not (set(map(type, indicators)) <= _NUMBER_TYPES and set(indicators) <= {0, 1}):
+    if not are_indicators(indicators):
         raise ValueError('"gamma_r" and "gamma_c" must hold 0 or 1')
     row = [*vectors[2], *vectors[3], *map(record.__getitem__, _ROW_SCALAR_KEYS)]
-    if not set(map(type, row)) <= _NUMBER_TYPES:
+    if not are_numbers(row):
         raise ValueError(f"every value of beta, rho, {', '.join(_ROW_SCALAR_KEYS)} "
-                         "must be a number")
-    try:
-        values.extend(row)
-    except OverflowError:
-        raise ValueError("a number is too large for a double") from None
-    # after the extend, which turned away the ints too large for isfinite
-    if not all(map(math.isfinite, row)):
-        raise ValueError("every value must be finite")
+                         "must be a finite number")
     rule = support_violation(*vectors, row[2 * p:2 * p + 5])
     if rule is not None:
         raise ValueError(rule)
+    values.extend(row)
     gammas.extend(map(int, indicators))
     return p

@@ -12,9 +12,11 @@ import pytest
 
 import gpselect
 from gpselect import Dataset, ValidationError, export_csv, ingest
-from gpselect.cli import COMMANDS, RunConfig, _build_parser, _resolve_args, main
+from gpselect.cli import COMMANDS, RunConfig, _build_parser, _load_model_file, _resolve_args, main
 from gpselect.data import read_sites_csv, split_rows
-from gpselect.predict import _workers
+from gpselect.model import are_numbers
+from gpselect.predict import MleFit, _workers
+from gpselect.sampler import Chain, load_chain
 
 
 def _write(path, text):
@@ -155,11 +157,12 @@ def test_run_config_rejects_bad_values(tmp_path):
     ({"sampler": {"thin": 0}}, [], "sampler.thin"),
     ({}, ["--seed", "-1"], "--seed"),
     ({"prior": {"tau": 10**400}}, [], "prior.tau"),
+    ({"sampler": {"n_iter": 10**20}}, [], "sampler.n_iter"),
 ], ids=["v_folds_a_string", "n_iter_a_string", "noise_sd_a_string", "noise_sd_negative",
         "box_of_three", "n_train_1", "tau_a_flag", "io_data_a_number", "unknown_section",
         "unknown_predict_key", "unknown_io_key", "unknown_simulate_key", "tau_nan",
         "sigma2_scale_infinite", "rw_sd_with_nan", "seed_negative", "thin_0",
-        "seed_flag_negative", "tau_beyond_every_double"])
+        "seed_flag_negative", "tau_beyond_every_double", "n_iter_beyond_every_index"])
 def test_cli_malformed_config_is_one_line_validation_error(tmp_path, capsys, config, flags, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -671,6 +674,9 @@ def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, cap
     ("fit.json", "mle", _json_line(_FIT).replace('"beta0_hat":0.0', '"beta0_hat":' + "1" * 5000)),
     ("chain.jsonl", "average",
      _json_line(_CHAIN_LINE).replace('"beta0":0.0', '"beta0":' + "1" * 5000)),
+    ("fit.json", "mle", _json_line({**_FIT, "beta0_hat": True})),
+    ("fit.json", "mle", _json_line({**_FIT, "lambda_hat": "0.1"})),
+    ("fit.json", "mle", _json_line({**_FIT, "beta_hat": ["1.0", 0.0]})),
 ], ids=["fit_without_beta_hat", "chain_line_without_gamma_c", "chain_line_without_iter",
         "chain_line_not_an_object", "fit_not_json", "chain_not_json",
         "chain_indicator_not_0_or_1", "chain_indicator_out_of_int8", "chain_beta_not_a_number",
@@ -680,7 +686,8 @@ def test_cli_predict_exits_2_where_r_plus_lambda_i_does_not_factor(tmp_path, cap
         "chain_inactive_beta_not_0", "chain_inactive_rho_not_1", "chain_sigma2_z_negative",
         "chain_omega_above_1", "chain_active_rho_0", "chain_lambda_0_on_line_2",
         "chain_beta0_nan", "fit_beta0_beyond_every_double", "chain_iter_beyond_int64",
-        "fit_integer_of_5000_digits", "chain_integer_of_5000_digits"])
+        "fit_integer_of_5000_digits", "chain_integer_of_5000_digits", "fit_beta0_true",
+        "fit_lambda_a_string", "fit_beta_hat_strings"])
 def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, capsys,
                                                                name, mode, text):
     path = tiny_pipeline["dir"] / name
@@ -698,10 +705,13 @@ def test_cli_malformed_input_file_is_one_line_validation_error(tiny_pipeline, ca
         assert f"line {len(text.splitlines())}" in error["message"]
 
 
+@pytest.mark.parametrize("gamma_r", [[10**20, 0], [0.9, 1], ["1", "0"], [True, False]],
+                         ids=["huge_int", "fraction", "strings", "booleans"])
 def test_cli_model_indicator_beyond_every_integer_type_is_a_validation_error(tiny_pipeline,
-                                                                             capsys):
+                                                                             capsys, gamma_r):
+    # a model file's indicators are 0 or 1 as JSON numbers, never coerced to them
     path = tiny_pipeline["dir"] / "model.json"
-    path.write_text(json.dumps({"gamma_r": [10**20, 0], "gamma_c": [1, 1]}))
+    path.write_text(json.dumps({"gamma_r": gamma_r, "gamma_c": [1, 1]}))
     out = tiny_pipeline["dir"] / "out"
     rc = main(["--output-dir", str(out), "fit", "--model", str(path),
                "--data", tiny_pipeline["data"], "--response", "y"])
@@ -711,6 +721,53 @@ def test_cli_model_indicator_beyond_every_integer_type_is_a_validation_error(tin
     error = json.loads(err[0])
     assert error["error"] == "ValidationError" and str(path) in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0.5, 2, True, "0.5", None, 10**400, math.nan],
+                         ids=["float", "int", "true", "string", "null", "beyond_every_double",
+                              "nan"])
+def test_config_chain_and_fit_readers_accept_the_same_numbers(tmp_path, value):
+    # one scalar as a config float key, a chain line's beta0 and a fit's beta0_hat
+    files = {"cfg.json": json.dumps({"prior": {"tau": value}}),
+             "chain.jsonl": json.dumps({**_CHAIN_LINE, "beta0": value}),
+             "fit.json": json.dumps({**_FIT, "beta0_hat": value})}
+    readers = {"cfg.json": RunConfig.from_json, "chain.jsonl": load_chain,
+               "fit.json": lambda path: _load_model_file(path, MleFit.from_dict, "a fit", 2)}
+    accepted = []
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+        try:
+            readers[name](tmp_path / name)
+            accepted.append(True)
+        except ValidationError:
+            accepted.append(False)
+    assert accepted == [are_numbers([value])] * 3
+    assert are_numbers([value]) == (value in (0.5, 2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["inclusion"],
+    ["select", "--data", "DATA", "--response", "y"],
+    ["predict", "--mode", "average", "--denoise-threshold", "0.4", "--data", "DATA",
+     "--response", "y", "--sites", "SITES"],
+], ids=["inclusion", "select", "predict_average"])
+def test_each_chain_command_counts_the_chain_models_once(tiny_pipeline, monkeypatch, argv):
+    # two models, 2 draws and 1 draw: a threshold of 0.4 keeps the first
+    chain = tiny_pipeline["dir"] / "chain.jsonl"
+    chain.write_text("".join(_json_line({**_CHAIN_LINE, "iter": i, **model}) + "\n"
+                             for i, model in enumerate([{}, {}, {"gamma_c": [1, 0],
+                                                                 "rho": [0.5, 1.0]}])))
+    model_counts, calls = Chain.model_counts, []
+    monkeypatch.setattr(Chain, "model_counts", lambda self: calls.append(1) or model_counts(self))
+    inputs = {"DATA": tiny_pipeline["data"], "SITES": tiny_pipeline["sites"]}
+    out = tiny_pipeline["dir"] / "out"
+    assert main(["--config", tiny_pipeline["config"], "--output-dir", str(out),
+                 *(inputs.get(arg, arg) for arg in argv), "--chain", str(chain)]) == 0
+    assert len(calls) == 1
+    if argv[0] == "predict":
+        rows = (out / "predictions.csv").read_text().splitlines()
+        assert rows[0] == "site,prediction,ensemble_size"
+        assert {row.split(",")[2] for row in rows[1:]} == {"2"}
 
 
 def test_cli_chain_file_without_draws_is_a_validation_error(tmp_path, capsys):

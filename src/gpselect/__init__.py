@@ -19,6 +19,7 @@ from .errors import (
     NumericalSingularityError,
     OptimizationFailureError,
     ValidationError,
+    WorkerProcessError,
 )
 from .kernel import GpFactor, correlation, log_likelihood
 from .model import (
@@ -79,6 +80,7 @@ __all__ = [
     "PriorConfig",
     "SamplerConfig",
     "ValidationError",
+    "WorkerProcessError",
     "candidate_ladder",
     "conditional_mean",
     "correlation",

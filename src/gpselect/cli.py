@@ -329,6 +329,7 @@ def cmd_fit(args, cfg: RunConfig, data: Dataset) -> tuple:
 def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
     """Predict at new sites, either from an MLE fit or by model averaging."""
     req = PredictionRequest(data.transform_sites(read_sites_csv(args.sites, data.column_names)))
+    meta = {"mode": args.mode}
     if args.mode == "mle":
         if args.fit is None:
             raise ValidationError("mode 'mle' requires a fit file")
@@ -341,11 +342,12 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
         denoise = (cfg.denoise_threshold if args.denoise_threshold is None
                    else args.denoise_threshold)
         chain = sampler.load_chain(args.chain)
-        preds, keep = predict._average_and_mask(chain, data, req, denoise)
+        preds, keep, meta["average_workers"], meta["distinct_draws"] = (
+            predict._average_and_mask(chain, data, req, denoise))
         extra_columns = {"ensemble_size": int(keep.sum())}
     rows = [[i, repr(float(v)), *extra_columns.values()] for i, v in enumerate(preds)]
     files = {"predictions.csv": partial(write_csv, ["site", "prediction", *extra_columns], rows)}
-    return {"predictions": "predictions.csv"}, files, {"mode": args.mode, "sites": len(preds)}
+    return {"predictions": "predictions.csv"}, files, {**meta, "sites": len(preds)}
 
 
 BENCHMARK_METHODS = ("ok", "uk", "averaging", "posterior_inclusion", "map")

@@ -34,5 +34,9 @@ class OptimizationFailureError(GpSelectError, RuntimeError):
         self.trace = list(trace)
 
 
+class WorkerProcessError(GpSelectError, RuntimeError):
+    """A worker process ended before its job did, e.g. killed for memory."""
+
+
 class EmptyEnsembleError(GpSelectError, ValueError):
     """Denoising removed every draw from the model-averaging ensemble."""

@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import (
     EmptyEnsembleError,
     NumericalSingularityError,
     OptimizationFailureError,
+    WorkerProcessError,
 )
 from .model import ModelIndicator, ParameterState, _check_consistent, are_numbers
 
@@ -37,8 +39,10 @@ MLE_MAXITER = 1000
 MLE_MAXCOR = 20
 # sizes the kriging means' stacks and tiles (_cross_blocks): 2**17 doubles = 1 MB
 CROSS_BLOCK_ELEMS = 2**17
-# _map_jobs forks workers for jobs training on this many rows in all (README)
+# fits and CV fork workers for jobs training on this many rows in all (README)
 POOL_MIN_ROWS = 400
+# averaging forks workers for distinct draws of this many multiply-adds in all (README)
+AVERAGE_MIN_WORK = 5 * 10**8
 
 
 @dataclass
@@ -150,7 +154,7 @@ def conditional_mean(data, state: ParameterState, req: PredictionRequest) -> np.
     if not _has_sites(data, req):
         return np.zeros(0)
     return _kriging_means(data, req.X_new, [state.beta0], [state.beta], [state.rho],
-                          [state.lam], [1.0])
+                          [state.lam], [1.0])[0]
 
 
 def _has_sites(data, req: PredictionRequest) -> bool:
@@ -165,37 +169,38 @@ def _has_sites(data, req: PredictionRequest) -> bool:
 
 
 def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
-    """Weighted sum of the kriging means of a stack of draws at the sites.
+    """Weighted sum of the kriging means of a stack of draws at the sites,
+    and the processes that computed it.
 
     Draw k's mean is beta0_k + X_new beta_k + R_k,new,old alpha_k, alpha_k =
     (R_k + lam_k I)^{-1} (y - beta0_k - X beta_k), from GpFactor.stack over
-    blocks of b draws, bit for bit as GpFactor's. The draws go in chunks of
-    whole blocks whose weighted alphas fill at most CROSS_BLOCK_ELEMS; for
-    each chunk the sites go in tiles of S, whose (S*n, p) squared
-    differences are built once and serve every block of the chunk: one
-    product with the block's log rho, one exp, and one matrix-vector
-    product with the block's stacked weighted alphas. _cross_blocks sizes b
-    and S, so memory holds one chunk of alphas and one tile, whatever the
-    number of draws or sites; each site adds the blocks' terms in draw
-    order. A block of one draw runs the matrix-vector routines of
-    corr_from_sqdiffs and a per-draw sum, so a single draw keeps its
-    per-draw bits where BLAS rounds a row alike in both (p <= 7 with
-    OpenBLAS 0.3.31). A draw whose R + lam I does not factor raises
-    NumericalSingularityError.
+    blocks of b draws, bit for bit as GpFactor's. The jobs, a multiple of
+    the workers, take even ranges of whole blocks whose weighted alphas and
+    (blocks, m) terms together fill at most CROSS_BLOCK_ELEMS; a tile of S
+    sites' squared differences serves each block of a job in one product
+    with log rho, one exp and one matrix-vector product (_cross_blocks
+    sizes b and S). The jobs run in the workers _pool_size gives for their
+    work against AVERAGE_MIN_WORK, and the parent adds the blocks' terms in
+    block order: each site sums the same terms in draw order at any worker
+    count, bit for bit, and memory does not grow with the draws or sites. A
+    one-draw block keeps a single draw's bits where BLAS rounds a row alike
+    in its matrix-vector routines (p <= 7, OpenBLAS 0.3.31). A draw whose
+    R + lam I does not factor raises NumericalSingularityError.
     """
     beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
                                       for a in (beta0, beta, rho, lam, weights))
     n, p = data.X.shape
     m = X_new.shape[0]
     d2_train = kernel.pairwise_sqdiffs(data.X)
-    total = weights @ beta0 + X_new @ (weights @ beta)
-    n_draws = weights.shape[0]
     block, sites = _cross_blocks(n, p)
-    chunk = max(1, CROSS_BLOCK_ELEMS // (n * block)) * block
-    for first in range(0, n_draws, chunk):
+    starts = range(0, len(weights), block)
+    workers = _pool_size(len(starts), len(weights) * (n**3 / 3 + m * n * (p + 1)), AVERAGE_MIN_WORK)
+    n_jobs = -(-len(starts) // (max(1, CROSS_BLOCK_ELEMS // (n * block + m)) * workers)) * workers
+
+    def job(j: int) -> np.ndarray:  # the (blocks, m) terms of job j's blocks
         blocks = []  # per block: its rho columns and its raveled weighted alphas
-        for start in range(first, min(first + chunk, n_draws), block):
-            stop = min(start + block, n_draws)
+        for start in starts[len(starts) * j // n_jobs:len(starts) * (j + 1) // n_jobs]:
+            stop = min(start + block, len(weights))
             factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
             # per draw the matrix-vector product of data.X @ beta[k]
             resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
@@ -206,12 +211,20 @@ def _kriging_means(data, X_new, beta0, beta, rho, lam, weights):
                 alphas[:, i] = f.solve(r)
             # C-ordered rho columns: a faster tile product
             blocks.append((rho[start:stop].T.copy(), (alphas * weights[start:stop]).ravel()))
+        terms = np.empty((len(blocks), m))
         for s in range(0, m, sites):
             d2_cross = kernel.pairwise_sqdiffs(X_new[s:s + sites], data.X).reshape(-1, p)
-            for rho_cols, alphas in blocks:  # one expression: one tile alive at a time
-                total[s:s + sites] += kernel.corr_from_sqdiffs(
+            for row, (rho_cols, alphas) in zip(terms, blocks):  # one tile alive at a time
+                row[s:s + sites] = kernel.corr_from_sqdiffs(
                     d2_cross, rho_cols).reshape(-1, alphas.size) @ alphas
-    return total
+        return terms
+
+    kernel._scipy("linalg.lapack")  # the jobs' solves, imported before any fork
+    total = weights @ beta0 + X_new @ (weights @ beta)
+    for terms in _map_jobs(job, n_jobs, workers, window=2 * workers):
+        for row in terms:
+            total += row
+    return total, workers
 
 
 def _cross_blocks(n: int, p: int) -> tuple[int, int]:
@@ -236,26 +249,28 @@ def model_average(
     remainder. A run of the chain (`Chain.run_starts`, as after rejected
     proposals) is kept or dropped whole, and is one distinct draw weighted by
     its length. Distinct draws are factored in stacks, one Cholesky call each,
-    and their cross-correlations are built in cache-sized tiles of sites. A distinct
-    draw costs an n x n factor, two triangular solves, n*m*(p + 1)
-    multiply-adds and n*m exp calls; a repeat costs nothing. A draw whose
-    R + lambda*I does not factor raises NumericalSingularityError. Against
-    a draw-by-draw loop the average differs at rounding level (the tile
-    product, the order of the sum); each alpha is the same bit for bit, and
-    a single draw's mean too for p <= 7 (see _kriging_means).
+    with cross-correlations in cache-sized tiles of sites, in forked workers
+    where their work passes AVERAGE_MIN_WORK, to the same bits in any number
+    of processes. A distinct draw costs an n x n factor, two triangular
+    solves, n*m*(p + 1) multiply-adds and n*m exp calls; a repeat costs
+    nothing. A draw whose R + lambda*I does not factor raises
+    NumericalSingularityError. Against a draw-by-draw loop the average
+    differs at rounding level (the tile product, the order of the sum); each
+    alpha is the same bit for bit, and a single draw's mean too for p <= 7.
     """
     return _average_and_mask(chain, data, req, denoise_threshold)[0]
 
 
 def _average_and_mask(chain, data, req: PredictionRequest, denoise_threshold: float) -> tuple:
-    """model_average's mean, and the denoise_mask of the draws it averages."""
+    """model_average's mean, the denoise_mask of the draws it averages, the
+    processes that averaged them and the number of distinct draws (runs)."""
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
     if not 0.0 <= denoise_threshold < 1.0:
         raise ValueError("denoise_threshold must lie in [0, 1)")
     keep = denoise_mask(chain, denoise_threshold)
     if not _has_sites(data, req):
-        return np.zeros(0), keep
+        return np.zeros(0), keep, 1, 0
     if not keep.any():
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
@@ -263,9 +278,9 @@ def _average_and_mask(chain, data, req: PredictionRequest, denoise_threshold: fl
     first = np.flatnonzero(chain.run_starts()[kept])
     runs = np.diff(first, append=kept.size)
     draws = kept[first]
-    total = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
-                           chain.rho[draws], chain.lam[draws], runs)
-    return total / kept.size, keep
+    total, workers = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
+                                    chain.rho[draws], chain.lam[draws], runs)
+    return total / kept.size, keep, workers, draws.size
 
 
 def denoise_mask(chain, denoise_threshold: float) -> np.ndarray:
@@ -397,13 +412,13 @@ def _concentrated_objective(z: np.ndarray, y: np.ndarray, F: np.ndarray, d2: np.
     return val, grad, coef, sigma2
 
 
-def _workers(environ, cpus: int, n_jobs: int, rows: int) -> int:
-    """Processes for n_jobs fits that train on `rows` rows in all, on cpus
-    CPUs: one below POOL_MIN_ROWS rows, else as many as fit beside each
-    other's BLAS threads. OpenBLAS runs the first positive atoi (whitespace, a sign,
+def _workers(environ, cpus: int, n_jobs: int, work: float, floor: float) -> int:
+    """Processes for n_jobs jobs of `work` in all, on cpus CPUs: one below the
+    caller's floor on that work, else as many as fit beside each other's BLAS
+    threads. OpenBLAS runs the first positive atoi (whitespace, a sign,
     ASCII digits) of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, or
     one thread per CPU, so a default-BLAS run stays in one process."""
-    if rows < POOL_MIN_ROWS:
+    if work < floor:
         return 1
     blas_threads = cpus
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -414,6 +429,13 @@ def _workers(environ, cpus: int, n_jobs: int, rows: int) -> int:
     return max(1, min(n_jobs, cpus // blas_threads))
 
 
+def _pool_size(n_jobs: int, work: float, floor: float) -> int:
+    """_workers' count here: one in a worker (pools do not nest) or without an affinity call."""
+    if _worker_job is not None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return _workers(os.environ, len(os.sched_getaffinity(0)), n_jobs, work, floor)
+
+
 # the running pool's job, set by _map_jobs; every worker inherits it through the fork
 _worker_job = None
 
@@ -422,29 +444,35 @@ def _run_job(index: int):
     return _worker_job(index)
 
 
-def _map_jobs(job, n_jobs: int, rows: int) -> tuple[list, int]:
-    """([job(i) for i in range(n_jobs)], the processes that ran them) for
-    jobs training on `rows` rows in all: in the workers _workers gives on
-    this process's CPUs, forked from it, or here inside a worker (pools do
-    not nest) or without an affinity call (macOS, Windows). A worker gets
-    only job indices: job and its data reach it through the fork."""
+def _map_jobs(job, n_jobs: int, workers: int, window: int = 0):
+    """job(0), ..., job(n_jobs - 1), yielded in order: here for one worker, else
+    from `workers` processes forked from this one, with at most `window` jobs
+    (all if 0) submitted and not yet yielded. A worker gets only job indices:
+    job and its data reach it through the fork, so the caller imports what
+    the jobs use first. A worker that dies raises WorkerProcessError."""
     global _worker_job
-    workers = 1
-    if _worker_job is None and hasattr(os, "sched_getaffinity"):
-        workers = _workers(os.environ, len(os.sched_getaffinity(0)), n_jobs, rows)
     if workers == 1:
-        return [job(i) for i in range(n_jobs)], 1
-    import multiprocessing  # here, so that importing gpselect does not load it
+        yield from map(job, range(n_jobs))
+        return
+    # here, so that importing gpselect does not load them
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    # imported before the fork, or every worker imports them again
-    for name in ("optimize", "linalg.lapack"):
-        kernel._scipy(name)
     _worker_job = job
+    # forking, the executor starts every worker at the first submit, before its own thread
+    pool = ProcessPoolExecutor(workers, get_context("fork"))
     try:
-        # leaving the block terminates the pool, which joins its workers
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_job, range(n_jobs), chunksize=1), workers
+        pending = deque()
+        for i in range(n_jobs):
+            pending.append(pool.submit(_run_job, i))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise WorkerProcessError(f"a worker process ended before its job did: {exc}") from exc
     finally:
+        pool.shutdown(cancel_futures=True)  # joins every worker
         _worker_job = None
 
 
@@ -532,7 +560,8 @@ def fit_mle(
         return res.x, {"status": int(res.status), "message": str(res.message),
                        "nit": int(res.nit), "nfev": int(res.nfev)}, list(memo.items())
 
-    runs, workers = _map_jobs(run_start, len(starts), len(starts) * data.X.shape[0])
+    workers = _pool_size(len(starts), len(starts) * data.X.shape[0], POOL_MIN_ROWS)
+    runs = list(_map_jobs(run_start, len(starts), workers))
     computed: dict = {}  # z.tobytes() -> _concentrated_objective(z), in first-request order
     for _, _, pairs in runs:
         for key, entry in pairs:
@@ -573,4 +602,4 @@ def predict_mle(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:
         # no spatial component and no nugget: the fit is plain regression
         return fit.beta0_hat + req.X_new @ fit.beta_hat
     return _kriging_means(data, req.X_new, [fit.beta0_hat], [fit.beta_hat], [fit.rho_hat],
-                          [fit.lambda_hat], [1.0])
+                          [fit.lambda_hat], [1.0])[0]

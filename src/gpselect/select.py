@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .design import rmspe
 from .errors import (
     GpSelectError,
@@ -19,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelIndicator
-from .predict import PredictionRequest, _map_jobs, fit_mle, predict_mle
+from .predict import POOL_MIN_ROWS, PredictionRequest, _map_jobs, _pool_size, fit_mle, predict_mle
 
 logger = logging.getLogger(__name__)
 
@@ -206,7 +207,7 @@ def cross_validate(
     with a warning; a candidate failing more than 25% of folds is
     disqualified. The (candidate, fold) fits run in forked worker processes
     when they train on enough rows and the CPUs have room beside the BLAS
-    threads (see predict._workers); the report and the failure warnings,
+    threads (see predict._pool_size); the report and the failure warnings,
     logged in job order, are those of the serial run.
     """
     n = data.X.shape[0]
@@ -234,7 +235,9 @@ def cross_validate(
         return rmspe(test.y, pred), fit.n_evals, fit.at_bound, str(fit.best_start["status"])
 
     # each candidate's v fold fits train on (v - 1) * n rows in all
-    results, workers = _map_jobs(fit_fold, len(candidates) * v, len(candidates) * (v - 1) * n)
+    workers = _pool_size(len(candidates) * v, len(candidates) * (v - 1) * n, POOL_MIN_ROWS)
+    kernel._scipy("optimize")  # the fold fits' search, imported before any fork
+    results = _map_jobs(fit_fold, len(candidates) * v, workers)
     scores = np.full((len(candidates), v), np.nan)
     fold_evals = np.zeros(len(candidates), dtype=int)
     fold_at_bound = [Counter() for _ in candidates]

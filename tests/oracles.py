@@ -6,8 +6,8 @@ differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
 swap search, the per-row simulation recipe, chain file I/O, model counting,
 the separate R + lambda*I factorizations of the prediction code,
-the kriging means over all sites' squared differences at once) that the
-new ones must match exactly.
+the kriging means over all sites' squared differences at once, the kriging
+means in one process) that the new ones must match exactly.
 """
 
 import dataclasses
@@ -878,4 +878,39 @@ def kriging_means_reference(data, X_new, beta0, beta, rho, lam, weights):
         for s in range(0, m, sites):  # one expression: one tile alive at a time
             total[s:s + sites] += kernel.corr_from_sqdiffs(
                 d2_cross[s * n:(s + sites) * n], rho_cols).reshape(-1, alphas.size) @ alphas
+    return total
+
+
+def kriging_means_one_process_reference(data, X_new, beta0, beta, rho, lam, weights):
+    """The kriging means that ran every chunk of draw blocks in this process
+    and added each block's terms to the running total, tile by tile. It reads
+    the package's CROSS_BLOCK_ELEMS and _cross_blocks at call time."""
+    beta0, beta, rho, lam, weights = (np.asarray(a, dtype=float)
+                                      for a in (beta0, beta, rho, lam, weights))
+    n, p = data.X.shape
+    m = X_new.shape[0]
+    d2_train = kernel.pairwise_sqdiffs(data.X)
+    total = weights @ beta0 + X_new @ (weights @ beta)
+    n_draws = weights.shape[0]
+    block, sites = predict._cross_blocks(n, p)
+    chunk = max(1, predict.CROSS_BLOCK_ELEMS // (n * block)) * block
+    for first in range(0, n_draws, chunk):
+        blocks = []  # per block: its rho columns and its raveled weighted alphas
+        for start in range(first, min(first + chunk, n_draws), block):
+            stop = min(start + block, n_draws)
+            factors = kernel.GpFactor.stack(d2_train, rho[start:stop], lam[start:stop])
+            # per draw the matrix-vector product of data.X @ beta[k]
+            resid = data.y - beta0[start:stop, None] - (data.X @ beta[start:stop, :, None])[..., 0]
+            # column i is draw start + i's alpha: a tile's (S*n, b) correlations,
+            # read as (S, n*b), meet the raveled weighted alphas in one product
+            alphas = np.empty((n, stop - start))
+            for i, (f, r) in enumerate(zip(factors, resid)):
+                alphas[:, i] = f.solve(r)
+            # C-ordered rho columns: a faster tile product
+            blocks.append((rho[start:stop].T.copy(), (alphas * weights[start:stop]).ravel()))
+        for s in range(0, m, sites):
+            d2_cross = kernel.pairwise_sqdiffs(X_new[s:s + sites], data.X).reshape(-1, p)
+            for rho_cols, alphas in blocks:  # one expression: one tile alive at a time
+                total[s:s + sites] += kernel.corr_from_sqdiffs(
+                    d2_cross, rho_cols).reshape(-1, alphas.size) @ alphas
     return total

@@ -5,18 +5,24 @@ workload: n=35 training rows, p=5 on a maximin LHD, 1,000 prediction sites
 and a 50,000-draw chain holding 5,000 distinct draws (runs of repeated
 states, as rejected proposals leave them). The benchmark's extra_info
 records the number of distinct draws, the median microseconds per distinct
-draw, and the shapes the kriging means work in: draws per factored stack
-and sites per cross-correlation tile. For a reading, pin BLAS to one
-thread:
+draw, the shapes the kriging means work in (draws per factored stack and
+sites per cross-correlation tile) and the worker processes that ran them.
+The call timed is the one model_average makes, which also returns those
+workers. For a reading, pin BLAS to one thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         tests/test_average_bench.py --benchmark-columns=median,iqr
+
+Its 5,000 distinct draws come to about 1.1e9 multiply-adds, above the
+averaging floor (predict.AVERAGE_MIN_WORK), so with one BLAS thread on 2
+CPUs the reading times two worker processes (workers = 2); with the BLAS
+thread settings unset it times one.
 """
 
 import numpy as np
 
-from gpselect import Chain, Dataset, PredictionRequest, maximin_lhd, model_average, sim_response
-from gpselect.predict import _cross_blocks
+from gpselect import Chain, Dataset, PredictionRequest, maximin_lhd, sim_response
+from gpselect.predict import _average_and_mask, _cross_blocks
 
 
 def _chain_of_runs(rng, p, n_distinct, mean_run):
@@ -45,12 +51,14 @@ def test_model_average_time(benchmark):
     chain = _chain_of_runs(rng, 5, n_distinct=5000, mean_run=10.0)
     req = PredictionRequest(rng.uniform(size=(1000, 5)))
 
-    preds = benchmark.pedantic(model_average, args=(chain, data, req), rounds=3, iterations=1)
+    preds, _, workers, distinct = benchmark.pedantic(
+        _average_and_mask, args=(chain, data, req, 0.0), rounds=3, iterations=1)
 
     benchmark.extra_info["draws"] = len(chain)
-    benchmark.extra_info["distinct_draws"] = 5000
-    benchmark.extra_info["us_per_distinct_draw"] = benchmark.stats.stats.median / 5000 * 1e6
+    benchmark.extra_info["distinct_draws"] = distinct
+    benchmark.extra_info["us_per_distinct_draw"] = benchmark.stats.stats.median / distinct * 1e6
     draws, sites = _cross_blocks(35, 5)
     benchmark.extra_info["draws_per_stack"] = draws
     benchmark.extra_info["sites_per_tile"] = sites
+    benchmark.extra_info["workers"] = workers
     assert preds.shape == (1000,) and np.all(np.isfinite(preds))

@@ -15,7 +15,7 @@ from gpselect import Dataset, ValidationError, export_csv, ingest
 from gpselect.cli import COMMANDS, RunConfig, _build_parser, _load_model_file, _resolve_args, main
 from gpselect.data import read_sites_csv, split_rows
 from gpselect.model import are_numbers
-from gpselect.predict import MleFit, _workers
+from gpselect.predict import POOL_MIN_ROWS, MleFit, _workers
 from gpselect.sampler import Chain, load_chain
 
 
@@ -250,7 +250,7 @@ def test_cli_sample_inclusion_select(tiny_pipeline, capsys):
     # each fold fit trains on the rows outside its fold
     rows = len(cv["candidates"]) * (meta["v_folds"] - 1) * ingest(tiny_pipeline["data"], "y").n
     assert meta["cv_workers"] == _workers(os.environ, len(os.sched_getaffinity(0)), fold_fits,
-                                          rows)
+                                          rows, POOL_MIN_ROWS)
     assert 0.0 < meta["cv_s"] < meta["wall_s"]
 
 
@@ -274,8 +274,8 @@ def test_cli_run_meta_records_each_stage_wall_time(tiny_pipeline):
 SCIPY_PARTS = ("scipy.linalg", "scipy.optimize", "scipy.special")
 
 # run in a fresh interpreter: the scipy parts and multiprocessing (which only
-# select's pooled CV loads) loaded after importing the CLI, after `inclusion`
-# and after `fit`, as one JSON line
+# a pooled CV, fit or average loads) loaded after importing the CLI and after
+# each stage, as one JSON line
 IMPORT_PROBE = f"""
 import json, sys
 from gpselect.cli import main
@@ -292,20 +292,29 @@ def test_cli_loads_scipy_only_in_the_commands_that_need_it(tiny_pipeline):
     root = tiny_pipeline["dir"]
     cfg = ["--config", tiny_pipeline["config"]]
     data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    chain = ["--chain", str(root / "sample" / "chain.jsonl")]
     assert main(cfg + ["--output-dir", str(root / "sample"), "sample"] + data) == 0
     (root / "model.json").write_text('{"gamma_r": [1, 0], "gamma_c": [1, 1]}')
+    fit = cfg + ["--output-dir", str(root / "fit"), "fit", "--model", str(root / "model.json")]
+    # the predict stages read a fit made here, and run before `fit` loads scipy.optimize
+    assert main(fit + data) == 0
+    predict = cfg + ["--output-dir", str(root / "predict"), "predict", "--sites",
+                     tiny_pipeline["sites"]] + data
     stages = {
-        "inclusion": cfg + ["--output-dir", str(root / "inclusion"), "inclusion",
-                            "--chain", str(root / "sample" / "chain.jsonl")],
-        "fit": cfg + ["--output-dir", str(root / "fit"), "fit", "--model",
-                      str(root / "model.json")] + data,
+        "inclusion": cfg + ["--output-dir", str(root / "inclusion"), "inclusion"] + chain,
+        "predict_mle": predict + ["--mode", "mle", "--fit", str(root / "fit" / "mle_fit.json")],
+        "predict_average": predict + ["--mode", "average"] + chain,
+        "fit": fit + data,
     }
     env = dict(os.environ, PYTHONPATH=str(Path(gpselect.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(stages)], env=env,
                           capture_output=True, text=True, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "inclusion": [], "fit": list(SCIPY_PARTS)}
-    meta = {name: json.loads((root / name / "run_meta.json").read_text()) for name in stages}
+    # the tiny chain and fit stay below the pools' floors: no multiprocessing
+    assert loaded == {"import": [], "inclusion": [], "predict_mle": ["scipy.linalg"],
+                      "predict_average": ["scipy.linalg"], "fit": list(SCIPY_PARTS)}
+    meta = {name: json.loads((root / name / "run_meta.json").read_text())
+            for name in ("inclusion", "fit")}
     assert meta["inclusion"]["import_s"] == 0.0
     assert 0.0 < meta["fit"]["import_s"] < meta["fit"]["wall_s"]
 
@@ -358,7 +367,8 @@ def test_cli_fit_and_predict_interpolates(tiny_pipeline):
     # 5 starts on the training rows; the worker count stays out of mle_fit.json
     n = ingest(tiny_pipeline["data"], "y").n
     meta = json.loads((fit_dir / "run_meta.json").read_text())
-    assert meta["fit_workers"] == _workers(os.environ, len(os.sched_getaffinity(0)), 5, 5 * n)
+    assert meta["fit_workers"] == _workers(os.environ, len(os.sched_getaffinity(0)), 5, 5 * n,
+                                           POOL_MIN_ROWS)
     assert "workers" not in fit
     # the reported values are those the best start's final point scored
     assert fit["neg_log_lik"] == min(start["objective"] for start in fit["starts"])
@@ -395,6 +405,50 @@ def test_cli_predict_average(tiny_pipeline):
     lines = (pred_dir / "predictions.csv").read_text().strip().splitlines()
     assert lines[0] == "site,prediction,ensemble_size"
     assert len(lines) == 6
+    # every draw is kept at the default threshold 0; a chain this small stays
+    # below the averaging floor, so one process averages its runs
+    meta = json.loads((pred_dir / "run_meta.json").read_text())
+    chain = load_chain(out1 / "chain.jsonl")
+    assert meta["distinct_draws"] == int(chain.run_starts().sum()) > 1
+    assert meta["average_workers"] == 1
+
+
+# run in a fresh interpreter whose OpenBLAS starts with one thread, with the
+# averaging floor at 0 and one draw per block: a `predict --mode average`
+# whose forked jobs end their processes at their first factor; prints the
+# exit code of main(argv[1])
+CLI_WORKER_DEATH_PROBE = """
+import json, os, sys
+from gpselect import kernel, predict
+from gpselect.cli import main
+
+predict.AVERAGE_MIN_WORK = 0
+predict.CROSS_BLOCK_ELEMS = 800
+parent, stack = os.getpid(), kernel.GpFactor.stack
+kernel.GpFactor.stack = staticmethod(
+    lambda *args: os._exit(1) if os.getpid() != parent else stack(*args))
+print(main(json.loads(sys.argv[1])))
+"""
+
+
+def test_cli_reports_a_worker_that_dies_in_one_error_line(tiny_pipeline):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: the average runs in one process")
+    root = tiny_pipeline["dir"]
+    cfg = ["--config", tiny_pipeline["config"]]
+    data = ["--data", tiny_pipeline["data"], "--response", "y"]
+    assert main(cfg + ["--output-dir", str(root / "run"), "sample"] + data) == 0
+    argv = cfg + ["--output-dir", str(root / "avg"), "predict", "--mode", "average",
+                  "--sites", tiny_pipeline["sites"], "--chain", str(root / "run" / "chain.jsonl")]
+    env = dict(os.environ, PYTHONPATH=str(Path(gpselect.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    # a pool that waits for the lost jobs forever fails here on the timeout
+    proc = subprocess.run([sys.executable, "-c", CLI_WORKER_DEATH_PROBE, json.dumps(argv + data)],
+                          env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "1"
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "WorkerProcessError"
+    assert not (root / "avg" / "predictions.csv").exists()
 
 
 def _every_command(tiny_pipeline, root: Path) -> dict:

@@ -285,9 +285,14 @@ def processes():
     open(sys.argv[1], "w").close()
     return pids
 
+def mapped(job, n_jobs):
+    # (job's results, the processes that ran them) above the fits' floor
+    workers = predict._pool_size(n_jobs, predict.POOL_MIN_ROWS, predict.POOL_MIN_ROWS)
+    return list(predict._map_jobs(job, n_jobs, workers)), workers
+
 def outer(i):
     # a job that maps jobs of its own: (its process, theirs, their workers)
-    inner, workers = predict._map_jobs(lambda j: os.getpid(), 3, predict.POOL_MIN_ROWS)
+    inner, workers = mapped(lambda j: os.getpid(), 3)
     return os.getpid(), inner, workers
 
 for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))[:2]] if os.environ["ALL_CPUS"] == "1" else []):
@@ -303,7 +308,7 @@ for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))[:2]] if os.environ["ALL_CP
         trace = [[z.tolist(), val] for z, val in exc.trace]
     pids.append(processes())
     children.append(len(multiprocessing.active_children()))
-    nested, nested_workers = predict._map_jobs(outer, 2, predict.POOL_MIN_ROWS)
+    nested, nested_workers = mapped(outer, 2)
     children.append(len(multiprocessing.active_children()))
     print(json.dumps({"workers": fit.workers, "fit": json.dumps(fit.to_dict()), "trace": trace,
                       "pids": pids, "parent": os.getpid(), "children": children,
@@ -890,7 +895,7 @@ def test_kriging_means_match_the_all_sites_reference(seed, n, p, m, n_distinct, 
     args = (data, X_new, *(list(field) for field in zip(*draws)), weights)
     with mock.patch.object(predict, "CROSS_BLOCK_ELEMS", elems):
         block = predict._cross_blocks(n, p)[0]
-        got = predict._kriging_means(*args)
+        got, _ = predict._kriging_means(*args)
         want = oracles.kriging_means_reference(*args)
     if p <= block:
         assert got.tobytes() == want.tobytes()
@@ -924,3 +929,143 @@ def test_kriging_means_memory_does_not_grow_with_the_sites():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+# 14 one-draw blocks in jobs of at most 3 (60 elements, 13 sites): 5 uneven jobs
+@example(seed=3, n=5, p=3, m=13, n_distinct=14, max_run=3, elems=60)
+# blocks of 3 draws, tiles of 40 sites: the last block holds one draw, the last tile 10 sites
+@example(seed=4, n=10, p=2, m=50, n_distinct=25, max_run=4, elems=1200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p=st.integers(1, 9),
+    m=st.integers(1, 40),
+    n_distinct=st.integers(1, 40),
+    max_run=st.integers(1, 5),
+    elems=st.sampled_from([60, 200, 800, 1200, 2**17]),
+)
+def test_kriging_means_in_jobs_match_the_one_process_sum(seed, n, p, m, n_distinct, max_run,
+                                                          elems):
+    """The jobs' per-block terms, added in block order, against the copy of
+    the loop that added each block's terms to the total as it went: every
+    site sums the same terms in the same order, so the two are equal bit for
+    bit whatever the draws, run lengths, sites and block sizes."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(X=rng.uniform(size=(n, p)), y=rng.normal(size=n),
+                   column_names=[f"x{j + 1}" for j in range(p)])
+    draws = _random_draws(rng, p, n_distinct)
+    runs = rng.integers(1, max_run + 1, size=n_distinct).astype(float)
+    args = (data, rng.uniform(size=(m, p)), *(list(field) for field in zip(*draws)), runs)
+    with mock.patch.object(predict, "CROSS_BLOCK_ELEMS", elems):
+        got, workers = predict._kriging_means(*args)
+        want = oracles.kriging_means_one_process_reference(*args)
+    assert workers == 1
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# run in a fresh interpreter whose OpenBLAS starts with one thread, with the
+# averaging floor at 0 and 1,200-element blocks (3 draws, tiles of 40 sites
+# at n = 10, p = 2), first on one CPU, then on two: a chain of 316 distinct
+# draws in runs of 1 to 3, averaged at 50 sites (106 blocks in 8 jobs of at
+# most 15, with at most 4 in flight in two workers; the last tile holds 10
+# sites) at denoise thresholds 0 and 0.05, then the same chain with one
+# zero-nugget draw, which does not factor since rows 0 and 1 coincide.
+# Prints one JSON line per CPU set.
+AVERAGE_WORKERS_PROBE = """
+import json, multiprocessing, os, sys
+import numpy as np
+from gpselect import Dataset, NumericalSingularityError, PredictionRequest, predict
+from gpselect.sampler import Chain
+
+predict.AVERAGE_MIN_WORK = 0
+predict.CROSS_BLOCK_ELEMS = 1200
+rng = np.random.default_rng(21)
+X = rng.uniform(size=(10, 2))
+X[1] = X[0]
+data = Dataset(X=X, y=rng.normal(size=10), column_names=["x1", "x2"])
+req = PredictionRequest(rng.uniform(size=(50, 2)))
+k = 316
+beta = np.where(rng.random((k, 2)) < 0.5, rng.normal(size=(k, 2)), 0.0)
+rho = np.where(rng.random((k, 2)) < 0.7, rng.uniform(0.05, 0.95, size=(k, 2)), 1.0)
+draws = [rng.normal(size=k), beta, rho, np.exp(rng.uniform(-6.0, 0.0, size=k))]
+repeat = rng.integers(1, 4, size=k)
+
+def chain_of(beta0, beta, rho, lam):
+    beta0, beta, rho, lam = (np.repeat(a, repeat, axis=0) for a in (beta0, beta, rho, lam))
+    n = len(lam)
+    return Chain(gamma_r=(beta != 0.0).astype(np.int8), gamma_c=(rho != 1.0).astype(np.int8),
+                 beta0=beta0, beta=beta, rho=rho, sigma2_z=np.ones(n), lam=lam,
+                 omega_r=np.full(n, 0.5), omega_c=np.full(n, 0.5), log_posts=np.zeros(n),
+                 iters=np.arange(n), accepted=np.zeros(n, dtype=bool))
+
+chain = chain_of(*draws)
+draws[3] = draws[3].copy()
+draws[3][150] = 0.0
+singular = chain_of(*draws)
+for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))[:2]] if os.environ["ALL_CPUS"] == "1" else []):
+    os.sched_setaffinity(0, cpus)
+    runs = {}
+    for threshold in (0.0, 0.05):
+        mean, keep, workers, distinct = predict._average_and_mask(chain, data, req, threshold)
+        runs[str(threshold)] = [mean.view(np.int64).tolist(), workers, distinct, int(keep.sum())]
+    children = [len(multiprocessing.active_children())]
+    try:
+        predict.model_average(singular, data, req)
+        raised = None
+    except NumericalSingularityError as exc:
+        raised = type(exc).__name__
+    children.append(len(multiprocessing.active_children()))
+    print(json.dumps({"runs": runs, "raised": raised, "children": children,
+                      "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_model_average_in_worker_processes_matches_one_process():
+    all_cpus = len(os.sched_getaffinity(0)) >= 2
+    env = dict(os.environ, PYTHONPATH=str(Path(predict.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", ALL_CPUS=str(int(all_cpus)))
+    proc = subprocess.run([sys.executable, "-c", AVERAGE_WORKERS_PROBE], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    for result, workers in zip(results, [1, 2]):
+        assert [run[1] for run in result["runs"].values()] == [workers] * 2
+        assert result["runs"]["0.0"][2] == 316
+        # the threshold drops some models' draws, not all
+        assert 0 < result["runs"]["0.05"][3] < result["runs"]["0.0"][3]
+        assert result["raised"] == "NumericalSingularityError"
+        assert result["children"] == [0, 0]
+        # the jobs factor and solve: the optimizer stays unloaded
+        assert not result["optimize"]
+    if not all_cpus:
+        pytest.skip("one CPU: the run in two worker processes needs two")
+    assert results[0]["runs"] == {key: [mean, 1, *rest] for key, (mean, _, *rest)
+                                  in results[1]["runs"].items()}
+
+
+# run in a fresh interpreter: four jobs in two forked workers, the second of
+# which ends its process; prints what _map_jobs raised and the children left
+WORKER_DEATH_PROBE = """
+import json, multiprocessing, os
+from gpselect import WorkerProcessError, predict
+
+def job(i):
+    if i == 1:
+        os._exit(1)
+    return i
+
+try:
+    list(predict._map_jobs(job, 4, 2))
+    raised = None
+except WorkerProcessError as exc:
+    raised = type(exc).__name__
+print(json.dumps({"raised": raised, "children": len(multiprocessing.active_children())}))
+"""
+
+
+def test_a_worker_that_dies_raises_at_once():
+    env = dict(os.environ, PYTHONPATH=str(Path(predict.__file__).parents[1]))
+    # a pool that waits for the lost job forever fails here on the timeout
+    proc = subprocess.run([sys.executable, "-c", WORKER_DEATH_PROBE], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == {"raised": "WorkerProcessError", "children": 0}

@@ -291,7 +291,7 @@ ROWS = 10 * POOL_MIN_ROWS
         "below_the_row_floor", "at_the_row_floor", "goto_1", "goto_before_omp",
         "openblas_before_goto", "leading_digits", "plus_sign"])
 def test_cv_workers_leave_one_cpu_per_blas_thread(environ, cpus, n_jobs, rows, workers):
-    assert _workers(environ, cpus, n_jobs, rows) == workers
+    assert _workers(environ, cpus, n_jobs, rows, POOL_MIN_ROWS) == workers
 
 
 BLAS_THREADS_PROBE = """
@@ -337,7 +337,7 @@ def test_workers_follow_the_blas_library_thread_count(setting):
                           capture_output=True, text=True, check=True, timeout=60)
     threads = int(proc.stdout)
     cpus = len(os.sched_getaffinity(0))
-    assert _workers(setting, cpus, 10**6, 10**6) == max(1, cpus // threads)
+    assert _workers(setting, cpus, 10**6, 10**6, POOL_MIN_ROWS) == max(1, cpus // threads)
 
 
 # run in a fresh interpreter whose OpenBLAS starts with one thread: CV of
@@ -351,7 +351,7 @@ import numpy as np
 import gpselect.select as select
 from gpselect import Dataset, ModelIndicator, NumericalSingularityError, predict
 
-predict.POOL_MIN_ROWS = 0
+select.POOL_MIN_ROWS = 0
 
 rng = np.random.default_rng(3)
 X = rng.uniform(size=(12, 2))

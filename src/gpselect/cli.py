@@ -342,9 +342,9 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
         denoise = (cfg.denoise_threshold if args.denoise_threshold is None
                    else args.denoise_threshold)
         chain = sampler.load_chain(args.chain)
-        preds, keep, meta["average_workers"], meta["distinct_draws"] = (
+        preds, size, meta["average_workers"], meta["distinct_draws"] = (
             predict._average_and_mask(chain, data, req, denoise))
-        extra_columns = {"ensemble_size": int(keep.sum())}
+        extra_columns = {"ensemble_size": size}
     rows = [[i, repr(float(v)), *extra_columns.values()] for i, v in enumerate(preds)]
     files = {"predictions.csv": partial(write_csv, ["site", "prediction", *extra_columns], rows)}
     return {"predictions": "predictions.csv"}, files, {**meta, "sites": len(preds)}

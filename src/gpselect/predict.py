@@ -246,8 +246,8 @@ def model_average(
 
     With a positive threshold, draws whose model's empirical frequency in the
     chain falls below it are dropped and the average renormalizes over the
-    remainder. A run of the chain (`Chain.run_starts`, as after rejected
-    proposals) is kept or dropped whole, and is one distinct draw weighted by
+    remainder. A row of the chain, one run of draws (as after rejected
+    proposals), is kept or dropped whole, and is one distinct draw weighted by
     its length. Distinct draws are factored in stacks, one Cholesky call each,
     with cross-correlations in cache-sized tiles of sites, in forked workers
     where their work passes AVERAGE_MIN_WORK, to the same bits in any number
@@ -262,29 +262,28 @@ def model_average(
 
 
 def _average_and_mask(chain, data, req: PredictionRequest, denoise_threshold: float) -> tuple:
-    """model_average's mean, the denoise_mask of the draws it averages, the
-    processes that averaged them and the number of distinct draws (runs)."""
+    """model_average's mean, the number of draws it averages (the stored
+    draws of the rows denoise_mask keeps), the processes that averaged them
+    and the number of distinct draws (kept rows)."""
     if len(chain) == 0:
         raise ValueError("cannot average over an empty chain")
     if not 0.0 <= denoise_threshold < 1.0:
         raise ValueError("denoise_threshold must lie in [0, 1)")
     keep = denoise_mask(chain, denoise_threshold)
+    runs = np.bincount(chain.run_of)[keep]
+    size = int(runs.sum())
     if not _has_sites(data, req):
-        return np.zeros(0), keep, 1, 0
-    if not keep.any():
+        return np.zeros(0), size, 1, 0
+    if not size:
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
-
-    kept = np.flatnonzero(keep)
-    first = np.flatnonzero(chain.run_starts()[kept])
-    runs = np.diff(first, append=kept.size)
-    draws = kept[first]
-    total, workers = _kriging_means(data, req.X_new, chain.beta0[draws], chain.beta[draws],
-                                    chain.rho[draws], chain.lam[draws], runs)
-    return total / kept.size, keep, workers, draws.size
+    total, workers = _kriging_means(data, req.X_new, chain.beta0[keep], chain.beta[keep],
+                                    chain.rho[keep], chain.lam[keep], runs)
+    return total / size, size, workers, runs.size
 
 
 def denoise_mask(chain, denoise_threshold: float) -> np.ndarray:
-    """Draws whose model's frequency in the chain is at least the threshold."""
+    """The chain's rows whose model's frequency in the chain is at least the
+    threshold."""
     _, model, counts = chain.model_counts()
     return (counts / float(len(chain)) >= denoise_threshold)[model]
 

@@ -22,7 +22,7 @@ import logging
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +99,19 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Thinned post-burn-in draws in columnar form.
+    """Thinned post-burn-in draws by runs.
 
-    accepted holds one flag per sampler iteration when the chain was produced
-    in-process; a chain loaded from disk only has flags for the stored draws.
-    n_singular counts the proposals auto-rejected because R + lambda*I could
-    not be factored, and acceptance_by_flips the proposals and acceptances of
-    every iteration by the number k of indicators flipped ("0", "1", "2",
-    "3+"); chain files do not store them, so a loaded chain has None.
+    A run is a stretch of stored draws with one state, and each state field
+    (gamma_r to log_posts) holds one row per run, in draw order; no two
+    adjacent rows are equal in their bits. Per stored draw, run_of is the
+    index of its row, iters its iteration and draw_accepted its iteration's
+    flag; np.bincount(run_of) gives each row's draw count. accepted holds
+    one flag per sampler iteration when the chain was produced in-process; a
+    chain loaded from disk only has flags for the stored draws. n_singular
+    counts the proposals auto-rejected because R + lambda*I could not be
+    factored, and acceptance_by_flips the proposals and acceptances of every
+    iteration by the number k of indicators flipped ("0", "1", "2", "3+");
+    chain files do not store them, so a loaded chain has None.
     """
 
     gamma_r: np.ndarray
@@ -119,18 +124,15 @@ class Chain:
     omega_r: np.ndarray
     omega_c: np.ndarray
     log_posts: np.ndarray
+    run_of: np.ndarray
     iters: np.ndarray
     accepted: np.ndarray
-    draw_accepted: np.ndarray = field(default=None)
+    draw_accepted: np.ndarray
     n_singular: int | None = None
     acceptance_by_flips: dict | None = None
 
-    def __post_init__(self):
-        if self.draw_accepted is None:
-            self.draw_accepted = np.zeros(len(self.beta0), dtype=bool)
-
     def __len__(self) -> int:
-        return int(self.beta0.shape[0])
+        return int(self.run_of.shape[0])
 
     @property
     def p(self) -> int:
@@ -143,37 +145,30 @@ class Chain:
         return float(np.mean(self.draw_accepted)) if len(self) else float("nan")
 
     def indicator(self, i: int) -> ModelIndicator:
-        return ModelIndicator(self.gamma_r[i], self.gamma_c[i])
+        """Stored draw i's model."""
+        r = self.run_of[i]
+        return ModelIndicator(self.gamma_r[r], self.gamma_c[r])
 
     def state(self, i: int) -> ParameterState:
-        return ParameterState(float(self.beta0[i]), self.beta[i].copy(), self.rho[i].copy(),
-                              float(self.sigma2_z[i]), float(self.lam[i]),
-                              float(self.omega_r[i]), float(self.omega_c[i]))
-
-    def run_starts(self) -> np.ndarray:
-        """Per stored draw, whether it starts a run: it is draw 0, or a field
-        that save_chain writes (log_post too) differs from the draw before's,
-        floats by their bits (-0.0 after 0.0 starts a run). A run is one model."""
-        starts = np.arange(len(self)) == 0
-        for name in _FILE_KEYS:
-            values = np.asarray(getattr(self, name))
-            bits = values.view(np.int64) if values.dtype == np.float64 else values
-            differ = bits[1:] != bits[:-1]
-            starts[1:] |= differ.any(axis=tuple(range(1, differ.ndim)))
-        return starts
+        """Stored draw i's parameters."""
+        r = self.run_of[i]
+        return ParameterState(float(self.beta0[r]), self.beta[r].copy(), self.rho[r].copy(),
+                              float(self.sigma2_z[r]), float(self.lam[r]),
+                              float(self.omega_r[r]), float(self.omega_c[r]))
 
     def model_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct models in order of first appearance: the first draw
-        of each, each draw's model number, and each model's draw count."""
-        # one fixed-width byte key per draw: the 2p indicator bits, packed
+        """The distinct models in order of first appearance: the first row
+        of each, each row's model number, and each model's draw count."""
+        # one fixed-width byte key per row: the 2p indicator bits, packed
         packed = np.packbits(np.column_stack([self.gamma_r, self.gamma_c]) != 0, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        return first[order], rank[inverse.reshape(-1)], counts[order]
+        model = rank[inverse.reshape(-1)]
+        counts = np.bincount(model, weights=np.bincount(self.run_of)).astype(np.int64)
+        return first[order], model, counts
 
 
 def reflect_unit(x: float) -> float:
@@ -334,7 +329,8 @@ def run_chain(data, prior: PriorConfig, cfg: SamplerConfig, flat_likelihood: boo
     cur_logpost = cur_target - cur_log_jac
 
     # the stored draws by runs: one packed row per stored state, appended when it
-    # is first stored (`stored` is the last), and per stored iteration its row
+    # is first stored (`stored` is the last), and per stored iteration its row;
+    # _row_fields merges a row equal to the one before
     gammas, values, run_of = array("b"), array("d"), array("q")
     n_runs, stored, next_store = 0, None, cfg.burn_in + cfg.thin - 1
     accepted = bytearray(cfg.n_iter)
@@ -391,15 +387,20 @@ _ROW_SCALARS = ("beta0", "sigma2_z", "lam", "omega_r", "omega_c", "log_posts")
 
 
 def _row_fields(gammas: array, values: array, n_rows: int, p: int, run_of: array) -> dict:
-    """The Chain's state fields from typed rows, each expanded from the rows
-    to the stored draws: row run_of[k] is draw k's state. A row holds 2p
-    int8 indicators and 2p + 6 doubles (beta, rho, _ROW_SCALARS)."""
-    run_of = np.frombuffer(run_of, dtype=np.int64)
+    """The Chain's rows and run_of from typed rows in draw order, a row
+    holding 2p int8 indicators and 2p + 6 doubles (beta, rho, _ROW_SCALARS),
+    and row run_of[k] draw k's state. This defines a run: adjacent rows whose
+    values are equal in their bits (-0.0 is not 0.0) merge into one row."""
     gammas = np.frombuffer(gammas, dtype=np.int8).reshape(n_rows, 2 * p)
     values = np.frombuffer(values).reshape(n_rows, 2 * p + 6)
-    return dict(gamma_r=gammas[run_of, :p], gamma_c=gammas[run_of, p:],
-                beta=values[run_of, :p], rho=values[run_of, p:2 * p],
-                **{name: values[run_of, 2 * p + i] for i, name in enumerate(_ROW_SCALARS)})
+    bits = values.view(np.int64)
+    new = np.ones(n_rows, dtype=bool)
+    new[1:] = (gammas[1:] != gammas[:-1]).any(axis=1) | (bits[1:] != bits[:-1]).any(axis=1)
+    gammas, values = gammas[new], values[new]
+    return dict(gamma_r=gammas[:, :p], gamma_c=gammas[:, p:],
+                beta=values[:, :p], rho=values[:, p:2 * p],
+                **{name: values[:, 2 * p + i] for i, name in enumerate(_ROW_SCALARS)},
+                run_of=(np.cumsum(new) - 1)[np.frombuffer(run_of, dtype=np.int64)])
 
 
 # Chain field -> chain.jsonl key, in file order between "iter" and "accepted"
@@ -414,18 +415,14 @@ def save_chain(chain: Chain, path) -> None:
     """Write the chain as JSON-Lines, one draw per line.
 
     Field order is fixed so identical chains produce byte-identical files.
-    The fields between "iter" and "accepted" are encoded once per run of
-    the chain (`Chain.run_starts`); a line's text depends on its own draw only.
+    The fields between "iter" and "accepted" are encoded once per row of the
+    chain; a line's text depends on its own draw only.
     """
-    changed = chain.run_starts()
-    # each field at the run starts only: no chain-long lists, to keep peak memory low
-    fields = [np.asarray(getattr(chain, name), dtype=np.int8 if name.startswith("gamma")
-                         else np.float64)[changed].tolist() for name in _FILE_KEYS]
-    middles = [json.dumps(dict(zip(_FILE_KEYS.values(), run)), separators=(",", ":"))[1:-1]
-               for run in zip(*fields)]
-    draws = zip(np.asarray(chain.iters).astype(np.int64).tolist(),
-                (np.cumsum(changed) - 1).tolist(),
-                np.asarray(chain.draw_accepted).astype(bool).tolist())
+    # one list per field of the rows: no chain-long lists, to keep peak memory low
+    fields = [getattr(chain, name).tolist() for name in _FILE_KEYS]
+    middles = [json.dumps(dict(zip(_FILE_KEYS.values(), row)), separators=(",", ":"))[1:-1]
+               for row in zip(*fields)]
+    draws = zip(chain.iters.tolist(), chain.run_of.tolist(), chain.draw_accepted.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         for it, k, acc in draws:
             fh.write(f'{{"iter":{it},{middles[k]},"accepted":{"true" if acc else "false"}}}\n')
@@ -440,6 +437,8 @@ def load_chain(path) -> Chain:
     and "accepted" are parsed only when they differ from the previous line's.
     Each parsed state is checked and packed into typed rows, as run_chain
     packs its states; a malformed one is a ValidationError naming its line.
+    Adjacent lines with the same values, however spelt, are one run and one
+    row of the Chain (`_row_fields`).
     """
     gammas, values, runs, iters, flags = array("b"), array("d"), array("q"), array("q"), []
     p, n_rows, middle = None, 0, None
@@ -486,18 +485,15 @@ def load_chain(path) -> Chain:
                  draw_accepted=accepted.copy())
 
 
-_VECTOR_KEYS = ("gamma_r", "gamma_c", "beta", "rho")
-_ROW_SCALAR_KEYS = tuple(_FILE_KEYS[name] for name in _ROW_SCALARS)
-
-
 def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> int:
     """Append a chain file state to the typed rows of _row_fields and return
     p. Raises ValueError unless every vector holds p values (the first
     vector's count when p is None), the indicators pass `are_indicators`,
     every other value `are_numbers`, and the state lies in the prior's
     support (`support_violation`)."""
-    vectors = [record[key] for key in _VECTOR_KEYS]
-    for key, vector in zip(_VECTOR_KEYS, vectors):
+    keys = ("gamma_r", "gamma_c", "beta", "rho")
+    vectors = [record[key] for key in keys]
+    for key, vector in zip(keys, vectors):
         if type(vector) is not list:
             raise ValueError(f'"{key}" must be a list')
         p = len(vector) if p is None else p
@@ -506,10 +502,10 @@ def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> in
     indicators = vectors[0] + vectors[1]
     if not are_indicators(indicators):
         raise ValueError('"gamma_r" and "gamma_c" must hold 0 or 1')
-    row = [*vectors[2], *vectors[3], *map(record.__getitem__, _ROW_SCALAR_KEYS)]
+    row = [*vectors[2], *vectors[3], *(record[_FILE_KEYS[name]] for name in _ROW_SCALARS)]
     if not are_numbers(row):
-        raise ValueError(f"every value of beta, rho, {', '.join(_ROW_SCALAR_KEYS)} "
-                         "must be a finite number")
+        raise ValueError("every value of beta, rho, beta0, sigma2_z, lambda, omega_r, omega_c, "
+                         "log_post must be a finite number")
     rule = support_violation(*vectors, row[2 * p:2 * p + 5])
     if rule is not None:
         raise ValueError(rule)

@@ -99,15 +99,17 @@ class CvReport:
 
 
 def inclusion_probabilities(chain) -> InclusionReport:
-    """Fraction of draws including each indicator, plus model frequencies."""
+    """Fraction of draws including each indicator, plus model frequencies:
+    draw counts over the chain's rows, weighted by their runs' lengths."""
     if len(chain) == 0:
         raise ValueError("chain holds no draws")
-    p_r = chain.gamma_r.mean(axis=0)
-    p_c = chain.gamma_c.mean(axis=0)
+    lengths = np.bincount(chain.run_of)
     first, _, counts = chain.model_counts()
     n = float(len(chain))
-    freqs = {chain.indicator(i).key(): c / n for i, c in zip(first.tolist(), counts.tolist())}
-    return InclusionReport(p_r=p_r, p_c=p_c, model_freqs=freqs)
+    freqs = {ModelIndicator(chain.gamma_r[r], chain.gamma_c[r]).key(): c / n
+             for r, c in zip(first.tolist(), counts.tolist())}
+    return InclusionReport(p_r=lengths @ chain.gamma_r / n, p_c=lengths @ chain.gamma_c / n,
+                           model_freqs=freqs)
 
 
 def map_model(report: InclusionReport) -> ModelIndicator:

@@ -5,9 +5,10 @@ inverses and determinants, term-by-term scalar densities, finite
 differences) so it shares no code path with the package. The `*_reference`
 functions are copies of replaced implementations (the sampler loop, the LHD
 swap search, the per-row simulation recipe, chain file I/O, model counting,
-the separate R + lambda*I factorizations of the prediction code,
-the kriging means over all sites' squared differences at once, the kriging
-means in one process) that the new ones must match exactly.
+the per-draw rule for a chain's runs, the separate R + lambda*I
+factorizations of the prediction code, the kriging means over all sites'
+squared differences at once, the kriging means in one process) that the new
+ones must match exactly.
 """
 
 import dataclasses
@@ -419,7 +420,8 @@ def _ref_proposal_log_correction(current, proposed, prior):
 
 
 def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
-    """The dataclass-per-iteration sampler loop, for exact-equivalence tests."""
+    """The dataclass-per-iteration sampler loop, for exact-equivalence tests;
+    its per-draw arrays go into a Chain by `chain_of_draws`."""
     cfg.validate()
     p = data.X.shape[1]
     rng = np.random.default_rng(cfg.seed)
@@ -493,7 +495,7 @@ def run_chain_reference(data, prior, cfg, flat_likelihood=False, init=None):
 
     if n_singular:
         _ref_logger.warning("auto-rejected %d singular proposals", n_singular)
-    return Chain(accepted=accepted, **out)
+    return chain_of_draws(out, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +589,73 @@ def hill_climb_reference(points, max_passes=30):
     return points
 
 
+# the Chain's state fields, one row per run
+STATE_FIELDS = ("gamma_r", "gamma_c", "beta0", "beta", "rho", "sigma2_z", "lam", "omega_r",
+                "omega_c", "log_posts")
+
+
+def runs_reference(draws):
+    """Per draw of a mapping of per-draw state arrays (STATE_FIELDS), whether
+    it starts a run: it is draw 0, or a state field differs from the draw
+    before's, floats by their bits (-0.0 after 0.0 starts a run). The rule
+    `Chain.run_starts` applied to per-draw arrays before the chain held its
+    runs."""
+    starts = np.arange(len(draws["beta0"])) == 0
+    for name in STATE_FIELDS:
+        values = np.asarray(draws[name])
+        bits = values.view(np.int64) if values.dtype == np.float64 else values
+        differ = bits[1:] != bits[:-1]
+        starts[1:] |= differ.any(axis=tuple(range(1, differ.ndim)))
+    return starts
+
+
+def chain_of_draws(draws, accepted=None):
+    """A Chain of per-draw arrays (STATE_FIELDS, iters and draw_accepted):
+    one row per run of `runs_reference`. accepted defaults to the stored
+    draws' flags, as in a loaded chain."""
+    starts = runs_reference(draws)
+    flags = np.asarray(draws["draw_accepted"], dtype=bool)
+    return Chain(
+        **{name: np.asarray(draws[name], dtype=np.int8 if name.startswith("gamma")
+                            else np.float64)[starts] for name in STATE_FIELDS},
+        run_of=np.cumsum(starts) - 1, iters=np.asarray(draws["iters"], dtype=np.int64),
+        accepted=flags.copy() if accepted is None else accepted, draw_accepted=flags,
+    )
+
+
+def expand(chain):
+    """The chain's per-draw arrays: STATE_FIELDS, each row repeated by its
+    run's length (np.repeat), with iters and draw_accepted."""
+    lengths = np.bincount(chain.run_of)
+    return {**{name: np.repeat(getattr(chain, name), lengths, axis=0) for name in STATE_FIELDS},
+            "iters": chain.iters, "draw_accepted": chain.draw_accepted}
+
+
 def save_chain_reference(chain, path):
     """The one-json.dumps-per-draw chain writer, for byte-identity tests."""
+    draws = expand(chain)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(len(chain)):
             record = {
-                "iter": int(chain.iters[i]),
-                "gamma_r": [int(g) for g in chain.gamma_r[i]],
-                "gamma_c": [int(g) for g in chain.gamma_c[i]],
-                "beta0": float(chain.beta0[i]),
-                "beta": [float(b) for b in chain.beta[i]],
-                "rho": [float(r) for r in chain.rho[i]],
-                "sigma2_z": float(chain.sigma2_z[i]),
-                "lambda": float(chain.lam[i]),
-                "omega_r": float(chain.omega_r[i]),
-                "omega_c": float(chain.omega_c[i]),
-                "log_post": float(chain.log_posts[i]),
-                "accepted": bool(chain.draw_accepted[i]),
+                "iter": int(draws["iters"][i]),
+                "gamma_r": [int(g) for g in draws["gamma_r"][i]],
+                "gamma_c": [int(g) for g in draws["gamma_c"][i]],
+                "beta0": float(draws["beta0"][i]),
+                "beta": [float(b) for b in draws["beta"][i]],
+                "rho": [float(r) for r in draws["rho"][i]],
+                "sigma2_z": float(draws["sigma2_z"][i]),
+                "lambda": float(draws["lam"][i]),
+                "omega_r": float(draws["omega_r"][i]),
+                "omega_c": float(draws["omega_c"][i]),
+                "log_post": float(draws["log_posts"][i]),
+                "accepted": bool(draws["draw_accepted"][i]),
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def load_chain_reference(path):
-    """The one-json.loads-per-line chain reader, for exact-equivalence tests."""
+    """The one-json.loads-per-line chain reader, for exact-equivalence tests;
+    its per-draw arrays go into a Chain by `chain_of_draws`."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -618,27 +664,19 @@ def load_chain_reference(path):
                 records.append(json.loads(line))
     if not records:
         raise ValueError(f"{path}: chain file holds no draws")
-    accepted = np.array([r["accepted"] for r in records], dtype=bool)
-    return Chain(
-        gamma_r=np.array([r["gamma_r"] for r in records], dtype=np.int8),
-        gamma_c=np.array([r["gamma_c"] for r in records], dtype=np.int8),
-        beta0=np.array([r["beta0"] for r in records]),
-        beta=np.array([r["beta"] for r in records]),
-        rho=np.array([r["rho"] for r in records]),
-        sigma2_z=np.array([r["sigma2_z"] for r in records]),
-        lam=np.array([r["lambda"] for r in records]),
-        omega_r=np.array([r["omega_r"] for r in records]),
-        omega_c=np.array([r["omega_c"] for r in records]),
-        log_posts=np.array([r["log_post"] for r in records]),
-        iters=np.array([r["iter"] for r in records], dtype=np.int64),
-        accepted=accepted,
-        draw_accepted=accepted.copy(),
-    )
+    keys = {**{name: name for name in STATE_FIELDS}, "lam": "lambda", "log_posts": "log_post",
+            "iters": "iter", "draw_accepted": "accepted"}
+    return chain_of_draws({name: np.array([r[key] for r in records])
+                           for name, key in keys.items()})
+
 
 def model_counts_reference(chain):
-    """The row-wise np.unique(axis=0) version of Chain.model_counts."""
+    """The row-wise np.unique(axis=0) version of Chain.model_counts, over the
+    chain's draws: the first draw of each model, each draw's model number
+    and each model's draw count."""
+    draws = expand(chain)
     _, first, inverse, counts = np.unique(
-        np.column_stack([chain.gamma_r, chain.gamma_c]), axis=0,
+        np.column_stack([draws["gamma_r"], draws["gamma_c"]]), axis=0,
         return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -739,7 +777,7 @@ def model_average_reference(
             f"sites have {req.X_new.shape[1]} columns, training data has {data.X.shape[1]}"
         )
 
-    keep = denoise_mask(chain, denoise_threshold)
+    keep = denoise_mask(chain, denoise_threshold)[chain.run_of]
     if not keep.any():
         raise EmptyEnsembleError(f"denoise threshold {denoise_threshold} removed every draw")
 
@@ -750,15 +788,17 @@ def model_average_reference(
     # a kept draw with the same beta0, beta, rho and lambda (by ==) as the
     # kept draw before it reuses that draw's prediction vector
     kept = np.flatnonzero(keep)
+    draws = expand(chain)
+    beta0s, betas, rhos, lams = (draws[name] for name in ("beta0", "beta", "rho", "lam"))
     cur, prev = kept[1:], kept[:-1]
     repeat = np.zeros(kept.size, dtype=bool)
-    repeat[1:] = ((chain.beta0[cur] == chain.beta0[prev]) & (chain.lam[cur] == chain.lam[prev])
-                  & np.all(chain.beta[cur] == chain.beta[prev], axis=1)
-                  & np.all(chain.rho[cur] == chain.rho[prev], axis=1))
+    repeat[1:] = ((beta0s[cur] == beta0s[prev]) & (lams[cur] == lams[prev])
+                  & np.all(betas[cur] == betas[prev], axis=1)
+                  & np.all(rhos[cur] == rhos[prev], axis=1))
     total = np.zeros(m)
     for i, same in zip(kept.tolist(), repeat.tolist()):
         if not same:
-            beta0, beta, rho, lam = chain.beta0[i], chain.beta[i], chain.rho[i], chain.lam[i]
+            beta0, beta, rho, lam = beta0s[i], betas[i], rhos[i], lams[i]
             A = kernel.corr_from_sqdiffs(d2_train, rho)
             A[diag, diag] = 1.0 + lam
             L = cholesky_reference(A)

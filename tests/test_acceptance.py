@@ -22,6 +22,7 @@ from gpselect.select import InclusionReport, candidate_ladder
 from oracles import (
     dense_corr,
     dense_gls,
+    expand,
     fd_jacobian_logdet,
     loglik_oracle,
     profile_objective,
@@ -126,7 +127,8 @@ def test_criterion_04_prior_recovery():
     elapsed = time.time() - t0
     assert len(chain) == 50000
 
-    freqs = np.concatenate([chain.gamma_r.mean(0), chain.gamma_c.mean(0)])
+    draws = expand(chain)
+    freqs = np.concatenate([draws["gamma_r"].mean(0), draws["gamma_c"].mean(0)])
     incl_ok = bool(np.all(np.abs(freqs - 0.5) <= 0.05))
 
     # thin to roughly independent draws before the two-sample tests
@@ -141,7 +143,7 @@ def test_criterion_04_prior_recovery():
     }
     pvals = {}
     for name, ref_draws in ref.items():
-        sample = getattr(chain, name)[::stride]
+        sample = draws[name][::stride]
         pvals[name] = ks_2samp(sample, ref_draws).pvalue
     ks_ok = all(p > 0.01 for p in pvals.values())
 

@@ -26,20 +26,21 @@ from gpselect.predict import _average_and_mask, _cross_blocks
 
 
 def _chain_of_runs(rng, p, n_distinct, mean_run):
-    """A chain of n_distinct random states, each repeated a geometric number of times."""
+    """A chain of n_distinct random states, each a run of a geometric number of draws."""
     runs = rng.geometric(1.0 / mean_run, size=n_distinct)
     gamma_r = (rng.random((n_distinct, p)) < 0.6).astype(np.int8)
     gamma_c = (rng.random((n_distinct, p)) < 0.6).astype(np.int8)
     beta = np.where(gamma_r == 1, rng.normal(size=(n_distinct, p)), 0.0)
     rho = np.where(gamma_c == 1, rng.uniform(0.05, 0.95, size=(n_distinct, p)), 1.0)
     k = int(runs.sum())
+    flags = np.zeros(k, dtype=bool)
     return Chain(
-        gamma_r=np.repeat(gamma_r, runs, axis=0), gamma_c=np.repeat(gamma_c, runs, axis=0),
-        beta0=np.repeat(rng.normal(size=n_distinct), runs), beta=np.repeat(beta, runs, axis=0),
-        rho=np.repeat(rho, runs, axis=0), sigma2_z=np.ones(k),
-        lam=np.repeat(np.exp(rng.uniform(-6.0, 0.0, size=n_distinct)), runs),
-        omega_r=np.full(k, 0.5), omega_c=np.full(k, 0.5), log_posts=np.zeros(k),
-        iters=np.arange(k), accepted=np.zeros(k, dtype=bool),
+        gamma_r=gamma_r, gamma_c=gamma_c, beta0=rng.normal(size=n_distinct), beta=beta,
+        rho=rho, sigma2_z=np.ones(n_distinct),
+        lam=np.exp(rng.uniform(-6.0, 0.0, size=n_distinct)),
+        omega_r=np.full(n_distinct, 0.5), omega_c=np.full(n_distinct, 0.5),
+        log_posts=np.zeros(n_distinct), run_of=np.repeat(np.arange(n_distinct), runs),
+        iters=np.arange(k), accepted=flags, draw_accepted=flags,
     )
 
 

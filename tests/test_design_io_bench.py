@@ -28,16 +28,17 @@ def _chain(n_draws, p=5, accept=0.08, seed=0):
     n_states = int(state[-1]) + 1
     gamma_r, gamma_c = rng.integers(0, 2, size=(2, n_states, p), dtype=np.int8)
     flags = np.diff(state, prepend=0) > 0
+    # one row per state, each its run
     return Chain(
-        gamma_r=gamma_r[state], gamma_c=gamma_c[state],
-        beta=np.where(gamma_r, rng.normal(size=(n_states, p)), 0.0)[state],
-        rho=np.where(gamma_c, rng.uniform(size=(n_states, p)), 1.0)[state],
+        gamma_r=gamma_r, gamma_c=gamma_c,
+        beta=np.where(gamma_r, rng.normal(size=(n_states, p)), 0.0),
+        rho=np.where(gamma_c, rng.uniform(size=(n_states, p)), 1.0),
         # states inside the prior's support, the only ones load_chain reads
-        **{k: draw(size=n_states)[state]
+        **{k: draw(size=n_states)
            for k, draw in (("beta0", rng.normal), ("sigma2_z", rng.lognormal),
                            ("lam", rng.lognormal), ("omega_r", rng.uniform),
                            ("omega_c", rng.uniform), ("log_posts", rng.normal))},
-        iters=np.arange(20_000, 20_000 + n_draws, dtype=np.int64),
+        run_of=state, iters=np.arange(20_000, 20_000 + n_draws, dtype=np.int64),
         accepted=flags, draw_accepted=flags,
     )
 
@@ -52,3 +53,4 @@ def test_chain_round_trip_time(benchmark, tmp_path):
 
     loaded = benchmark.pedantic(round_trip, rounds=3, iterations=1)
     assert np.array_equal(loaded.beta, chain.beta)
+    assert np.array_equal(loaded.run_of, chain.run_of)

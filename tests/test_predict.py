@@ -42,7 +42,6 @@ from gpselect.predict import (
     _concentrated_gls,
     gls_fit,
 )
-from gpselect.sampler import Chain
 
 from oracles import dense_corr, dense_gls, profile_objective, random_dataset, random_state
 
@@ -128,26 +127,36 @@ def test_model_average_denoise_filters_rare_models(small_data):
 @pytest.mark.parametrize("drop_a_model", [False, True], ids=["all_draws", "denoised"])
 def test_model_average_gives_one_chain_the_same_runs_whoever_built_it(
         small_data, tmp_path, drop_a_model):
-    """A chain in memory, saved and loaded, and relaid with spaces and its keys
-    reversed: the same runs, and the same average bit for bit."""
+    """A chain in memory, saved and loaded, relaid with spaces and its keys
+    reversed, and relaid on every other line only: the same rows and run_of,
+    and the same average bit for bit."""
     from gpselect.sampler import load_chain, save_chain
 
     chain = run_chain(small_data, PriorConfig(), SamplerConfig(n_iter=400, burn_in=50, seed=5))
+    assert len(chain.beta0) < len(chain)  # some runs hold several draws
     save_chain(chain, saved := tmp_path / "chain.jsonl")
-    with open(saved, encoding="utf-8") as src, open(relaid := tmp_path / "relaid.jsonl", "w",
-                                                     encoding="utf-8") as dst:
-        for line in src:
-            dst.write(json.dumps(dict(reversed(json.loads(line).items()))) + "\n")
-    chains = [chain, load_chain(saved), load_chain(relaid)]
+    compact = saved.read_text(encoding="utf-8").splitlines()
+    spaced = [json.dumps(dict(reversed(json.loads(line).items()))) for line in compact]
+    (relaid := tmp_path / "relaid.jsonl").write_text(
+        "".join(line + "\n" for line in spaced), encoding="utf-8")
+    # neighbouring lines of a run differ in text, not in bits: load_chain
+    # merges their rows
+    (mixed := tmp_path / "mixed.jsonl").write_text(
+        "".join(pair[k % 2] + "\n" for k, pair in enumerate(zip(compact, spaced))),
+        encoding="utf-8")
+    chains = [chain, load_chain(saved), load_chain(relaid), load_chain(mixed)]
     _, _, counts = chain.model_counts()
     threshold = counts.min() / len(chain) + 1e-9 if drop_a_model else 0.0
     keep = predict.denoise_mask(chain, threshold)
     assert keep.all() != drop_a_model and keep.any()
     req = PredictionRequest(np.random.default_rng(7).uniform(size=(6, 2)))
-    averages = [model_average(c, small_data, req, threshold).tobytes() for c in chains]
-    assert averages[1:] == averages[:1] * 2
+    results = [predict._average_and_mask(c, small_data, req, threshold) for c in chains]
+    averages = [(mean.tobytes(), size, distinct) for mean, size, _, distinct in results]
+    assert averages[1:] == averages[:1] * 3
+    assert averages[0][2] == keep.sum()
     for c in chains[1:]:
-        assert np.array_equal(c.run_starts(), chain.run_starts())
+        for name in (*oracles.STATE_FIELDS, "run_of"):
+            assert np.array_equal(getattr(c, name), getattr(chain, name)), name
 
 
 def test_model_average_all_filtered_raises(small_data):
@@ -550,16 +559,13 @@ def test_mle_objective_gradient_matches_finite_differences():
 def _chain_of(states):
     """A Chain holding the given (beta0, beta, rho, lam) draws in order."""
     k = len(states)
-    gamma_r = np.array([(s[1] != 0.0).astype(np.int8) for s in states])
-    gamma_c = np.array([(s[2] != 1.0).astype(np.int8) for s in states])
-    flags = np.zeros(k, dtype=bool)
-    return Chain(
-        gamma_r=gamma_r, gamma_c=gamma_c,
-        beta0=np.array([s[0] for s in states]), beta=np.array([s[1] for s in states]),
-        rho=np.array([s[2] for s in states]), sigma2_z=np.ones(k),
-        lam=np.array([s[3] for s in states]), omega_r=np.full(k, 0.5),
-        omega_c=np.full(k, 0.5), log_posts=np.zeros(k), iters=np.arange(k), accepted=flags,
-    )
+    beta, rho = np.array([s[1] for s in states]), np.array([s[2] for s in states])
+    return oracles.chain_of_draws({
+        "gamma_r": beta != 0.0, "gamma_c": rho != 1.0, "beta0": [s[0] for s in states],
+        "beta": beta, "rho": rho, "sigma2_z": np.ones(k), "lam": [s[3] for s in states],
+        "omega_r": np.full(k, 0.5), "omega_c": np.full(k, 0.5), "log_posts": np.zeros(k),
+        "iters": np.arange(k), "draw_accepted": np.zeros(k, dtype=bool),
+    })
 
 
 def _assert_agree(got, want, exact, factor, sum_bound=None):
@@ -992,12 +998,13 @@ draws = [rng.normal(size=k), beta, rho, np.exp(rng.uniform(-6.0, 0.0, size=k))]
 repeat = rng.integers(1, 4, size=k)
 
 def chain_of(beta0, beta, rho, lam):
-    beta0, beta, rho, lam = (np.repeat(a, repeat, axis=0) for a in (beta0, beta, rho, lam))
-    n = len(lam)
+    # one row per distinct draw, its run repeat[i] draws long
+    flags = np.zeros(repeat.sum(), dtype=bool)
     return Chain(gamma_r=(beta != 0.0).astype(np.int8), gamma_c=(rho != 1.0).astype(np.int8),
-                 beta0=beta0, beta=beta, rho=rho, sigma2_z=np.ones(n), lam=lam,
-                 omega_r=np.full(n, 0.5), omega_c=np.full(n, 0.5), log_posts=np.zeros(n),
-                 iters=np.arange(n), accepted=np.zeros(n, dtype=bool))
+                 beta0=beta0, beta=beta, rho=rho, sigma2_z=np.ones(k), lam=lam,
+                 omega_r=np.full(k, 0.5), omega_c=np.full(k, 0.5), log_posts=np.zeros(k),
+                 run_of=np.repeat(np.arange(k), repeat), iters=np.arange(flags.size),
+                 accepted=flags, draw_accepted=flags)
 
 chain = chain_of(*draws)
 draws[3] = draws[3].copy()
@@ -1007,8 +1014,8 @@ for cpus in [[0]] + ([sorted(os.sched_getaffinity(0))[:2]] if os.environ["ALL_CP
     os.sched_setaffinity(0, cpus)
     runs = {}
     for threshold in (0.0, 0.05):
-        mean, keep, workers, distinct = predict._average_and_mask(chain, data, req, threshold)
-        runs[str(threshold)] = [mean.view(np.int64).tolist(), workers, distinct, int(keep.sum())]
+        mean, size, workers, distinct = predict._average_and_mask(chain, data, req, threshold)
+        runs[str(threshold)] = [mean.view(np.int64).tolist(), workers, distinct, size]
     children = [len(multiprocessing.active_children())]
     try:
         predict.model_average(singular, data, req)

@@ -25,8 +25,10 @@ from gpselect import sampler
 from gpselect.kernel import LikelihoodCache
 from gpselect.model import _expit_clipped, flat_state
 from gpselect.sampler import (
+    _ROW_SCALARS,
     Chain,
     _log_target,
+    _row_fields,
     log_alpha,
     proposal_log_correction,
     propose,
@@ -35,8 +37,11 @@ from gpselect.sampler import (
 from scipy.special import expit
 
 from oracles import (
+    STATE_FIELDS,
     _ref_reflect_unit,
     _ref_validate_consistent as validate_consistent,
+    chain_of_draws,
+    expand,
     load_chain_reference,
     log_prior_oracle,
     model_counts_reference,
@@ -44,13 +49,11 @@ from oracles import (
     random_dataset,
     random_state,
     run_chain_reference,
+    runs_reference,
     save_chain_reference,
 )
 
-CHAIN_ARRAYS = (
-    "gamma_r", "gamma_c", "beta0", "beta", "rho", "sigma2_z", "lam",
-    "omega_r", "omega_c", "log_posts", "iters", "accepted", "draw_accepted",
-)
+CHAIN_ARRAYS = (*STATE_FIELDS, "run_of", "iters", "accepted", "draw_accepted")
 
 
 def _current(p, rng):
@@ -355,7 +358,8 @@ def test_flat_likelihood_recovers_indicator_prior(rng):
     data = random_dataset(rng, n=5, p=3)
     cfg = SamplerConfig(n_iter=12000, burn_in=2000, seed=9, init="prior")
     chain = run_chain(data, PriorConfig(), cfg, flat_likelihood=True)
-    freqs = np.concatenate([chain.gamma_r.mean(0), chain.gamma_c.mean(0)])
+    draws = expand(chain)
+    freqs = np.concatenate([draws["gamma_r"].mean(0), draws["gamma_c"].mean(0)])
     assert np.all(np.abs(freqs - 0.5) < 0.08)
 
 
@@ -366,6 +370,7 @@ def test_chain_round_trip(small_data, tmp_path):
     save_chain(chain, path)
     loaded = load_chain(path)
     assert len(loaded) == len(chain)
+    assert np.array_equal(loaded.run_of, chain.run_of)
     assert np.array_equal(loaded.gamma_r, chain.gamma_r)
     assert np.array_equal(loaded.beta, chain.beta)
     assert np.array_equal(loaded.rho, chain.rho)
@@ -422,22 +427,20 @@ def stored_chains(draw):
         else:
             beta0 = states[-1]["beta0"]
             states.append({**states[-1], "beta0": -beta0 if beta0 == 0.0 else 0.0})
-    flags = rng.random(n) < 0.5
     fields = {k: np.array([s[k] for s in states]) for k in states[0]}
-    return Chain(
-        **{**fields, "gamma_r": fields["gamma_r"].astype(np.int8),
-           "gamma_c": fields["gamma_c"].astype(np.int8)},
-        iters=2000 + thin - 1 + thin * np.arange(n, dtype=np.int64),
-        accepted=flags, draw_accepted=flags.copy(),
-    )
+    return chain_of_draws({**fields, "iters": 2000 + thin - 1 + thin * np.arange(n),
+                           "draw_accepted": rng.random(n) < 0.5})
 
 
 def _assert_same_chain(got, want):
+    """The same rows and per-draw arrays, floats bit for bit, and no two
+    adjacent rows equal in their bits."""
     for name in CHAIN_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
         if a.dtype == np.float64:
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert runs_reference({name: getattr(got, name) for name in STATE_FIELDS}).all()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -447,6 +450,16 @@ def test_save_chain_matches_reference_bytes(chain, tmp_path_factory):
     save_chain(chain, tmp / "got.jsonl")
     save_chain_reference(chain, tmp / "want.jsonl")
     assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
+    # one packed row per draw merges into the reference runs, and load_chain
+    # builds the same rows and run_of
+    draws = expand(chain)
+    n, p = draws["gamma_r"].shape
+    gammas = np.hstack([draws["gamma_r"], draws["gamma_c"]])
+    values = np.column_stack([draws["beta"], draws["rho"], *(draws[k] for k in _ROW_SCALARS)])
+    _assert_same_chain(Chain(**_row_fields(gammas, values, n, p, np.arange(n)),
+                             iters=chain.iters, accepted=chain.accepted,
+                             draw_accepted=chain.draw_accepted), chain)
+    _assert_same_chain(load_chain(tmp / "got.jsonl"), chain)
 
 
 def _relayout(line, style):
@@ -566,8 +579,7 @@ def test_run_chain_matches_reference_bit_for_bit(
     prior = PriorConfig()
     chain = run_chain(data, prior, cfg, flat_likelihood=flat_likelihood, init=start)
     ref = run_chain_reference(data, prior, cfg, flat_likelihood=flat_likelihood, init=start)
-    for name in CHAIN_ARRAYS:
-        assert np.array_equal(getattr(chain, name), getattr(ref, name)), name
+    _assert_same_chain(chain, ref)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -585,12 +597,16 @@ def test_model_counts_match_the_row_unique_reference(p, n_draws, density, seed):
     rng = np.random.default_rng(seed)
     pool = (rng.random((4, 2 * p)) < density).astype(np.int8)
     rows = pool[rng.integers(0, pool.shape[0], size=n_draws)]
-    chain = Chain(
-        gamma_r=rows[:, :p], gamma_c=rows[:, p:], beta0=np.zeros(n_draws),
-        beta=np.zeros((n_draws, p)), rho=np.ones((n_draws, p)), sigma2_z=np.ones(n_draws),
-        lam=np.ones(n_draws), omega_r=np.full(n_draws, 0.5), omega_c=np.full(n_draws, 0.5),
-        log_posts=np.zeros(n_draws), iters=np.arange(n_draws),
-        accepted=np.zeros(n_draws, dtype=bool),
-    )
-    for got, want in zip(chain.model_counts(), model_counts_reference(chain)):
-        assert np.array_equal(got, want)
+    chain = chain_of_draws({
+        "gamma_r": rows[:, :p], "gamma_c": rows[:, p:], "beta0": np.zeros(n_draws),
+        "beta": np.zeros((n_draws, p)), "rho": np.ones((n_draws, p)),
+        "sigma2_z": np.ones(n_draws), "lam": np.ones(n_draws), "omega_r": np.full(n_draws, 0.5),
+        "omega_c": np.full(n_draws, 0.5), "log_posts": np.zeros(n_draws),
+        "iters": np.arange(n_draws), "draw_accepted": np.zeros(n_draws, dtype=bool),
+    })
+    # the package counts rows weighted by their runs, the reference draws
+    first, model, counts = chain.model_counts()
+    want_first, want_model, want_counts = model_counts_reference(chain)
+    assert np.array_equal(first, chain.run_of[want_first])
+    assert np.array_equal(model[chain.run_of], want_model)
+    assert np.array_equal(counts, want_counts)

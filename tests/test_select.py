@@ -30,11 +30,13 @@ from gpselect.select import InclusionReport, _cv_folds, implied_cutoffs
 
 
 def _chain_from_keys(keys):
-    """Minimal chain stub: only the fields selection code touches."""
+    """Minimal chain stub: only the fields selection code touches, one row
+    per key (a distinct log_post makes each draw its own run)."""
     from gpselect.sampler import Chain
 
     n = len(keys)
     p = len(keys[0][0])
+    flags = np.ones(n, dtype=bool)
     return Chain(
         gamma_r=np.array([k[0] for k in keys], dtype=np.int8),
         gamma_c=np.array([k[1] for k in keys], dtype=np.int8),
@@ -45,9 +47,11 @@ def _chain_from_keys(keys):
         lam=np.full(n, 0.1),
         omega_r=np.full(n, 0.5),
         omega_c=np.full(n, 0.5),
-        log_posts=np.zeros(n),
+        log_posts=np.arange(n, dtype=float),
+        run_of=np.arange(n),
         iters=np.arange(n),
-        accepted=np.ones(n, dtype=bool),
+        accepted=flags,
+        draw_accepted=flags,
     )
 
 

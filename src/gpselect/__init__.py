@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     WorkerProcessError,
 )
-from .kernel import GpFactor, correlation, log_likelihood
+from .kernel import GpFactor, log_likelihood
 from .model import (
     LAMBDA_FLOOR,
     ModelIndicator,
@@ -83,7 +83,6 @@ __all__ = [
     "WorkerProcessError",
     "candidate_ladder",
     "conditional_mean",
-    "correlation",
     "cross_validate",
     "export_csv",
     "fit_mle",

@@ -230,9 +230,14 @@ def _load_json(path, build, expected: str):
 
 def _load_model_file(path, build, expected: str, p: int):
     """_load_json of a --model or --fit file, whose model has p indicators."""
-    loaded = _load_json(path, build, expected)
+    return _check_p(path, _load_json(path, build, expected), p)
+
+
+def _check_p(path, loaded, p: int):
+    """loaded, a model, fit or chain read from path, if its indicators cover
+    the data's p columns; else a ValidationError naming path."""
     if loaded.p != p:
-        raise ValidationError(f"{path}: model has {loaded.p} indicators, data has {p}")
+        raise ValidationError(f"{path}: {loaded.p} columns' indicators, data has {p} columns")
     return loaded
 
 
@@ -293,7 +298,7 @@ def cmd_inclusion(args, cfg: RunConfig, data: None) -> tuple:
 
 def cmd_select(args, cfg: RunConfig, data: Dataset) -> tuple:
     """Candidate ladder from a chain, cross-validated, with a plot CSV of the CV curve."""
-    chain = sampler.load_chain(args.chain)
+    chain = _check_p(args.chain, sampler.load_chain(args.chain), data.p)
     report = select.inclusion_probabilities(chain)
     ladder = select.candidate_ladder(report, cfg.select.low, cfg.select.high)
     t0 = time.perf_counter()
@@ -341,7 +346,7 @@ def cmd_predict(args, cfg: RunConfig, data: Dataset) -> tuple:
             raise ValidationError("mode 'average' requires a chain file")
         denoise = (cfg.denoise_threshold if args.denoise_threshold is None
                    else args.denoise_threshold)
-        chain = sampler.load_chain(args.chain)
+        chain = _check_p(args.chain, sampler.load_chain(args.chain), data.p)
         preds, size, meta["average_workers"], meta["distinct_draws"] = (
             predict._average_and_mask(chain, data, req, denoise))
         extra_columns = {"ensemble_size": size}

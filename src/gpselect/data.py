@@ -103,13 +103,17 @@ def _parse_cell(text: str, row: int, col_name: str, path) -> float:
 
 def _read_columns(path, pick) -> tuple[list[str], np.ndarray]:
     """The stripped header, and the cells of the columns pick(header) indexes
-    as finite floats; blank rows are skipped, others need one cell per name."""
+    as finite floats; a name may not repeat, blank rows are skipped, and
+    others need one cell per name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file, expected a header row") from None
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: repeated column name(s) in the header: {repeated}")
         idx = pick(header)
         rows = []
         for lineno, record in enumerate(reader, start=2):

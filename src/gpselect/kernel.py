@@ -47,18 +47,6 @@ def _log_rho(rho: np.ndarray) -> np.ndarray:
     return np.log(np.minimum(np.maximum(rho, RHO_FLOOR), 1.0))
 
 
-def correlation(u, v, rho) -> float:
-    """Correlation prod_j rho_j ** (u_j - v_j)^2 between two points."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    rho = np.asarray(rho, dtype=float).ravel()
-    if u.shape != v.shape or u.shape[0] != rho.shape[0]:
-        raise DimensionMismatchError(
-            f"point dims {u.shape[0]}/{v.shape[0]} vs {rho.shape[0]} correlation parameters"
-        )
-    return float(np.exp(np.dot((u - v) ** 2, _log_rho(rho))))
-
-
 def pairwise_sqdiffs(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Coordinate-wise squared differences, shape (len(A), len(B), p)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -173,8 +161,8 @@ class GpFactor:
         return inv
 
 
-def _trtrs(U: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    x, info = _scipy("linalg.lapack").dtrtrs(U, b, lower=0, trans=trans)
+def _trtrs(U: np.ndarray, b: np.ndarray, trans: int, lower: int = 0) -> np.ndarray:
+    x, info = _scipy("linalg.lapack").dtrtrs(U, b, lower=lower, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
     return x

@@ -315,11 +315,7 @@ def _concentrated_gls(y: np.ndarray, F: np.ndarray, f: kernel.GpFactor):
     # triangle of the first k rows of the dgeqrf output
     qr, tau = _lapack("dgeqrf", Ft)
     (Q,) = _lapack("dorgqr", qr, tau)
-    coef, info = kernel._scipy("linalg.lapack").dtrtrs(qr[:k].T, Q.T @ yt, lower=1, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    coef = kernel._trtrs(qr[:k].T, Q.T @ yt, 1, lower=1)
     resid_t = yt - Ft @ coef
     sigma2 = float(resid_t @ resid_t) / n
     return coef, sigma2, n * math.log(max(sigma2, 1e-300)) + f.logdet, resid_t
@@ -342,19 +338,6 @@ def _lapack(name, *args):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {name}")
     return out
-
-
-def gls_fit(data, model: ModelIndicator, rho, lam: float):
-    """GLS trend fit at fixed correlation parameters.
-
-    Returns (beta0_hat, beta_hat_full, sigma2_hat, objective) where objective
-    is n*log(sigma2_hat) + log|R + lam*I|.
-    """
-    f = kernel.GpFactor(kernel.pairwise_sqdiffs(data.X), rho, lam)
-    coef, sigma2, objective, _ = _concentrated_gls(data.y, _trend_matrix(data.X, model.gamma_r), f)
-    beta_full = np.zeros(data.X.shape[1])
-    beta_full[np.where(model.gamma_r == 1)[0]] = coef[1:]
-    return float(coef[0]), beta_full, sigma2, objective
 
 
 def _ols_fit(data, model: ModelIndicator) -> MleFit:

@@ -106,12 +106,11 @@ class Chain:
     adjacent rows are equal in their bits. Per stored draw, run_of is the
     index of its row, iters its iteration and draw_accepted its iteration's
     flag; np.bincount(run_of) gives each row's draw count. accepted holds
-    one flag per sampler iteration when the chain was produced in-process; a
-    chain loaded from disk only has flags for the stored draws. n_singular
-    counts the proposals auto-rejected because R + lambda*I could not be
-    factored, and acceptance_by_flips the proposals and acceptances of every
-    iteration by the number k of indicators flipped ("0", "1", "2", "3+");
-    chain files do not store them, so a loaded chain has None.
+    one flag per sampler iteration, n_singular counts the proposals
+    auto-rejected because R + lambda*I could not be factored, and
+    acceptance_by_flips the proposals and acceptances of every iteration by
+    the number k of indicators flipped ("0", "1", "2", "3+"); chain files do
+    not store these three, so a loaded chain has None.
     """
 
     gamma_r: np.ndarray
@@ -126,7 +125,7 @@ class Chain:
     log_posts: np.ndarray
     run_of: np.ndarray
     iters: np.ndarray
-    accepted: np.ndarray
+    accepted: np.ndarray | None
     draw_accepted: np.ndarray
     n_singular: int | None = None
     acceptance_by_flips: dict | None = None
@@ -137,12 +136,6 @@ class Chain:
     @property
     def p(self) -> int:
         return int(self.gamma_r.shape[1])
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Share of the stored draws whose iteration accepted its proposal; a
-        saved and loaded chain gives the same value."""
-        return float(np.mean(self.draw_accepted)) if len(self) else float("nan")
 
     def indicator(self, i: int) -> ModelIndicator:
         """Stored draw i's model."""
@@ -431,10 +424,10 @@ def save_chain(chain: Chain, path) -> None:
 def load_chain(path) -> Chain:
     """Read a JSON-Lines chain file back into a Chain.
 
-    Per-iteration acceptance flags for burn-in iterations are not in the
-    file, so `accepted` covers only the stored draws. Any JSON-Lines layout
-    loads; on lines in save_chain's own layout the fields between "iter"
-    and "accepted" are parsed only when they differ from the previous line's.
+    The file holds the stored draws' flags only, so `accepted` is None. Any
+    JSON-Lines layout loads; on lines in save_chain's own layout the fields
+    between "iter" and "accepted" are parsed only when they differ from the
+    previous line's.
     Each parsed state is checked and packed into typed rows, as run_chain
     packs its states; a malformed one is a ValidationError naming its line.
     Adjacent lines with the same values, however spelt, are one run and one
@@ -479,10 +472,9 @@ def load_chain(path) -> Chain:
             flags.append(m[3] == "true" if m else record["accepted"])
     if not runs:
         raise ValidationError(f"{path}: chain file holds no draws")
-    accepted = np.array(flags, dtype=bool)
     return Chain(**_row_fields(gammas, values, n_rows, p, runs),
-                 iters=np.array(iters, dtype=np.int64), accepted=accepted,
-                 draw_accepted=accepted.copy())
+                 iters=np.array(iters, dtype=np.int64), accepted=None,
+                 draw_accepted=np.array(flags, dtype=bool))
 
 
 def _pack_state(record: dict, p: int | None, gammas: array, values: array) -> int:

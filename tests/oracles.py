@@ -611,15 +611,15 @@ def runs_reference(draws):
 
 def chain_of_draws(draws, accepted=None):
     """A Chain of per-draw arrays (STATE_FIELDS, iters and draw_accepted):
-    one row per run of `runs_reference`. accepted defaults to the stored
-    draws' flags, as in a loaded chain."""
+    one row per run of `runs_reference`. accepted, the per-iteration flags,
+    defaults to None, as in a loaded chain."""
     starts = runs_reference(draws)
     flags = np.asarray(draws["draw_accepted"], dtype=bool)
     return Chain(
         **{name: np.asarray(draws[name], dtype=np.int8 if name.startswith("gamma")
                             else np.float64)[starts] for name in STATE_FIELDS},
         run_of=np.cumsum(starts) - 1, iters=np.asarray(draws["iters"], dtype=np.int64),
-        accepted=flags.copy() if accepted is None else accepted, draw_accepted=flags,
+        accepted=accepted, draw_accepted=flags,
     )
 
 
@@ -842,23 +842,15 @@ def concentrated_gls_reference(y: np.ndarray, F: np.ndarray, f):
 
 
 def gls_fit_reference(data, model: ModelIndicator, rho, lam: float):
-    """GLS trend fit at fixed correlation parameters.
-
-    Returns (beta0_hat, beta_hat_full, sigma2_hat, objective) where objective
-    is n*log(sigma2_hat) + log|R + lam*I|.
+    """GLS trend fit at fixed correlation parameters: the coefficients (the
+    intercept, then the active columns'), sigma2_hat and the objective
+    n*log(sigma2_hat) + log|R + lam*I|, as predict._concentrated_gls gives them.
     """
-    rho = np.asarray(rho, dtype=float)
-    km = correlation_matrix_reference(data.X, rho)
+    km = correlation_matrix_reference(data.X, np.asarray(rho, dtype=float))
     L = km.factor(lam)
-    F = _trend_matrix(data.X, model.gamma_r)
-    coef, sigma2 = gls_from_factor_reference(data.y, F, L)
-    beta_full = np.zeros(data.X.shape[1])
-    active = np.where(model.gamma_r == 1)[0]
-    beta_full[active] = coef[1:]
+    coef, sigma2 = gls_from_factor_reference(data.y, _trend_matrix(data.X, model.gamma_r), L)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    n = data.X.shape[0]
-    objective = n * math.log(max(sigma2, 1e-300)) + logdet
-    return float(coef[0]), beta_full, sigma2, objective
+    return coef, sigma2, data.X.shape[0] * math.log(max(sigma2, 1e-300)) + logdet
 
 
 def predict_mle_reference(fit: MleFit, data, req: PredictionRequest) -> np.ndarray:

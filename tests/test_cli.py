@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -50,6 +51,11 @@ def test_ingest_errors(tmp_path):
         ingest(_write(tmp_path / "d.csv", "x1,y\n1,2\nnan,3\n"), "y")
     with pytest.raises(ValidationError, match="no data rows"):
         ingest(_write(tmp_path / "e.csv", "x1,y\n"), "y")
+    # a repeated name, here the response's, would make the second y a covariate
+    path = _write(tmp_path / "f.csv", "x1,y,y\n1,2,3\n2,3,4\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: repeated column name(s) "
+                                                        "in the header: ['y']")):
+        ingest(path, "y")
 
 
 def test_ingest_export_round_trip(tmp_path, rng):
@@ -81,6 +87,11 @@ def test_read_sites_selects_columns_by_name(tmp_path):
     assert np.array_equal(X, np.array([[1.0, 4.0], [2.0, 5.0]]))
     with pytest.raises(ValidationError, match="missing feature"):
         read_sites_csv(path, ["x1", "x3"])
+    # a repeated name would read its first column twice
+    path = _write(tmp_path / "t.csv", "a,a\n0.1,0.9\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: repeated column name(s) "
+                                                        "in the header: ['a']")):
+        read_sites_csv(path, ["a", "a"])
 
 
 def test_split_rows_partition():
@@ -866,12 +877,20 @@ def test_cli_missing_json_input_file_exits_1_naming_it(tiny_pipeline, capsys, fl
      "--threads must be 1 (cross-validation sets its own worker processes), got 0"),
     (["--threads", "2", "select", "--chain", "MISSING", "--data", "DATA", "--response", "y"],
      "--threads must be 1 (cross-validation sets its own worker processes), got 2"),
+    (["select", "--chain", "CHAIN3", "--data", "DATA", "--response", "y"],
+     "CHAIN3: 3 columns' indicators, data has 2 columns"),
+    (["predict", "--mode", "average", "--chain", "CHAIN3", "--data", "DATA", "--response", "y",
+      "--sites", "SITES"], "CHAIN3: 3 columns' indicators, data has 2 columns"),
 ], ids=["predict_mle_without_fit", "predict_average_without_chain", "benchmark_without_input",
-        "fit_model_missing", "inclusion_chain_missing", "threads_zero", "threads_two"])
+        "fit_model_missing", "inclusion_chain_missing", "threads_zero", "threads_two",
+        "select_chain_of_other_width", "predict_average_chain_of_other_width"])
 def test_cli_failure_after_the_config_loads_writes_nothing(tiny_pipeline, capsys, argv,
                                                           message):
+    chain3 = tiny_pipeline["dir"] / "chain3.jsonl"  # a chain sampled on 3 columns
+    chain3.write_text(_json_line({**_CHAIN_LINE, "gamma_r": [0] * 3, "gamma_c": [0] * 3,
+                                  "beta": [0.0] * 3, "rho": [1.0] * 3}) + "\n")
     paths = {"DATA": tiny_pipeline["data"], "SITES": tiny_pipeline["sites"],
-             "MISSING": str(tiny_pipeline["dir"] / "missing.json")}
+             "MISSING": str(tiny_pipeline["dir"] / "missing.json"), "CHAIN3": str(chain3)}
     out = tiny_pipeline["dir"] / "out"
     rc = main(["--config", tiny_pipeline["config"], "--output-dir", str(out)]
               + [paths.get(a, a) for a in argv])
@@ -879,7 +898,9 @@ def test_cli_failure_after_the_config_loads_writes_nothing(tiny_pipeline, capsys
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
     err = stderr.splitlines()
-    assert len(err) == 1 and paths.get(message, message) in json.loads(err[0])["message"]
+    for key, path in paths.items():
+        message = message.replace(key, path)
+    assert len(err) == 1 and message in json.loads(err[0])["message"]
     assert not out.exists()
 
 

@@ -8,34 +8,47 @@ from gpselect import (
     DimensionMismatchError,
     GpFactor,
     NumericalSingularityError,
-    correlation,
     log_likelihood,
 )
 from gpselect.kernel import cholesky_with_jitter, corr_from_sqdiffs, pairwise_sqdiffs
 from gpselect.model import LAMBDA_FLOOR
 
-from oracles import loglik_oracle, random_dataset, random_state
+from oracles import dense_corr, loglik_oracle, random_dataset, random_state
+
+
+def _corr(u, v, rho):
+    """The correlations of points u and v at each column of rho, a (p, b)
+    stack (a (p,) vector is one column), from one corr_from_sqdiffs call as
+    _kriging_means' tiles make it; each agrees with the single-vector call
+    at its column within rounding."""
+    d2 = pairwise_sqdiffs(u, v)
+    rho = np.asarray(rho, dtype=float).reshape(d2.shape[-1], -1)
+    stacked = corr_from_sqdiffs(d2, rho)[0, 0]
+    for value, column in zip(stacked, rho.T):
+        assert value == pytest.approx(corr_from_sqdiffs(d2, column)[0, 0], rel=1e-12, abs=0.0)
+    return stacked
 
 
 def test_zero_distance_gives_one():
     u = np.array([0.3, -1.2, 4.0])
-    assert correlation(u, u, [0.2, 0.8, 0.5]) == 1.0
+    assert np.all(_corr(u, u, [[0.2, 0.9], [0.8, 0.1], [0.5, 5e-6]]) == 1.0)
 
 
 def test_all_inert_gives_one():
-    assert correlation([0.1, 0.9], [5.0, -3.0], [1.0, 1.0]) == 1.0
+    assert np.all(_corr([0.1, 0.9], [5.0, -3.0], np.ones((2, 3))) == 1.0)
 
 
 def test_product_form_value():
-    # 0.75^1 * (5e-6)^1 for unit squared distances in both coordinates
-    val = correlation([0.0, 0.0], [1.0, 1.0], [0.75, 5e-6])
-    assert val == pytest.approx(3.75e-6, rel=1e-10)
+    # 0.75^1 * (5e-6)^1 for unit squared distances in both coordinates, and
+    # 0.5^1 * 0.5^1 in the second column
+    val = _corr([0.0, 0.0], [1.0, 1.0], [[0.75, 0.5], [5e-6, 0.5]])
+    assert val == pytest.approx([3.75e-6, 0.25], rel=1e-10)
 
 
 def test_zero_rho_convention():
     # 0^0 := 1 at zero distance; at positive distance the factor collapses
-    assert correlation([0.5], [0.5], [0.0]) == 1.0
-    assert correlation([0.0], [1.0], [0.0]) == pytest.approx(0.0, abs=1e-11)
+    assert np.all(_corr([0.5], [0.5], [[0.0, 0.3]]) == 1.0)
+    assert _corr([0.0], [1.0], [[0.0, 0.3]]) == pytest.approx([0.0, 0.3], abs=1e-11)
 
 
 def test_symmetry_random(rng):
@@ -43,16 +56,17 @@ def test_symmetry_random(rng):
         p = int(rng.integers(1, 6))
         u = rng.normal(size=p)
         v = rng.normal(size=p)
-        rho = rng.uniform(size=p)
-        assert correlation(u, v, rho) == pytest.approx(correlation(v, u, rho), rel=1e-14)
-        assert 0.0 <= correlation(u, v, rho) <= 1.0
+        rho = rng.uniform(size=(p, 4))
+        assert _corr(u, v, rho) == pytest.approx(_corr(v, u, rho), rel=1e-14)
+        assert np.all((0.0 <= _corr(u, v, rho)) & (_corr(u, v, rho) <= 1.0))
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        correlation([0.0, 1.0], [0.0], [0.5, 0.5])
-    with pytest.raises(DimensionMismatchError):
-        correlation([0.0], [1.0], [0.5, 0.5])
+        pairwise_sqdiffs([0.0, 1.0], [0.0])
+    for rho in ([0.5, 0.5], np.full((2, 3), 0.5)):
+        with pytest.raises(DimensionMismatchError):
+            corr_from_sqdiffs(pairwise_sqdiffs([0.0], [1.0]), rho)
 
 
 def _factored(f: GpFactor) -> np.ndarray:
@@ -78,10 +92,7 @@ def test_matrix_matches_entrywise(rng):
     rho = rng.uniform(size=2)
     lam = 0.25
     A = _factored(GpFactor(pairwise_sqdiffs(X), rho, lam))
-    for l in range(3):
-        for m in range(3):
-            want = correlation(X[l], X[m], rho) + (lam if l == m else 0.0)
-            assert A[l, m] == pytest.approx(want, rel=1e-12)
+    assert A == pytest.approx(dense_corr(X, rho) + lam * np.eye(3), rel=1e-12)
 
 
 def test_inert_column_invariance(rng):
@@ -100,7 +111,7 @@ def test_cross_correlation_consistent(rng):
     rho = [0.3, 0.8]
     rc = corr_from_sqdiffs(pairwise_sqdiffs(X_new, X_old), rho)
     assert rc.shape == (3, 5)
-    assert rc[1, 2] == pytest.approx(correlation(X_new[1], X_old[2], rho), rel=1e-12)
+    assert rc == pytest.approx(dense_corr(np.vstack([X_new, X_old]), rho)[:3, 3:], rel=1e-12)
 
 
 def test_loglik_single_point_standard_normal():
@@ -262,7 +273,7 @@ def test_factor_reproduces_matrix():
     X = np.random.default_rng(2).uniform(size=(6, 2))
     d2 = pairwise_sqdiffs(X)
     f = GpFactor(d2, [0.4, 0.4], 0.1)
-    A = np.array([[correlation(u, v, [0.4, 0.4]) for v in X] for u in X]) + 0.1 * np.eye(6)
+    A = dense_corr(X, [0.4, 0.4]) + 0.1 * np.eye(6)
     assert np.allclose(_factored(f), A)
     assert f.logdet == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
     b = np.random.default_rng(3).normal(size=(6, 2))

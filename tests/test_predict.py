@@ -40,7 +40,6 @@ from gpselect.predict import (
     SIGMA2_DEGENERATE,
     MleFit,
     _concentrated_gls,
-    gls_fit,
 )
 
 from oracles import dense_corr, dense_gls, profile_objective, random_dataset, random_state
@@ -171,7 +170,9 @@ def test_gls_matches_dense_oracle(rng):
         data = random_dataset(rng, n=12, p=3)
         ind, state = random_state(rng, 3)
         lam = float(rng.uniform(0.05, 0.5))
-        beta0_hat, beta_full, sigma2, _ = gls_fit(data, ind, state.rho, lam)
+        f = GpFactor(kernel.pairwise_sqdiffs(data.X), state.rho, lam)
+        trend = predict._trend_matrix(data.X, ind.gamma_r)
+        coef, sigma2, _, _ = _concentrated_gls(data.y, trend, f)
         R = dense_corr(data.X, state.rho)
         A = R + lam * np.eye(data.n)
         cols = [np.ones((data.n, 1))]
@@ -180,11 +181,8 @@ def test_gls_matches_dense_oracle(rng):
             cols.append(data.X[:, active])
         F = np.hstack(cols)
         coef_o, sigma2_o = dense_gls(data.y, F, A)
-        assert beta0_hat == pytest.approx(coef_o[0], abs=1e-8)
-        assert beta_full[active] == pytest.approx(coef_o[1:], abs=1e-8)
+        assert coef == pytest.approx(coef_o, abs=1e-8)
         assert sigma2 == pytest.approx(sigma2_o, rel=1e-8)
-        inactive = np.setdiff1d(np.arange(3), active)
-        assert np.all(beta_full[inactive] == 0.0)
 
 
 def test_fit_mle_nonfinite_objective_reports_trace(rng):
@@ -685,8 +683,7 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
         km.factor(lam)
     except NumericalSingularityError:
         assert zero_nugget
-        paths = [lambda: GpFactor(kernel.pairwise_sqdiffs(X), rho, lam),
-                 lambda: gls_fit(data, model, rho, lam)]
+        paths = [lambda: GpFactor(kernel.pairwise_sqdiffs(X), rho, lam)]
         if m:  # an empty request factors nothing
             paths += [lambda: conditional_mean(data, state, req),
                       lambda: model_average(chain, data, req)]
@@ -701,7 +698,7 @@ def test_gp_paths_match_reference(seed, n, p, zero_nugget, duplicate, no_active_
         _assert_agree(conditional_mean(data, state, req),
                       oracles.conditional_mean_reference(data, state, req), exact, f,
                       _reordered_sum_bound(data, req, [(beta0, beta, rho, lam)]))
-        _assert_agree(np.hstack(gls_fit(data, model, rho, lam)),
+        _assert_agree(np.hstack(_concentrated_gls(y, predict._trend_matrix(X, gamma_r), f)[:3]),
                       np.hstack(oracles.gls_fit_reference(data, model, rho, lam)), exact, f)
         got = model_average(chain, data, req)
         want = oracles.model_average_reference(chain, data, req)

@@ -53,7 +53,7 @@ from oracles import (
     save_chain_reference,
 )
 
-CHAIN_ARRAYS = (*STATE_FIELDS, "run_of", "iters", "accepted", "draw_accepted")
+CHAIN_ARRAYS = (*STATE_FIELDS, "run_of", "iters", "draw_accepted")
 
 
 def _current(p, rng):
@@ -336,19 +336,22 @@ def test_acceptance_by_flips_partitions_every_iteration(small_data, tmp_path):
     assert load_chain(tmp_path / "chain.jsonl").acceptance_by_flips is None
 
 
-def test_acceptance_rate_survives_a_save_load_round_trip(small_data, tmp_path):
+def test_draw_flags_survive_a_save_load_round_trip(small_data, tmp_path):
+    # the file holds the flags of the stored iterations only: a loaded chain
+    # has them as draw_accepted and no per-iteration flags
     cfg = SamplerConfig(n_iter=2000, burn_in=500, thin=3, seed=5)
     chain = run_chain(small_data, PriorConfig(), cfg)
     save_chain(chain, tmp_path / "chain.jsonl")
     loaded = load_chain(tmp_path / "chain.jsonl")
-    assert loaded.acceptance_rate == chain.acceptance_rate
-    assert chain.acceptance_rate == np.mean(chain.accepted[chain.iters])
+    assert np.array_equal(chain.draw_accepted, chain.accepted[chain.iters])
+    assert np.array_equal(loaded.draw_accepted, chain.draw_accepted)
+    assert loaded.accepted is None
 
 
 def test_run_chain_acceptance_strictly_interior(small_data):
     cfg = SamplerConfig(n_iter=10000, burn_in=100, seed=11)
     chain = run_chain(small_data, PriorConfig(), cfg)
-    assert 0.0 < chain.acceptance_rate < 1.0
+    assert chain.draw_accepted.any() and not chain.draw_accepted.all()
     assert chain.accepted.any() and not chain.accepted.all()
 
 
@@ -433,9 +436,10 @@ def stored_chains(draw):
 
 
 def _assert_same_chain(got, want):
-    """The same rows and per-draw arrays, floats bit for bit, and no two
-    adjacent rows equal in their bits."""
-    for name in CHAIN_ARRAYS:
+    """The same rows, per-draw arrays and per-iteration flags (None in both,
+    or equal), floats bit for bit, and no two adjacent rows equal in their bits."""
+    assert (got.accepted is None) == (want.accepted is None)
+    for name in CHAIN_ARRAYS + (() if want.accepted is None else ("accepted",)):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
         if a.dtype == np.float64:
